@@ -1,4 +1,4 @@
-.PHONY: check build test race bench wire chaos
+.PHONY: check build test race bench perf wire chaos
 
 # The tier-1 gate: vet, build, full test suite, and the race detector
 # on the concurrency-heavy packages.
@@ -14,8 +14,14 @@ test:
 race:
 	go test -race -count=1 ./internal/core/ ./internal/netsim/ ./internal/wire/
 
+# Go micro-benchmarks of the root package (not the repo's benchmark).
 bench:
 	go test -bench=. -benchmem
+
+# The repo's benchmark (BENCHMARK.json): five closed-loop workloads over
+# two real nodes, every metric printed by name. See perf/README.md.
+perf:
+	bash perf/run.sh
 
 # Distributed pagination benchmark: two OS processes over loopback TCP.
 wire:

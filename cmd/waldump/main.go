@@ -69,12 +69,18 @@ func run(dir string, node int, verbose bool) error {
 			}
 			counts[tag]++
 			if verbose {
-				detail := ""
+				// Frames, journal entries and snapshots are opened by the
+				// durable package's own materialisers; waldump decodes only
+				// the two flat engine-level records it formats specially.
+				detail := durable.Describe(payload)
 				switch tag {
 				case 20:
-					detail = "  " + watermarkDetail(payload[1:])
+					detail = watermarkDetail(payload[1:])
 				case 23:
-					detail = "  " + transplantDetail(payload[1:])
+					detail = transplantDetail(payload[1:])
+				}
+				if detail != "" {
+					detail = "  " + detail
 				}
 				fmt.Printf("%8d  %-14s %4dB%s\n", lsn, names[tag], len(payload), detail)
 			}

@@ -6,13 +6,18 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/durable"
 	"github.com/hope-dist/hope/internal/ids"
+	"github.com/hope-dist/hope/internal/journal"
+	"github.com/hope-dist/hope/internal/msg"
+	"github.com/hope-dist/hope/internal/rpc"
 	"github.com/hope-dist/hope/internal/wal"
+	"github.com/hope-dist/hope/internal/wire"
 )
 
-// runCapture runs run() with stdout captured.
-func runCapture(t *testing.T, dir string) string {
+// capture runs run() with stdout captured.
+func capture(t *testing.T, dir string) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -24,10 +29,17 @@ func runCapture(t *testing.T, dir string) string {
 	w.Close()
 	os.Stdout = old
 	out, _ := io.ReadAll(r)
-	if runErr != nil {
-		t.Fatalf("run: %v\n%s", runErr, out)
+	return string(out), runErr
+}
+
+// runCapture is capture for runs that must succeed.
+func runCapture(t *testing.T, dir string) string {
+	t.Helper()
+	out, err := capture(t, dir)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
 	}
-	return string(out)
+	return out
 }
 
 // TestCheckpointRecordsClassified: a WAL holding a completed checkpoint
@@ -163,5 +175,61 @@ func TestCorruptRecordReportedAndReplaySkipped(t *testing.T) {
 	// Forensic promise: the WAL is byte-for-byte untouched afterwards.
 	if info, err := os.Stat(seg); err != nil || info.Size() != 16+3*8+int64(len(payloads[0])+len(payloads[1])+len(payloads[2])) {
 		t.Fatalf("segment size changed: %v %v", info, err)
+	}
+}
+
+// TestRetainedRecordsDecodedOnDemand: the records whose bodies the fold
+// keeps as bytes — journal entries, frames, the adoption-time
+// recProcIndex — are opened by -v through durable's own materialisers,
+// and one that no longer decodes is reported on its line instead of
+// aborting the forensic pass.
+func TestRetainedRecordsDecodedOnDemand(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := durable.OpenOptions(durable.Options{Dir: dir, NodeID: 1, Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := wire.PIDBase(1) + 1
+	m := msg.Data(wire.PIDBase(0)+2, pid, ids.IntervalID{}, nil, rpc.Request{Method: rpc.MethodPrint, Seq: 4})
+	m.SrcNode, m.SrcSeq = 0, 7
+	entry := &journal.Entry{Kind: journal.KindRecv, Msg: m}
+	s.JournalAppend(pid, entry)
+	if err := s.ProcExport(pid+100, &core.Restored{
+		Intervals: []core.RestoredInterval{{ID: ids.IntervalID{Proc: pid, Epoch: 1}, Definite: true}},
+		Entries:   []*journal.Entry{entry, {Kind: journal.KindNote, Note: "n"}},
+		NextSeq:   1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A journal record whose entry is cut short, appended behind the
+	// store's back.
+	l, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte{5, 0x09, 0x02}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out, runErr := capture(t, dir)
+	for _, want := range []string{
+		"recv Data " + (wire.PIDBase(0) + 2).String() + "→" + pid.String() + " payload=rpc.Request src=0/7",
+		(pid + 100).String() + " intervals=1 entries=2 dead=0 base=false nextseq=1",
+		"(undecodable:",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in dump:\n%s", want, out)
+		}
+	}
+	// The recovery pass is hoped's real boot path: it refuses the record
+	// the forensic pass merely annotated.
+	if runErr == nil || !strings.Contains(runErr.Error(), "recovery replay") {
+		t.Errorf("recovery replay accepted a malformed journal record: %v", runErr)
 	}
 }

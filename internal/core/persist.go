@@ -58,14 +58,12 @@ type Persister interface {
 	MessageConsumed(m *msg.Message)
 }
 
-// ProcExporter is an optional Persister extension: a per-process export
-// index. The engine periodically (and at transplant time, forcibly)
-// writes a self-contained snapshot of one process's replay state, so a
-// foreign reader extracting that process from this node's WAL
-// (durable.ReadProcesses) folds the newest index record plus the tail
-// instead of the process's whole history. An error means the snapshot
-// did not reach the log; the engine treats a forced (transplant-time)
-// failure as fatal for the hand-off and a cadence failure as skippable.
+// ProcExporter is an optional Persister extension: a self-contained
+// snapshot of one process's replay state as a single record. The engine
+// writes it only at adoption (AdoptProcesses), under the reborn PID, so
+// the adopter's own restart can rebuild a process whose history lives in
+// a dead node's WAL. An error means the snapshot did not reach the log,
+// which is fatal for the hand-off.
 type ProcExporter interface {
 	ProcExport(pid ids.PID, snap *Restored) error
 }
@@ -146,7 +144,6 @@ func (p *Process) appendJournalLocked(e *journal.Entry) {
 	p.jnl.Append(e)
 	if per := p.eng.persist; per != nil {
 		per.JournalAppend(p.proc.PID(), e)
-		p.maybeExportLocked(per)
 	}
 }
 

@@ -51,11 +51,6 @@ type Process struct {
 	restarts int
 	recving  bool // body parked inside Recv
 
-	// sinceExport counts journal appends since the last per-process
-	// export-index record (see transplant.go); foreign WAL readers use
-	// those records to extract this process without a full-log fold.
-	sinceExport int
-
 	// base is the latest compaction snapshot (see compact.go): the
 	// state a re-execution resumes from instead of replaying the
 	// process's whole life.

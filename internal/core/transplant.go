@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/hope-dist/hope/internal/ids"
-	"github.com/hope-dist/hope/internal/journal"
 	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/trace"
 	"github.com/hope-dist/hope/internal/transport"
@@ -36,12 +35,6 @@ import (
 // is first-mapping-wins — a second adoption of the same PID (a view
 // disagreement, a replayed announcement) is refused before it spawns, so
 // no two incarnations of one client process can both externalize.
-
-// exportEvery is the per-process export-index cadence, in journal
-// appends. Each export (durable recProcIndex) replaces the process's
-// folded history in one record, so a foreign reader extracting the
-// process pays for the tail since the last export, not the whole life.
-const exportEvery = 64
 
 // TransplantPair maps a dead incarnation to its reborn one.
 type TransplantPair struct {
@@ -199,9 +192,10 @@ func (e *Engine) TransplantParked() int {
 // reshaped to core's Restored); own selects the slice (nil adopts all);
 // body is the deterministic body to replay — the same function the
 // corpse ran, by the determinism contract. For each adopted process the
-// hand-off is made durable first (recTransplant plus a forced export of
-// the full snapshot under the reborn PID), so a crash mid-transplant
-// recovers the adoption instead of losing the process twice.
+// hand-off is made durable first (recTransplant plus an export of the
+// full snapshot under the reborn PID — the one place the engine writes a
+// ProcExporter record), so a crash mid-transplant recovers the adoption
+// instead of losing the process twice.
 //
 // Returns the installed pairs; the caller announces them to peers
 // (EncodeTransplantAnnouncement → wire transplant frames) so everyone
@@ -370,61 +364,4 @@ func DecodeTransplantAnnouncement(b []byte) ([]TransplantPair, error) {
 		return nil, fmt.Errorf("core: transplant announcement: %d trailing bytes", len(b))
 	}
 	return pairs, nil
-}
-
-// maybeExportLocked writes a per-process export-index record every
-// exportEvery journal appends. A cadence export is an optimization (the
-// WAL tail still folds correctly without it), so a failure is traced and
-// skipped rather than poisoning the process.
-func (p *Process) maybeExportLocked(per Persister) {
-	px, ok := per.(ProcExporter)
-	if !ok {
-		return
-	}
-	p.sinceExport++
-	if p.sinceExport < exportEvery {
-		return
-	}
-	p.sinceExport = 0
-	if err := px.ProcExport(p.proc.PID(), p.restoredSnapshotLocked()); err != nil {
-		p.eng.tracer.Emit(trace.Event{Kind: trace.Transport, PID: p.proc.PID(),
-			Detail: fmt.Sprintf("proc export skipped: %v", err)})
-	}
-}
-
-// restoredSnapshotLocked flattens the process's live replay state into
-// the Restored shape the export-index record carries. Caller holds p.mu.
-// MaxEpoch understates epochs of intervals already rolled back, which is
-// safe: the durable fold merges maxima from the records the export
-// replaces, and the adoption path re-maximizes over what it reads.
-func (p *Process) restoredSnapshotLocked() *Restored {
-	r := &Restored{
-		NextSeq:    p.seq,
-		Base:       p.base,
-		HasBase:    p.hasBase,
-		Terminated: p.term,
-	}
-	for _, rec := range p.history.Slice() {
-		if rec.ID.Epoch > r.MaxEpoch {
-			r.MaxEpoch = rec.ID.Epoch
-		}
-		r.Intervals = append(r.Intervals, RestoredInterval{
-			ID:           rec.ID,
-			Kind:         rec.Kind,
-			JournalIndex: rec.JournalIndex,
-			GuessAID:     rec.GuessAID,
-			Definite:     rec.Definite,
-			IDO:          rec.IDO.Slice(),
-			UDO:          rec.UDO.Slice(),
-			Cut:          rec.Cut.Slice(),
-			IHA:          rec.IHA.Slice(),
-			IHD:          rec.IHD.Slice(),
-		})
-	}
-	r.Entries = make([]*journal.Entry, p.jnl.Len())
-	for i := range r.Entries {
-		r.Entries[i] = p.jnl.At(i)
-	}
-	r.Dead = p.dead.Slice()
-	return r
 }

@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"github.com/hope-dist/hope/internal/ids"
-	"github.com/hope-dist/hope/internal/journal"
 	"github.com/hope-dist/hope/internal/trace"
-	"github.com/hope-dist/hope/internal/wire"
 )
 
 // A checkpoint bounds recovery: instead of refolding the whole WAL from
@@ -23,7 +21,11 @@ import (
 //     so the bracket starts a segment and everything before it is
 //     prunable.
 //  2. Append Begin, the state records, then End — unsynced; one fsync at
-//     the end covers the whole bracket.
+//     the end covers the whole bracket. The records are streamed from
+//     the shadow one at a time; frames, journal entries and snapshots go
+//     out as the bytes they came in as, so nothing is decoded or
+//     re-encoded and the emission cannot fail short of a log error
+//     (which voids the half-written bracket with recCkptAbort).
 //  3. Sync. Only now is the checkpoint real: a crash before this leaves a
 //     torn bracket that recovery discards (and the next boot voids with
 //     recCkptAbort).
@@ -61,29 +63,32 @@ func (s *Store) LastCheckpointLSN() uint64 { return s.lastCkpt.Load() }
 // serializes it against every record append.
 func (s *Store) checkpointLocked() error {
 	s.sinceCkpt = 0
-	recs, end, err := encodeCheckpoint(s.shadow, s.ckpts.Load()+1)
-	if err != nil {
-		// Nothing was written; the WAL is untouched. Checkpointing for
-		// this state is hopeless until the offending record is rolled
-		// back, but appends and full-replay recovery are unaffected.
-		return fmt.Errorf("durable: encode checkpoint: %w", err)
-	}
+	// Compact first, then emit everything that is left: the bracket and
+	// the shadow cannot disagree about which inbox entries survive, so
+	// once the bracket is durable the shadow is exactly the state a
+	// recovery adopting it would hold.
+	s.shadow.compactInbox()
 	if err := s.log.Rotate(); err != nil {
 		return fmt.Errorf("durable: checkpoint rotate: %w", err)
 	}
-	begin, err := s.log.AppendNoSync(recs[0])
-	if err != nil {
-		return fmt.Errorf("durable: checkpoint begin: %w", err)
-	}
-	for _, rec := range recs[1:] {
-		if _, err := s.log.AppendNoSync(rec); err != nil {
-			s.abortBracketLocked()
-			return fmt.Errorf("durable: checkpoint body: %w", err)
+	var begin uint64
+	n := 0
+	err := s.shadow.emitCheckpoint(s.ckpts.Load()+1, func(rec []byte) error {
+		lsn, err := s.log.AppendNoSync(rec)
+		if err != nil {
+			return err
 		}
-	}
-	if _, err := s.log.AppendNoSync(end); err != nil {
-		s.abortBracketLocked()
-		return fmt.Errorf("durable: checkpoint end: %w", err)
+		if n == 0 {
+			begin = lsn
+		}
+		n++
+		return nil
+	})
+	if err != nil {
+		if n > 0 {
+			s.abortBracketLocked()
+		}
+		return fmt.Errorf("durable: checkpoint record %d: %w", n, err)
 	}
 	// The bracket must be durable before it authorizes pruning the
 	// history it replaces — even under SyncNone, where losing the
@@ -93,7 +98,7 @@ func (s *Store) checkpointLocked() error {
 	}
 	s.ckpts.Add(1)
 	s.lastCkpt.Store(begin)
-	s.lastCkptLen = len(recs) + 1 // + the End record; feeds the amortized cadence
+	s.lastCkptLen = n // feeds the amortized cadence
 	if err := s.log.Prune(begin); err != nil {
 		// The checkpoint is valid; stale segments just linger until the
 		// next prune succeeds.
@@ -112,18 +117,54 @@ func (s *Store) abortBracketLocked() {
 	}
 }
 
-// encodeCheckpoint flattens rs into the bracket records: recs[0] is the
-// Begin record, recs[1:] the state, and end the End record (returned
-// separately so a mid-encode failure writes nothing). Iteration over maps
-// is key-sorted purely for deterministic output.
-func encodeCheckpoint(rs *recoverState, ordinal uint64) (recs [][]byte, end []byte, err error) {
-	add := func(b []byte) { recs = append(recs, b) }
+// compactInbox drops every inbox entry that can never be redelivered:
+// consumed, and named by no journalled receive whose rollback could
+// release it again. Nothing later in the stream can observe such an
+// entry, so dropping it never changes what the fold produces.
+func (rs *recoverState) compactInbox() {
+	releasable := make(map[inKey]struct{})
+	for _, p := range rs.procs {
+		for i := range p.entries {
+			if key, ok := p.entries[i].recvKey(); ok {
+				releasable[key] = struct{}{}
+			}
+		}
+	}
+	keep := rs.inbox[:0]
+	for _, im := range rs.inbox {
+		if _, ok := releasable[im.inKey]; im.consumed && !ok {
+			delete(rs.inboxBy, im.inKey)
+			continue
+		}
+		keep = append(keep, im)
+	}
+	clear(rs.inbox[len(keep):])
+	rs.inbox = keep
+}
 
-	add(appendUv([]byte{recCkptBegin}, ordinal))
+// emitCheckpoint flattens rs into a checkpoint bracket, handing each
+// record to emit in order: Begin, the state, End. Retained bytes —
+// frames, journal entries, compaction bases, pending resends — are
+// re-emitted verbatim, so nothing here can fail to encode; the only
+// error is emit's first, after which nothing more is emitted. rec is
+// reused between calls. The caller compacts the inbox first (compactInbox). Iteration
+// over maps is key-sorted purely for deterministic output.
+func (rs *recoverState) emitCheckpoint(ordinal uint64, emit func(rec []byte) error) error {
+	var b []byte
+	var err error
+	start := func(tag byte, v uint64) { b = appendUv(append(b[:0], tag), v) }
+	put := func() {
+		if err == nil {
+			err = emit(b)
+		}
+	}
 
+	start(recCkptBegin, ordinal)
+	put()
 	if rs.viewEpoch > 0 {
-		b := appendUv([]byte{recViewEpoch}, rs.viewEpoch)
-		add(appendUv(b, 0)) // live set is informational; epoch is what must survive
+		start(recViewEpoch, rs.viewEpoch)
+		b = appendUv(b, 0) // live set is informational; epoch is what must survive
+		put()
 	}
 	if len(rs.frontier) > 0 {
 		nodes := make([]int, 0, len(rs.frontier))
@@ -131,16 +172,17 @@ func encodeCheckpoint(rs *recoverState, ordinal uint64) (recs [][]byte, end []by
 			nodes = append(nodes, n)
 		}
 		sort.Ints(nodes)
-		b := appendUv([]byte{recWatermark}, rs.wmView)
+		start(recWatermark, rs.wmView)
 		b = appendUv(b, uint64(len(nodes)))
 		for _, n := range nodes {
 			b = appendUv(b, uint64(n))
 			b = appendUv(b, uint64(rs.frontier[n]))
 		}
-		add(b)
+		put()
 	}
 	for _, a := range rs.deniedSeq {
-		add(appendUv([]byte{recAutoDeny}, uint64(a)))
+		start(recAutoDeny, uint64(a))
+		put()
 	}
 	if len(rs.aidExports) > 0 {
 		// Hosted AID snapshots (ownership routing): last-wins per AID, so
@@ -153,9 +195,10 @@ func encodeCheckpoint(rs *recoverState, ordinal uint64) (recs [][]byte, end []by
 		sort.Slice(exports, func(i, j int) bool { return exports[i] < exports[j] })
 		for _, a := range exports {
 			blob := rs.aidExports[a]
-			b := appendUv([]byte{recAIDExport}, uint64(a))
+			start(recAIDExport, uint64(a))
 			b = appendUv(b, uint64(len(blob)))
-			add(append(b, blob...))
+			b = append(b, blob...)
+			put()
 		}
 	}
 
@@ -169,9 +212,10 @@ func encodeCheckpoint(rs *recoverState, ordinal uint64) (recs [][]byte, end []by
 		sort.Slice(reborn, func(i, j int) bool { return reborn[i] < reborn[j] })
 		for _, pid := range reborn {
 			o := rs.transplants[pid]
-			b := appendUv([]byte{recTransplant}, uint64(o.From))
+			start(recTransplant, uint64(o.From))
 			b = appendUv(b, uint64(o.OldPID))
-			add(appendUv(b, uint64(pid)))
+			b = appendUv(b, uint64(pid))
+			put()
 		}
 	}
 
@@ -188,7 +232,7 @@ func encodeCheckpoint(rs *recoverState, ordinal uint64) (recs [][]byte, end []by
 		if hasWm {
 			flags |= ckptHasWm
 		}
-		b := appendUv([]byte{recCkptSeq}, uint64(peer))
+		start(recCkptSeq, uint64(peer))
 		b = append(b, flags)
 		if p != nil {
 			b = appendUv(b, p.lastSeq)
@@ -196,107 +240,85 @@ func encodeCheckpoint(rs *recoverState, ordinal uint64) (recs [][]byte, end []by
 		if hasWm {
 			b = appendUv(b, wm)
 		}
-		add(b)
+		put()
 		if p != nil {
 			for _, f := range p.frames {
-				b := appendUv([]byte{recPeerSend}, uint64(peer))
+				start(recPeerSend, uint64(peer))
 				b = appendUv(b, f.Seq)
-				add(append(b, f.Frame...))
+				b = append(b, f.Frame...)
+				put()
 			}
 		}
 	}
 
 	// Inbox, in arrival order, before any journal record (the re-folded
-	// journals re-mark their receives consumed). A consumed entry is
-	// retained only while some journalled receive could still release it
-	// by rolling back; once no journal references it, it is permanently
-	// consumed and simply omitted.
-	releasable := make(map[inKey]bool)
-	for _, p := range rs.procs {
-		for _, e := range p.entries {
-			if e.Msg != nil && e.Msg.SrcSeq != 0 &&
-				(e.Kind == journal.KindRecv || e.Kind == journal.KindTryRecv) {
-				releasable[inKey{from: e.Msg.SrcNode, seq: e.Msg.SrcSeq}] = true
-			}
-		}
-	}
+	// journals re-mark their receives consumed). compactInbox has left
+	// the unconsumed entries plus the consumed ones some journalled
+	// receive could still release by rolling back.
 	for _, im := range rs.inbox {
-		if im.consumed && !releasable[im.inKey] {
-			continue
-		}
-		b := appendUv([]byte{recDelivered}, uint64(im.from))
+		start(recDelivered, uint64(im.from))
 		b = appendUv(b, im.seq)
-		add(append(b, im.frame...))
+		b = append(b, im.frame...)
+		put()
 	}
 
 	// Per-process engine state. The base snapshot goes first (its fold
 	// clears the journal), then intervals with their current sets and
 	// flags, the journal, learned-dead AIDs, and finally the high-waters
 	// and flags no re-emitted record can reproduce.
-	pids := make([]ids.PID, 0, len(rs.procs))
-	for pid := range rs.procs {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	var pendings []*rProc
-	var pendingPIDs []ids.PID
-	for _, pid := range pids {
+	var pending []ids.PID
+	for _, pid := range rs.sortedPIDs() {
 		p := rs.procs[pid]
 		if p.hasBase {
-			b := appendUv([]byte{recCompact}, uint64(pid))
+			start(recCompact, uint64(pid))
 			b = appendIID(b, ids.IntervalID{}) // matches no interval: folds to base-only
-			b, err = appendAny(b, p.base)
-			if err != nil {
-				return nil, nil, err
-			}
-			add(b)
+			b = append(b, p.base...)
+			put()
 		}
 		for _, ri := range p.intervals {
-			b := appendUv([]byte{recIntervalOpen}, uint64(pid))
-			add(appendInterval(b, ri))
+			start(recIntervalOpen, uint64(pid))
+			b = appendInterval(b, ri)
+			put()
 		}
-		for _, e := range p.entries {
-			b := appendUv([]byte{recJournal}, uint64(pid))
-			b, err = appendEntry(b, e)
-			if err != nil {
-				return nil, nil, err
-			}
-			add(b)
+		for i := range p.entries {
+			start(recJournal, uint64(pid))
+			b = append(b, p.entries[i].enc...)
+			put()
 		}
 		for _, a := range p.deadOrder {
-			b := appendUv([]byte{recDeadAID}, uint64(pid))
-			add(appendUv(b, uint64(a)))
+			start(recDeadAID, uint64(pid))
+			b = appendUv(b, uint64(a))
+			put()
 		}
-		b := appendUv([]byte{recCkptProc}, uint64(pid))
+		start(recCkptProc, uint64(pid))
 		b = appendUv(b, uint64(p.maxSeq))
 		b = appendUv(b, uint64(p.maxEpoch))
 		var flags byte
 		if p.terminated {
 			flags |= ckptTerminated
 		}
-		add(append(b, flags))
+		b = append(b, flags)
+		put()
 		if p.poisoned {
-			b := appendUv([]byte{recPoison}, uint64(pid))
-			add(append(b, "carried across checkpoint"...))
+			start(recPoison, uint64(pid))
+			b = append(b, "carried across checkpoint"...)
+			put()
 		}
-		if p.lastSend != nil && p.lastSendLSN > p.lastFrameLSN && !p.terminated {
-			pendings = append(pendings, p)
-			pendingPIDs = append(pendingPIDs, pid)
+		if p.pendingSend() {
+			pending = append(pending, pid)
 		}
 	}
 
 	// End: the authoritative pending-resend set (see recoverState.adopt).
-	end = appendUv([]byte{recCkptEnd}, uint64(len(pendings)))
-	for i, p := range pendings {
-		end = appendUv(end, uint64(pendingPIDs[i]))
-		mb, err := wire.EncodeMessage(p.lastSend.Msg)
-		if err != nil {
-			return nil, nil, err
-		}
-		end = appendUv(end, uint64(len(mb)))
-		end = append(end, mb...)
+	start(recCkptEnd, uint64(len(pending)))
+	for _, pid := range pending {
+		enc := rs.procs[pid].lastSend.msg
+		b = appendUv(b, uint64(pid))
+		b = appendUv(b, uint64(len(enc)))
+		b = append(b, enc...)
 	}
-	return recs, end, nil
+	put()
+	return err
 }
 
 func sortedPeers(rs *recoverState) []int {

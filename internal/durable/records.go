@@ -23,6 +23,7 @@ import (
 	"github.com/hope-dist/hope/internal/ids"
 	"github.com/hope-dist/hope/internal/interval"
 	"github.com/hope-dist/hope/internal/journal"
+	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/wire"
 )
 
@@ -62,15 +63,17 @@ const (
 	recAIDExport = 21 // aid, len, blob — hosted AID machine snapshot (ownership routing); empty blob = shipped away (tombstone)
 
 	// Process transplant (DESIGN.md §13). recProcIndex is a full flattened
-	// snapshot of one user process — the per-process export index: a
-	// foreign reader (durable.ReadProcesses) folds the newest index record
-	// plus the tail after it instead of the process's whole history, and a
-	// transplant adopter force-writes one under the reborn PID so its own
-	// restart can rebuild the adopted process. recTransplant is the
-	// adopter's hand-off record: "newPid is the reborn incarnation of
-	// from's oldPid", written before the spawn so a crashed transplant is
-	// itself recoverable (the restart re-announces the mapping and
-	// respawns the incarnation from its recProcIndex).
+	// snapshot of one user process. It is written only at adoption: a
+	// transplant adopter force-writes one under the reborn PID, so its own
+	// restart can rebuild the adopted process from its own WAL. (Earlier
+	// versions also wrote one every 64 journal appends; every reader folds
+	// linearly from the first retained record, so those snapshots only
+	// restated what the same scan had already folded. Old WALs holding
+	// them still fold — the record replaces the process's state wholesale.)
+	// recTransplant is the adopter's hand-off record: "newPid is the reborn
+	// incarnation of from's oldPid", written before the spawn so a crashed
+	// transplant is itself recoverable (the restart re-announces the
+	// mapping and respawns the incarnation from its recProcIndex).
 	recProcIndex  = 22 // pid, flags, maxSeq, maxEpoch, intervals, entries, dead, [base] — per-process export index
 	recTransplant = 23 // fromNode, oldPid, newPid — process adopted off a dead node
 )
@@ -305,67 +308,115 @@ func (r *reader) aids() ([]ids.AID, error) {
 	return set, nil
 }
 
-func (r *reader) entry() (*journal.Entry, error) {
+// entryHeader is the fixed prefix of an encoded journal entry: every
+// field before the trailing gob note, with the embedded message left as
+// its encoded bytes.
+type entryHeader struct {
+	kind    journal.Kind
+	aid     ids.AID
+	flags   byte
+	iid     ids.IntervalID
+	child   ids.PID
+	srcNode int
+	srcSeq  uint64
+	msg     []byte // encoded embedded message, aliasing the input; nil when absent
+}
+
+// entryHeader parses an entry's fixed prefix without touching a gob
+// stream, leaving the cursor at the note (if any). This is all the fold
+// reads of an entry; entry() finishes the job when a value is needed.
+func (r *reader) entryHeader() (h entryHeader, err error) {
 	kind, err := r.uv()
 	if err != nil {
-		return nil, err
+		return h, err
 	}
 	aid, err := r.uv()
 	if err != nil {
-		return nil, err
+		return h, err
 	}
-	flags, err := r.byte()
-	if err != nil {
-		return nil, err
+	if h.flags, err = r.byte(); err != nil {
+		return h, err
 	}
-	iid, err := r.iid()
-	if err != nil {
-		return nil, err
+	if h.iid, err = r.iid(); err != nil {
+		return h, err
 	}
 	child, err := r.uv()
+	if err != nil {
+		return h, err
+	}
+	h.kind, h.aid, h.child = journal.Kind(kind), ids.AID(aid), ids.PID(child)
+	if h.flags&entHasMsg != 0 {
+		srcNode, err := r.uv()
+		if err != nil {
+			return h, err
+		}
+		if h.srcSeq, err = r.uv(); err != nil {
+			return h, err
+		}
+		mlen, err := r.uv()
+		if err != nil {
+			return h, err
+		}
+		if h.msg, err = r.take(int(mlen)); err != nil {
+			return h, err
+		}
+		h.srcNode = int(srcNode)
+	}
+	return h, nil
+}
+
+// entry materialises a journal entry: the header, then the two gob
+// streams (message payload, note) the fold never opens.
+func (r *reader) entry() (*journal.Entry, error) {
+	h, err := r.entryHeader()
 	if err != nil {
 		return nil, err
 	}
 	e := &journal.Entry{
-		Kind:     journal.Kind(kind),
-		AID:      ids.AID(aid),
-		Result:   flags&entResult != 0,
-		Interval: iid,
-		Child:    ids.PID(child),
+		Kind:     h.kind,
+		AID:      h.aid,
+		Result:   h.flags&entResult != 0,
+		Interval: h.iid,
+		Child:    h.child,
 	}
-	if flags&entHasMsg != 0 {
-		srcNode, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		srcSeq, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		mlen, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		mb, err := r.take(int(mlen))
-		if err != nil {
-			return nil, err
-		}
-		m, err := wire.DecodeMessage(mb)
-		if err != nil {
+	if h.flags&entHasMsg != 0 {
+		if e.Msg, err = decodeMsg(h.msg, h.srcNode, h.srcSeq); err != nil {
 			return nil, fmt.Errorf("durable: journalled message: %w", err)
 		}
-		m.SrcNode, m.SrcSeq = int(srcNode), srcSeq
-		e.Msg = m
 	}
-	if flags&entHasNote != 0 {
-		var env anyEnv
-		if err := gob.NewDecoder(bytes.NewReader(r.buf)).Decode(&env); err != nil {
+	if h.flags&entHasNote != 0 {
+		if e.Note, err = decodeAny(r.buf); err != nil {
 			return nil, fmt.Errorf("durable: journalled note: %w", err)
 		}
 		r.buf = nil
-		e.Note = env.V
 	}
 	return e, nil
+}
+
+// decodeEntry materialises a retained journal entry (appendEntry's
+// inverse).
+func decodeEntry(enc []byte) (*journal.Entry, error) {
+	return (&reader{buf: enc}).entry()
+}
+
+// decodeMsg materialises a retained wire message and stamps the WAL
+// provenance the wire layout deliberately omits.
+func decodeMsg(enc []byte, srcNode int, srcSeq uint64) (*msg.Message, error) {
+	m, err := wire.DecodeMessage(enc)
+	if err != nil {
+		return nil, err
+	}
+	m.SrcNode, m.SrcSeq = srcNode, srcSeq
+	return m, nil
+}
+
+// decodeAny is appendAny's inverse.
+func decodeAny(enc []byte) (any, error) {
+	var env anyEnv
+	if err := gob.NewDecoder(bytes.NewReader(enc)).Decode(&env); err != nil {
+		return nil, err
+	}
+	return env.V, nil
 }
 
 func (r *reader) interval() (core.RestoredInterval, error) {
@@ -410,75 +461,177 @@ func (r *reader) interval() (core.RestoredInterval, error) {
 	return ri, nil
 }
 
-// procIndex decodes a recProcIndex body (appendProcIndex's inverse).
-func (r *reader) procIndex() (ids.PID, *core.Restored, error) {
+// procIndex is a parsed recProcIndex body with its gob-bearing parts —
+// the journal entries and the compaction base — left as encoded bytes
+// aliasing the input.
+type procIndex struct {
+	pid        ids.PID
+	nextSeq    uint32
+	maxEpoch   uint32
+	terminated bool
+	intervals  []core.RestoredInterval
+	entries    [][]byte // each in appendEntry's layout
+	dead       []ids.AID
+	base       []byte // appendAny's layout; meaningful only when hasBase
+	hasBase    bool
+}
+
+// procIndex parses a recProcIndex body (appendProcIndex's inverse).
+func (r *reader) procIndex() (*procIndex, error) {
 	pid, err := r.uv()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	flags, err := r.byte()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	nextSeq, err := r.uv()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	maxEpoch, err := r.uv()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	snap := &core.Restored{
-		NextSeq:    uint32(nextSeq),
-		MaxEpoch:   uint32(maxEpoch),
-		Terminated: flags&pixTerminated != 0,
+	px := &procIndex{
+		pid:        ids.PID(pid),
+		nextSeq:    uint32(nextSeq),
+		maxEpoch:   uint32(maxEpoch),
+		terminated: flags&pixTerminated != 0,
 	}
 	nInt, err := r.uv()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if nInt > uint64(len(r.buf)) {
-		return 0, nil, fmt.Errorf("durable: interval set of %d exceeds record size", nInt)
+		return nil, fmt.Errorf("durable: interval set of %d exceeds record size", nInt)
 	}
 	for i := uint64(0); i < nInt; i++ {
 		ri, err := r.interval()
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		snap.Intervals = append(snap.Intervals, ri)
+		px.intervals = append(px.intervals, ri)
 	}
 	nEnt, err := r.uv()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if nEnt > uint64(len(r.buf)) {
-		return 0, nil, fmt.Errorf("durable: entry set of %d exceeds record size", nEnt)
+		return nil, fmt.Errorf("durable: entry set of %d exceeds record size", nEnt)
 	}
 	for i := uint64(0); i < nEnt; i++ {
 		elen, err := r.uv()
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		eb, err := r.take(int(elen))
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		e, err := (&reader{buf: eb}).entry()
-		if err != nil {
-			return 0, nil, err
-		}
-		snap.Entries = append(snap.Entries, e)
+		px.entries = append(px.entries, eb)
 	}
-	if snap.Dead, err = r.aids(); err != nil {
-		return 0, nil, err
+	if px.dead, err = r.aids(); err != nil {
+		return nil, err
 	}
 	if flags&pixHasBase != 0 {
-		var env anyEnv
-		if err := gob.NewDecoder(bytes.NewReader(r.buf)).Decode(&env); err != nil {
-			return 0, nil, fmt.Errorf("durable: proc index base: %w", err)
-		}
+		px.base, px.hasBase = r.buf, true
 		r.buf = nil
-		snap.Base, snap.HasBase = env.V, true
 	}
-	return ids.PID(pid), snap, nil
+	return px, nil
+}
+
+// Describe renders the body of one WAL record for waldump -v. The kinds
+// that carry retained bytes — frames, journal entries, snapshots — are
+// opened on demand through the same materialisers recovery's finish()
+// uses (decodeEntry, decodeMsg, decodeAny, procIndex), so the dump shows what a
+// recovery would make of the record. A record that does not parse or
+// decode is reported in the text, never fatal; kinds with nothing worth
+// opening return "".
+func Describe(payload []byte) string {
+	if len(payload) == 0 {
+		return ""
+	}
+	r := &reader{buf: payload[1:]}
+	bad := func(err error) string { return fmt.Sprintf("(malformed: %v)", err) }
+	switch payload[0] {
+	case recPeerSend, recDelivered:
+		peer, err := r.uv()
+		if err != nil {
+			return bad(err)
+		}
+		seq, err := r.uv()
+		if err != nil {
+			return bad(err)
+		}
+		return fmt.Sprintf("node=%d seq=%d %s", peer, seq, describeMsg(r.buf))
+	case recJournal:
+		pid, err := r.uv()
+		if err != nil {
+			return bad(err)
+		}
+		return fmt.Sprintf("%s %s", ids.PID(pid), describeEntry(r.buf))
+	case recCompact:
+		pid, err := r.uv()
+		if err != nil {
+			return bad(err)
+		}
+		iid, err := r.iid()
+		if err != nil {
+			return bad(err)
+		}
+		base, err := decodeAny(r.buf)
+		if err != nil {
+			return fmt.Sprintf("%s keep=%s base=(undecodable: %v)", ids.PID(pid), iid, err)
+		}
+		return fmt.Sprintf("%s keep=%s base=%T", ids.PID(pid), iid, base)
+	case recProcIndex:
+		px, err := r.procIndex()
+		if err != nil {
+			return bad(err)
+		}
+		undecodable := 0
+		for _, enc := range px.entries {
+			if _, err := decodeEntry(enc); err != nil {
+				undecodable++
+			}
+		}
+		out := fmt.Sprintf("%s intervals=%d entries=%d dead=%d base=%v nextseq=%d maxepoch=%d terminated=%v",
+			px.pid, len(px.intervals), len(px.entries), len(px.dead), px.hasBase, px.nextSeq, px.maxEpoch, px.terminated)
+		if undecodable > 0 {
+			out += fmt.Sprintf(" UNDECODABLE-ENTRIES=%d", undecodable)
+		}
+		return out
+	}
+	return ""
+}
+
+func describeEntry(enc []byte) string {
+	e, err := decodeEntry(enc)
+	if err != nil {
+		return fmt.Sprintf("(undecodable: %v)", err)
+	}
+	out := e.Kind.String()
+	if e.AID != ids.NilAID {
+		out += fmt.Sprintf(" %s=%v", e.AID, e.Result)
+	}
+	if e.Msg != nil {
+		out += fmt.Sprintf(" %s %s→%s payload=%T", e.Msg.Kind, e.Msg.From, e.Msg.To, e.Msg.Payload)
+		if e.Msg.SrcSeq != 0 {
+			out += fmt.Sprintf(" src=%d/%d", e.Msg.SrcNode, e.Msg.SrcSeq)
+		}
+	}
+	if e.Note != nil {
+		out += fmt.Sprintf(" note=%T", e.Note)
+	}
+	return out
+}
+
+func describeMsg(enc []byte) string {
+	m, err := decodeMsg(enc, 0, 0)
+	if err != nil {
+		return fmt.Sprintf("(undecodable: %v)", err)
+	}
+	return fmt.Sprintf("%s %s→%s payload=%T", m.Kind, m.From, m.To, m.Payload)
 }

@@ -1,9 +1,8 @@
 package durable
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/hope-dist/hope/internal/core"
@@ -137,13 +136,53 @@ type rPeer struct {
 	frames  []wire.ResumeFrame // unacked, ascending by seq
 }
 
+// rEntry is one journal entry as the fold holds it: an immutable copy of
+// its encoded bytes plus the header fields the fold itself consults. The
+// gob streams inside (message payload, note) are opened only when the
+// entry is materialised for a caller (decodeEntry).
+type rEntry struct {
+	enc     []byte // appendEntry's layout
+	lsn     uint64 // record that carried it, for decode diagnostics
+	kind    journal.Kind
+	srcNode int    // embedded message's WAL provenance
+	srcSeq  uint64 // (0 = none, or a local message)
+	msg     []byte // embedded encoded message, aliasing enc; nil when absent
+}
+
+// retainEntry parses the header of enc, which must already be the fold's
+// own copy. to is the embedded message's destination (NilPID when there
+// is none, or its header does not parse — decodeEntry reports that later).
+func retainEntry(lsn uint64, enc []byte) (e rEntry, to ids.PID, err error) {
+	h, err := (&reader{buf: enc}).entryHeader()
+	if err != nil {
+		return rEntry{}, ids.NilPID, err
+	}
+	e = rEntry{enc: enc, lsn: lsn, kind: h.kind, srcNode: h.srcNode, srcSeq: h.srcSeq, msg: h.msg}
+	if h.msg != nil {
+		if mh, ok := wire.PeekHeader(h.msg); ok {
+			to = mh.To
+		}
+	}
+	return e, to, nil
+}
+
+// recvKey names the delivered frame this entry consumed, if it is a
+// receive of a remote-origin message.
+func (e *rEntry) recvKey() (inKey, bool) {
+	if e.msg == nil || e.srcSeq == 0 || (e.kind != journal.KindRecv && e.kind != journal.KindTryRecv) {
+		return inKey{}, false
+	}
+	return inKey{from: e.srcNode, seq: e.srcSeq}, true
+}
+
 // rProc accumulates one process's engine state.
 type rProc struct {
 	intervals  []core.RestoredInterval
-	entries    []*journal.Entry
+	entries    []rEntry
 	dead       map[ids.AID]struct{}
 	deadOrder  []ids.AID
-	base       any
+	base       []byte // compaction snapshot in appendAny's layout, when hasBase
+	baseLSN    uint64
 	hasBase    bool
 	maxSeq     uint32
 	maxEpoch   uint32
@@ -155,13 +194,29 @@ type rProc struct {
 	// before enqueue under the process lock, so at most the single last
 	// send can be missing its frame after a torn-tail truncation.
 	lastSendLSN  uint64
-	lastSend     *journal.Entry
+	lastSend     rEntry // meaningful only while lastSendLSN > 0
 	lastFrameLSN uint64
+}
+
+// pendingSend reports whether the process's last journalled remote send
+// still lacks its frame record.
+func (p *rProc) pendingSend() bool {
+	return p.lastSendLSN > p.lastFrameLSN && !p.terminated
 }
 
 // recoverState folds the WAL record stream, in LSN order, into the
 // resume state. Every application mirrors the live mutation the record
 // describes; see each record tag's comment in records.go.
+//
+// The fold is byte-retaining: apply parses only the fixed header of a
+// record and keeps journal entries, frames and snapshots as immutable
+// copies of their encoded bytes. Rollback, send/frame pairing and the
+// checkpoint all work on those headers, the checkpoint re-emits the
+// bytes verbatim, and values are materialised (gob opened) only for what
+// survives to the end of the stream — in finish, ReadProcesses and
+// ReadOrphanFrames. That is what lets the store run this same fold on
+// every record it appends (the shadow) without decoding what it has
+// just encoded.
 type recoverState struct {
 	self    int
 	peers   map[int]*rPeer
@@ -169,7 +224,6 @@ type recoverState struct {
 	inbox   []*inMsg
 	inboxBy map[inKey]*inMsg
 	procs   map[ids.PID]*rProc
-	skipped int
 
 	denied    map[ids.AID]struct{}
 	deniedSeq []ids.AID // insertion order, for deterministic restore
@@ -263,9 +317,9 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 		p.frames = append(p.frames, wire.ResumeFrame{Seq: seq, Frame: frame})
 		// Pairing: a KindData frame from a local process retires that
 		// process's pending journalled send.
-		if m, err := wire.DecodeMessage(frame); err == nil &&
-			m.Kind == msg.KindData && wire.NodeOf(m.From) == rs.self {
-			rs.proc(m.From).lastFrameLSN = lsn
+		if h, ok := wire.PeekHeader(frame); ok &&
+			h.Kind == msg.KindData && wire.NodeOf(h.From) == rs.self {
+			rs.proc(h.From).lastFrameLSN = lsn
 		}
 
 	case recPeerAck:
@@ -324,19 +378,18 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		e, err := r.entry()
+		e, to, err := retainEntry(lsn, append([]byte(nil), r.buf...))
 		if err != nil {
 			return err
 		}
 		p := rs.proc(ids.PID(pid))
 		p.entries = append(p.entries, e)
-		if e.Msg != nil && e.Msg.SrcSeq != 0 &&
-			(e.Kind == journal.KindRecv || e.Kind == journal.KindTryRecv) {
-			if im := rs.inboxBy[inKey{from: e.Msg.SrcNode, seq: e.Msg.SrcSeq}]; im != nil {
+		if key, ok := e.recvKey(); ok {
+			if im := rs.inboxBy[key]; im != nil {
 				im.consumed = true
 			}
 		}
-		if e.Kind == journal.KindSend && e.Msg != nil && wire.NodeOf(e.Msg.To) != rs.self {
+		if e.kind == journal.KindSend && to != ids.NilPID && wire.NodeOf(to) != rs.self {
 			p.lastSendLSN, p.lastSend = lsn, e
 		}
 
@@ -427,10 +480,6 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		var env anyEnv
-		if err := gob.NewDecoder(bytes.NewReader(r.buf)).Decode(&env); err != nil {
-			return fmt.Errorf("durable: compaction snapshot: %w", err)
-		}
 		p := rs.proc(ids.PID(pid))
 		p.entries = nil
 		for i := range p.intervals {
@@ -441,7 +490,7 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 				break
 			}
 		}
-		p.base, p.hasBase = env.V, true
+		p.base, p.baseLSN, p.hasBase = append([]byte(nil), r.buf...), lsn, true
 
 	case recPoison:
 		pid, err := r.uv()
@@ -537,7 +586,10 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 		}
 
 	case recProcIndex:
-		pid, snap, err := r.procIndex()
+		// One copy of the record backs every entry and the base retained
+		// from it.
+		r.buf = append([]byte(nil), r.buf...)
+		px, err := r.procIndex()
 		if err != nil {
 			return err
 		}
@@ -546,22 +598,27 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 		// same stream. The send/frame pairing LSNs are kept: they point at
 		// records that are still earlier in the stream, and the snapshot's
 		// journal still ends with the send they track.
-		p := rs.proc(ids.PID(pid))
-		p.intervals = snap.Intervals
-		p.entries = snap.Entries
-		p.dead = make(map[ids.AID]struct{}, len(snap.Dead))
-		p.deadOrder = snap.Dead
-		for _, a := range snap.Dead {
+		p := rs.proc(px.pid)
+		p.intervals = px.intervals
+		p.entries = make([]rEntry, len(px.entries))
+		for i, enc := range px.entries {
+			if p.entries[i], _, err = retainEntry(lsn, enc); err != nil {
+				return err
+			}
+		}
+		p.dead = make(map[ids.AID]struct{}, len(px.dead))
+		p.deadOrder = px.dead
+		for _, a := range px.dead {
 			p.dead[a] = struct{}{}
 		}
-		p.base, p.hasBase = snap.Base, snap.HasBase
-		if snap.NextSeq > 0 && snap.NextSeq-1 > p.maxSeq {
-			p.maxSeq = snap.NextSeq - 1
+		p.base, p.baseLSN, p.hasBase = px.base, lsn, px.hasBase
+		if px.nextSeq > 0 && px.nextSeq-1 > p.maxSeq {
+			p.maxSeq = px.nextSeq - 1
 		}
-		if snap.MaxEpoch > p.maxEpoch {
-			p.maxEpoch = snap.MaxEpoch
+		if px.maxEpoch > p.maxEpoch {
+			p.maxEpoch = px.maxEpoch
 		}
-		for _, ri := range snap.Intervals {
+		for _, ri := range px.intervals {
 			if ri.ID.Seq > p.maxSeq {
 				p.maxSeq = ri.ID.Seq
 			}
@@ -569,7 +626,7 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 				p.maxEpoch = ri.ID.Epoch
 			}
 		}
-		if snap.Terminated {
+		if px.terminated {
 			p.terminated = true
 		}
 
@@ -680,7 +737,7 @@ func (rs *recoverState) adopt(endLSN uint64, payload []byte) error {
 	}
 	type pending struct {
 		pid ids.PID
-		m   *msg.Message
+		enc []byte
 	}
 	pends := make([]pending, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -696,11 +753,7 @@ func (rs *recoverState) adopt(endLSN uint64, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("durable: checkpoint end: %w", err)
 		}
-		m, err := wire.DecodeMessage(mb)
-		if err != nil {
-			return fmt.Errorf("durable: checkpoint pending resend: %w", err)
-		}
-		pends = append(pends, pending{pid: ids.PID(pid), m: m})
+		pends = append(pends, pending{pid: ids.PID(pid), enc: append([]byte(nil), mb...)})
 	}
 
 	begin := c.beginLSN
@@ -710,11 +763,11 @@ func (rs *recoverState) adopt(endLSN uint64, payload []byte) error {
 	for _, p := range rs.procs {
 		// Reset send/frame pairing: the bracket's own LSNs mean nothing.
 		// Pending sends are re-marked below; everything else is retired.
-		p.lastSendLSN, p.lastFrameLSN, p.lastSend = 0, 0, nil
+		p.lastSendLSN, p.lastFrameLSN, p.lastSend = 0, 0, rEntry{}
 	}
 	for _, pd := range pends {
 		p := rs.proc(pd.pid)
-		p.lastSend = &journal.Entry{Kind: journal.KindSend, Msg: pd.m}
+		p.lastSend = rEntry{kind: journal.KindSend, lsn: endLSN, msg: pd.enc}
 		// endLSN > 0: still pending unless a tail frame record (whose LSN
 		// exceeds endLSN) retires it, mirroring the live pairing rule.
 		p.lastSendLSN, p.lastFrameLSN = endLSN, 0
@@ -748,40 +801,51 @@ func (rs *recoverState) rollback(pid ids.PID, iid ids.IntervalID) {
 	ji := p.intervals[pos].JournalIndex
 	p.intervals = p.intervals[:pos]
 	if ji < len(p.entries) {
-		for _, e := range p.entries[ji:] {
-			if e.Msg == nil || e.Msg.SrcSeq == 0 {
-				continue
-			}
-			if e.Kind != journal.KindRecv && e.Kind != journal.KindTryRecv {
-				continue
-			}
-			if im := rs.inboxBy[inKey{from: e.Msg.SrcNode, seq: e.Msg.SrcSeq}]; im != nil {
-				im.consumed = false
+		for i := ji; i < len(p.entries); i++ {
+			if key, ok := p.entries[i].recvKey(); ok {
+				if im := rs.inboxBy[key]; im != nil {
+					im.consumed = false
+				}
 			}
 		}
+		clear(p.entries[ji:]) // release the discarded bytes, not just the length
 		p.entries = p.entries[:ji]
+	}
+}
+
+// foldDir folds a node's WAL read-only, as node self, honouring
+// checkpoint brackets exactly like a recovery fold. The files are never
+// modified, so several survivors can read one corpse concurrently.
+func foldDir(dir string, self int) (*recoverState, error) {
+	rs := newRecoverState(self)
+	if err := wal.Scan(dir, rs.apply, nil); err != nil {
+		return nil, err
+	}
+	rs.dropTornBracket()
+	return rs, nil
+}
+
+// dropTornBracket discards an unclosed checkpoint bracket at the end of
+// the stream: the checkpoint was torn mid-write and never acknowledged,
+// so the fold falls back to the state folded before it.
+func (rs *recoverState) dropTornBracket() {
+	if rs.ckpt != nil {
+		rs.ckpt = nil
+		rs.tornBracket = true
 	}
 }
 
 // ReadAIDExports folds a node's WAL read-only and returns its hosted
 // AID snapshots — the last recAIDExport blob per AID, tombstones
-// elided, honouring checkpoint brackets exactly like a recovery fold.
-// A ring successor calls it on a SIGKILLed owner's data directory to
-// adopt the corpse's shard (core's InstallExports with onlyOwned=true);
-// the corpse's files are never modified, so several survivors can
-// partition one shard concurrently. Damaged frames are skipped, not
-// fatal: adoption wants whatever snapshots survive, and a machine whose
-// snapshot was lost is lazily re-created Cold by the first retried
-// adjudication.
+// elided. A ring successor calls it on a SIGKILLed owner's data
+// directory to adopt the corpse's shard (core's InstallExports with
+// onlyOwned=true). Damaged frames are skipped, not fatal: adoption wants
+// whatever snapshots survive, and a machine whose snapshot was lost is
+// lazily re-created Cold by the first retried adjudication.
 func ReadAIDExports(dir string) (map[ids.AID][]byte, error) {
-	rs := newRecoverState(0)
-	if err := wal.Scan(dir, rs.apply, nil); err != nil {
+	rs, err := foldDir(dir, 0)
+	if err != nil {
 		return nil, fmt.Errorf("durable: read aid exports: %w", err)
-	}
-	if rs.ckpt != nil {
-		// Stream ended inside a torn bracket: fall back to the state
-		// folded before it, exactly like finish.
-		rs.ckpt = nil
 	}
 	return rs.aidExports, nil
 }
@@ -799,26 +863,30 @@ func ReadAIDExports(dir string) (map[ids.AID][]byte, error) {
 // corpse are deduplicated by the new owner's applied set. Damaged
 // frames are skipped, not fatal, exactly like ReadAIDExports.
 func ReadOrphanFrames(dir string) ([]*msg.Message, error) {
-	rs := newRecoverState(0)
-	if err := wal.Scan(dir, rs.apply, nil); err != nil {
+	rs, err := foldDir(dir, 0)
+	if err != nil {
 		return nil, fmt.Errorf("durable: read orphan frames: %w", err)
 	}
-	if rs.ckpt != nil {
-		rs.ckpt = nil // torn bracket: fall back, exactly like finish
-	}
-	var out []*msg.Message
+	out, _ := rs.unconsumed()
+	return out, nil
+}
+
+// unconsumed materialises the delivered-but-unconsumed inbox in arrival
+// order, SrcNode/SrcSeq stamped, and counts the frames that no longer
+// decode (codec drift across the restart).
+func (rs *recoverState) unconsumed() (out []*msg.Message, skipped int) {
 	for _, im := range rs.inbox {
 		if im.consumed {
 			continue
 		}
-		m, err := wire.DecodeMessage(im.frame)
+		m, err := decodeMsg(im.frame, im.from, im.seq)
 		if err != nil {
+			skipped++
 			continue
 		}
-		m.SrcNode, m.SrcSeq = im.from, im.seq
 		out = append(out, m)
 	}
-	return out, nil
+	return out, skipped
 }
 
 // ProcExtract is a dead node's user-process state as read from its WAL
@@ -854,88 +922,123 @@ type ProcExtract struct {
 // processes' replayable state for transplant (DESIGN.md §13). corpse is
 // the dead node's wire ID — the fold needs it for send/frame pairing
 // (which of the corpse's journalled sends still lack frames) exactly as
-// a self-recovery would. The corpse's files are never modified, so
-// several survivors can partition one corpse's processes concurrently;
-// each adopter filters Procs by its own ring slice. Poisoned processes
-// are skipped — their durable state is incomplete and rebirth from it
-// would diverge.
+// a self-recovery would. Each adopter filters Procs by its own ring
+// slice. Poisoned processes are skipped — their durable state is
+// incomplete and rebirth from it would diverge. A surviving record whose
+// payload no longer decodes is an error, never a silent skip: replaying
+// a journal with a hole would diverge.
 func ReadProcesses(dir string, corpse int) (*ProcExtract, error) {
-	rs := newRecoverState(corpse)
-	if err := wal.Scan(dir, rs.apply, nil); err != nil {
+	rs, err := foldDir(dir, corpse)
+	if err != nil {
 		return nil, fmt.Errorf("durable: read processes: %w", err)
 	}
-	if rs.ckpt != nil {
-		rs.ckpt = nil // torn bracket: fall back, exactly like finish
+	ex := &ProcExtract{}
+	if ex.Procs, ex.Resend, err = rs.restored(); err != nil {
+		return nil, fmt.Errorf("durable: read processes: %w", err)
 	}
-	ex := &ProcExtract{Procs: make(map[ids.PID]*core.Restored)}
-	for pid, p := range rs.procs {
+	for _, p := range rs.peers {
+		for _, f := range p.frames {
+			// Non-Data loss is repaired by protocol re-fires.
+			if h, ok := wire.PeekHeader(f.Frame); !ok || h.Kind != msg.KindData || wire.NodeOf(h.From) != corpse {
+				continue
+			}
+			if m, err := wire.DecodeMessage(f.Frame); err == nil {
+				ex.Unacked = append(ex.Unacked, m)
+			}
+		}
+	}
+	for _, im := range rs.inbox {
+		if h, ok := wire.PeekHeader(im.frame); im.consumed || !ok || h.Kind != msg.KindData || wire.NodeOf(h.To) != corpse {
+			continue
+		}
+		if m, err := wire.DecodeMessage(im.frame); err == nil {
+			ex.Orphans = append(ex.Orphans, m)
+		}
+	}
+	return ex, nil
+}
+
+// restored materialises every surviving process — not poisoned, with at
+// least one interval — and the journalled sends still missing their
+// frames, in PID order. This is where journal entries and compaction
+// bases are finally decoded; entries rolled back or compacted away
+// earlier in the stream never are. A payload that no longer decodes
+// (unregistered type, codec drift) is an error naming the record.
+func (rs *recoverState) restored() (map[ids.PID]*core.Restored, []*msg.Message, error) {
+	procs := make(map[ids.PID]*core.Restored)
+	var resend []*msg.Message
+	for _, pid := range rs.sortedPIDs() {
+		p := rs.procs[pid]
 		if p.poisoned || len(p.intervals) == 0 {
 			continue
 		}
-		ex.Procs[pid] = &core.Restored{
+		r := &core.Restored{
 			Intervals:  p.intervals,
-			Entries:    p.entries,
 			Dead:       p.deadOrder,
-			Base:       p.base,
 			HasBase:    p.hasBase,
 			NextSeq:    p.maxSeq + 1,
 			MaxEpoch:   p.maxEpoch,
 			Terminated: p.terminated,
 		}
-		if p.lastSend != nil && p.lastSendLSN > p.lastFrameLSN && !p.terminated {
-			ex.Resend = append(ex.Resend, p.lastSend.Msg)
+		if len(p.entries) > 0 {
+			r.Entries = make([]*journal.Entry, len(p.entries))
 		}
-	}
-	for _, p := range rs.peers {
-		for _, f := range p.frames {
-			m, err := wire.DecodeMessage(f.Frame)
-			if err != nil || m.Kind != msg.KindData {
-				continue // non-Data loss is repaired by protocol re-fires
+		for i := range p.entries {
+			e, err := decodeEntry(p.entries[i].enc)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s journal entry %d (lsn %d): %w", pid, i, p.entries[i].lsn, err)
 			}
-			if wire.NodeOf(m.From) != corpse {
-				continue
+			r.Entries[i] = e
+		}
+		if p.hasBase {
+			base, err := decodeAny(p.base)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s compaction snapshot (lsn %d): %w", pid, p.baseLSN, err)
 			}
-			ex.Unacked = append(ex.Unacked, m)
+			r.Base = base
+		}
+		procs[pid] = r
+		if p.pendingSend() {
+			// The journal says this send happened but its frame never hit
+			// a resend queue: the crash (or a queue overflow) swallowed
+			// it. Replay will treat the send as already performed, so the
+			// only repair is to enqueue the frame now.
+			m, err := decodeMsg(p.lastSend.msg, p.lastSend.srcNode, p.lastSend.srcSeq)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s pending send (lsn %d): %w", pid, p.lastSend.lsn, err)
+			}
+			resend = append(resend, m)
 		}
 	}
-	for _, im := range rs.inbox {
-		if im.consumed {
-			continue
-		}
-		m, err := wire.DecodeMessage(im.frame)
-		if err != nil || m.Kind != msg.KindData {
-			continue
-		}
-		if wire.NodeOf(m.To) != corpse {
-			continue
-		}
-		ex.Orphans = append(ex.Orphans, m)
+	return procs, resend, nil
+}
+
+func (rs *recoverState) sortedPIDs() []ids.PID {
+	pids := make([]ids.PID, 0, len(rs.procs))
+	for pid := range rs.procs {
+		pids = append(pids, pid)
 	}
-	return ex, nil
+	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	return pids
 }
 
 // finish converts the folded state into the boot-time resume values.
 func (rs *recoverState) finish() (*Recovered, error) {
-	if rs.ckpt != nil {
-		// The stream ended inside an unclosed bracket: the checkpoint was
-		// torn mid-write and never acknowledged, so recovery falls back to
-		// the state folded before it. The store must append recCkptAbort
-		// before any new record, or a later recovery would fold those new
-		// records into the discarded bracket.
-		rs.ckpt = nil
-		rs.tornBracket = true
-	}
+	// A torn bracket must additionally be voided on disk: the store
+	// appends recCkptAbort before any new record, or a later recovery
+	// would fold those new records into the discarded bracket.
+	rs.dropTornBracket()
 	rec := &Recovered{
 		Checkpointed: rs.adopted,
 		FromLSN:      rs.adoptedBegin,
 		TailRecords:  rs.tailRecords,
 		Resume:       &wire.Resume{Peers: make(map[int]wire.ResumePeer), Delivered: rs.watermk},
-		Restore:      make(map[ids.PID]*core.Restored),
 		ViewEpoch:    rs.viewEpoch,
 		Frontier:     rs.frontier,
 		FrontierView: rs.wmView,
 		AIDExports:   rs.aidExports,
 		Transplants:  rs.transplants,
+		Denied:       rs.deniedSeq,
 	}
 	for id, p := range rs.peers {
 		frames := p.frames
@@ -944,42 +1047,10 @@ func (rs *recoverState) finish() (*Recovered, error) {
 		}
 		rec.Resume.Peers[id] = wire.ResumePeer{NextSeq: p.lastSeq, Frames: frames}
 	}
-	for pid, p := range rs.procs {
-		if p.poisoned || len(p.intervals) == 0 {
-			continue
-		}
-		r := &core.Restored{
-			Intervals:  p.intervals,
-			Entries:    p.entries,
-			Dead:       p.deadOrder,
-			Base:       p.base,
-			HasBase:    p.hasBase,
-			NextSeq:    p.maxSeq + 1,
-			MaxEpoch:   p.maxEpoch,
-			Terminated: p.terminated,
-		}
-		rec.Restore[pid] = r
-		if p.lastSend != nil && p.lastSendLSN > p.lastFrameLSN && !p.terminated {
-			// The journal says this send happened but its frame never hit
-			// a resend queue: the crash (or a queue overflow) swallowed
-			// it. Replay will treat the send as already performed, so the
-			// only repair is to enqueue the frame now.
-			rec.Resend = append(rec.Resend, p.lastSend.Msg)
-		}
+	var err error
+	if rec.Restore, rec.Resend, err = rs.restored(); err != nil {
+		return nil, fmt.Errorf("durable: recover: %w", err)
 	}
-	for _, im := range rs.inbox {
-		if im.consumed {
-			continue
-		}
-		m, err := wire.DecodeMessage(im.frame)
-		if err != nil {
-			rs.skipped++
-			continue
-		}
-		m.SrcNode, m.SrcSeq = im.from, im.seq
-		rec.Redeliver = append(rec.Redeliver, m)
-	}
-	rec.Skipped = rs.skipped
-	rec.Denied = rs.deniedSeq
+	rec.Redeliver, rec.Skipped = rs.unconsumed()
 	return rec, nil
 }

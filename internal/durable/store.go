@@ -30,7 +30,8 @@ type Store struct {
 
 	// shadow is a live fold of every appended record by the same code
 	// recovery runs; checkpoints are emitted from it (checkpoint.go). nil
-	// when checkpointing is disabled. Guarded by mu.
+	// when checkpointing is disabled — by option (ckptEvery == 0), or
+	// because a fold failed. Guarded by mu.
 	shadow    *recoverState
 	ckptEvery int
 	sinceCkpt int
@@ -88,8 +89,10 @@ func OpenOptions(o Options) (*Store, *Recovered, error) {
 	}
 	rs := newRecoverState(o.NodeID)
 	// The shadow is folded separately from rs during the scan: finish()
-	// hands rs's slices and messages to the engine, which mutates them
-	// live; the shadow must never alias state it will later re-encode.
+	// hands rs's maps and slices (watermarks, frame queues, intervals) to
+	// the transport and the engine, which mutate them live; the shadow
+	// must never alias state it will later re-emit. Folding twice is
+	// cheap — neither fold decodes a payload; only finish() does.
 	var shadow *recoverState
 	onRecord := rs.apply
 	if o.CheckpointEvery > 0 {
@@ -190,11 +193,21 @@ func (s *Store) append(build func(b []byte) ([]byte, error)) error {
 
 // foldShadowLocked feeds one appended record to the shadow recover-state
 // and writes a checkpoint when the cadence comes due. Caller holds s.mu.
+//
+// The fold reads record headers only, so a record whose payload would not
+// decode (a type the reader has not registered, codec drift) does not
+// fail here: its bytes are retained and a checkpoint re-emits them
+// verbatim — exactly what a full replay of the log would have seen — and
+// the decode error surfaces where it always did, from the OpenOptions or
+// ReadProcesses that has to materialise the value.
 func (s *Store) foldShadowLocked(lsn uint64, payload []byte) {
 	if err := s.shadow.apply(lsn, payload); err != nil {
-		// The shadow diverged from what recovery would compute; emitting a
+		// What is left is a structurally malformed record, which only a
+		// bug in this package's own encoders can produce. The shadow has
+		// then diverged from what recovery would compute; emitting a
 		// checkpoint from it could corrupt recovery. Disable checkpointing
-		// for the rest of this run — full replay stays correct.
+		// for the rest of this run — full replay stays correct — and say
+		// so in Stats().
 		s.shadow = nil
 		s.tracer.Emit(trace.Event{Kind: trace.Transport,
 			Detail: fmt.Sprintf("durable: shadow fold failed, checkpointing disabled: %v", err)})
@@ -310,12 +323,16 @@ func (s *Store) barrier() error {
 // Stats implements wire.DurableHooks.
 func (s *Store) Stats() wire.DurableStats {
 	m := s.log.Metrics()
+	s.mu.Lock()
+	lost := s.shadow == nil && s.ckptEvery > 0
+	s.mu.Unlock()
 	return wire.DurableStats{
 		Appends:          m.Appends,
 		Syncs:            m.Syncs,
 		TornTruncations:  m.TornTruncations,
 		RecoveredRecords: m.RecoveredRecords,
 		RecoveryTime:     m.RecoveryTime,
+		CheckpointsLost:  lost,
 	}
 }
 
@@ -433,11 +450,9 @@ func (s *Store) AIDExport(a ids.AID, blob []byte) {
 }
 
 // ProcExport records one process's full flattened snapshot as a
-// recProcIndex record — the per-process export index (core.ProcExporter).
-// The engine calls it on an amortized cadence so a foreign reader
-// (ReadProcesses) folds snapshot+tail instead of the process's whole
-// history, and a transplant adopter force-writes one under the reborn
-// PID so its own restart can rebuild the adopted process. The error
+// recProcIndex record (core.ProcExporter). A transplant adopter writes
+// one under the reborn PID so its own restart can rebuild the adopted
+// process from its own WAL; nothing else writes it. The error
 // propagates: a transplant whose hand-off snapshot cannot be made
 // durable must not proceed.
 func (s *Store) ProcExport(pid ids.PID, snap *core.Restored) error {

@@ -176,30 +176,11 @@ func appendAIDSet(buf []byte, set []ids.AID) ([]byte, error) {
 // input and never allocates more than the declared limits.
 func DecodeMessage(data []byte) (*msg.Message, error) {
 	d := decoder{buf: data}
-	ver, err := d.byte()
+	ver, h, err := d.header()
 	if err != nil {
 		return nil, err
 	}
-	if ver != codecVersion && ver != codecVersionNoEpoch {
-		return nil, fmt.Errorf("wire: decode: codec version %d, want %d", ver, codecVersion)
-	}
-	kindB, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	m := &msg.Message{Kind: msg.Kind(kindB)}
-	if !m.Kind.Valid() {
-		return nil, fmt.Errorf("wire: decode: invalid kind %d", kindB)
-	}
-	from, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	to, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	m.From, m.To = ids.PID(from), ids.PID(to)
+	m := &msg.Message{Kind: h.Kind, From: h.From, To: h.To}
 	proc, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -267,9 +248,57 @@ func DecodeMessage(data []byte) (*msg.Message, error) {
 	return m, nil
 }
 
+// Header is the fixed prefix of an encoded message: what a reader needs
+// to classify a retained frame without decoding it.
+type Header struct {
+	Kind     msg.Kind
+	From, To ids.PID
+}
+
+// PeekHeader parses only the leading version, kind, from and to fields
+// of an encoded message — the same parse DecodeMessage starts with. It
+// allocates nothing on success and never touches the gob payload, so the
+// durable fold can pair sends with frames and classify retained bytes on
+// the append path. ok is false when those fields are malformed
+// (DecodeMessage would fail too); a true result says nothing about the
+// bytes after them.
+func PeekHeader(data []byte) (h Header, ok bool) {
+	d := decoder{buf: data}
+	_, h, err := d.header()
+	return h, err == nil
+}
+
 // decoder is a bounds-checked cursor over an encoded message.
 type decoder struct {
 	buf []byte
+}
+
+// header parses the version byte and the Header fields.
+func (d *decoder) header() (ver byte, h Header, err error) {
+	if ver, err = d.byte(); err != nil {
+		return 0, Header{}, err
+	}
+	if ver != codecVersion && ver != codecVersionNoEpoch {
+		return 0, Header{}, fmt.Errorf("wire: decode: codec version %d, want %d", ver, codecVersion)
+	}
+	kindB, err := d.byte()
+	if err != nil {
+		return 0, Header{}, err
+	}
+	h.Kind = msg.Kind(kindB)
+	if !h.Kind.Valid() {
+		return 0, Header{}, fmt.Errorf("wire: decode: invalid kind %d", kindB)
+	}
+	from, err := d.uvarint()
+	if err != nil {
+		return 0, Header{}, err
+	}
+	to, err := d.uvarint()
+	if err != nil {
+		return 0, Header{}, err
+	}
+	h.From, h.To = ids.PID(from), ids.PID(to)
+	return ver, h, nil
 }
 
 func (d *decoder) byte() (byte, error) {

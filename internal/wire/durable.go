@@ -49,12 +49,20 @@ type DurableStats struct {
 	TornTruncations  uint64
 	RecoveredRecords uint64
 	RecoveryTime     time.Duration
+	// CheckpointsLost reports that the store stopped checkpointing for
+	// the rest of this run (its live fold rejected a record it had just
+	// appended): the WAL keeps growing and a restart replays all of it.
+	CheckpointsLost bool
 }
 
 // String implements fmt.Stringer.
 func (s DurableStats) String() string {
-	return fmt.Sprintf("wal appends=%d syncs=%d torn=%d recovered=%d in %v",
+	out := fmt.Sprintf("wal appends=%d syncs=%d torn=%d recovered=%d in %v",
 		s.Appends, s.Syncs, s.TornTruncations, s.RecoveredRecords, s.RecoveryTime)
+	if s.CheckpointsLost {
+		out += " CHECKPOINTS-LOST"
+	}
+	return out
 }
 
 // Resume carries the wire state recovered from the WAL into NewNode: the

@@ -43,6 +43,39 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
+// FuzzPeekHeader pins the allocation-free header peek against the full
+// decoder: on arbitrary bytes it must never panic, and whenever
+// DecodeMessage accepts the input the peek must accept it too and agree
+// on kind, from and to — the durable fold classifies retained frames by
+// the peek alone. Seeded from the same frame corpus as FuzzDecodeMessage.
+func FuzzPeekHeader(f *testing.F) {
+	for _, m := range sampleMessages() {
+		if data, err := EncodeMessage(m); err == nil {
+			f.Add(data)
+			old := append([]byte(nil), data...)
+			old[0] = codecVersionNoEpoch // misparses past the header; the peek must not care
+			f.Add(old)
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{codecVersion})
+	f.Add([]byte{codecVersion, byte(msg.KindData), 0x80})
+	f.Add([]byte{codecVersion, byte(msg.KindGuess), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, ok := PeekHeader(data)
+		m, err := DecodeMessage(data)
+		if err != nil {
+			return
+		}
+		if !ok {
+			t.Fatalf("peek rejected a message the decoder accepts: %#v", m)
+		}
+		if h.Kind != m.Kind || h.From != m.From || h.To != m.To {
+			t.Fatalf("peek %+v disagrees with decode kind=%v from=%v to=%v", h, m.Kind, m.From, m.To)
+		}
+	})
+}
+
 // FuzzFrameStream feeds arbitrary byte streams to the connection-level
 // frame reader the way the batched pump produces them: many frames
 // coalesced into one contiguous write. The reader must never panic,

@@ -24,12 +24,15 @@ echo '== premature-commit window regression (pinned seeds, repeated under race)'
 # load, three repetitions under the race detector (DESIGN.md §12).
 go test -race -count=3 -run TestPrematureCommitWindow ./internal/stability/
 
-echo '== wire + wal + cluster fuzz corpus replay'
+echo '== wire + wal + cluster + durable fuzz corpus replay'
 # Replays the seed corpora plus any regression inputs under testdata/fuzz
 # without fuzzing (no -fuzz flag): cheap, deterministic, catches codec,
-# frame-reader, WAL-record, and view-codec regressions pinned by past
-# crashes.
-go test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/wal/ ./internal/cluster/
+# frame-reader, header-peek (FuzzPeekHeader: the durable fold classifies
+# retained frames by it), WAL-record, and view-codec regressions pinned
+# by past crashes. internal/durable is on the line so a fuzz target added
+# there replays from its first day (today its recorded-WAL differential,
+# TestDifferentialFold, runs with the ordinary tests above).
+go test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/wal/ ./internal/cluster/ ./internal/durable/
 
 echo '== hopebench wire smoke'
 # Two-process TCP round trip plus the in-process flood comparison; fails
@@ -104,7 +107,7 @@ go run ./cmd/hopebench chaos --churn --migrate --nodes 3 --seed 1 --reports 24
 
 echo '== transplant battery (pinned seeds, repeated under race)'
 # Process transplant (DESIGN.md §13): deterministic replay of a dead
-# node's user processes from its WAL, the per-process export index fold,
+# node's user processes from its WAL, the adoption-time recProcIndex fold,
 # the first-mapping-wins twin fence, parked-frame translation, and the
 # wire handshake's watermark-mode rejection. Three repetitions under the
 # race detector.
