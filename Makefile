@@ -1,4 +1,4 @@
-.PHONY: check build test race bench perf wire chaos
+.PHONY: check build test race bench perf chaos
 
 # The tier-1 gate: vet, build, full test suite, and the race detector
 # on the concurrency-heavy packages.
@@ -12,7 +12,7 @@ test:
 	go test ./...
 
 race:
-	go test -race -count=1 ./internal/core/ ./internal/netsim/ ./internal/wire/
+	go test -race -count=1 ./internal/core/ ./internal/netsim/ ./internal/wire/ ./internal/wal/ ./internal/durable/ ./internal/faultwire/ ./internal/oracle/ ./internal/harness/ ./internal/cluster/ ./internal/stability/
 
 # Go micro-benchmarks of the root package (not the repo's benchmark).
 bench:
@@ -22,11 +22,6 @@ bench:
 # two real nodes, every metric printed by name. See perf/README.md.
 perf:
 	bash perf/run.sh
-
-# Distributed pagination benchmark: two OS processes over loopback TCP.
-wire:
-	go run ./cmd/hopebench wire --pagesize 1000 --reports 64
-	go run ./cmd/hopebench wire --pagesize 3 --reports 64 --drop
 
 # Multi-node chaos storm: durable hoped processes behind fault-injecting
 # proxies, seeded severs/partitions/corruption plus one SIGKILL+restart,

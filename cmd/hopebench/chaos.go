@@ -1,6 +1,6 @@
 package main
 
-// The chaos experiment is the wire experiment's adversarial sibling: N
+// The chaos experiment is E1's adversarial, distributed sibling: N
 // hoped print servers in separate OS processes, every TCP link routed
 // through a fault-injecting proxy (internal/faultwire), a randomized
 // fault plan severing, partitioning, and corrupting the links — and by
@@ -17,6 +17,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"time"
 
 	"github.com/hope-dist/hope/internal/faultwire"
@@ -288,4 +290,29 @@ func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
 		fmt.Printf("wrote %s\n", jsonOut)
 	}
 	return nil
+}
+
+// resolveHoped finds or builds the hoped binary: explicit flag, $PATH,
+// then `go build ./cmd/hoped` into a temp dir (requires running from
+// the repository root).
+func resolveHoped(explicit string) (bin string, cleanup func(), err error) {
+	cleanup = func() {}
+	if explicit != "" {
+		return explicit, cleanup, nil
+	}
+	if p, err := exec.LookPath("hoped"); err == nil {
+		return p, cleanup, nil
+	}
+	dir, err := os.MkdirTemp("", "hopebench-chaos-*")
+	if err != nil {
+		return "", cleanup, err
+	}
+	cleanup = func() { os.RemoveAll(dir) }
+	bin = filepath.Join(dir, "hoped")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/hoped")
+	if out, err := build.CombinedOutput(); err != nil {
+		cleanup()
+		return "", func() {}, fmt.Errorf("building hoped (pass --hoped or run from the repo root): %v\n%s", err, out)
+	}
+	return bin, cleanup, nil
 }

@@ -4,20 +4,13 @@
 //
 // Usage:
 //
-//	hopebench [e1|e3|e5|e6|e7|e8|e9|ablation]...
-//	hopebench wire [--pagesize N] [--reports N] [--drop] [--json FILE]
-//	hopebench wal [--records N] [--size B] [--json FILE]
+//	hopebench [e1|e3|e5|e6|e7|e8|e9|e10|e11|ablation]...
 //	hopebench chaos [--nodes N] [--seed S|--seeds S,S,…] [--span D] [--kill] [--plan]
-//	hopebench stability [--engines N] [--batches N] [--ops N] [--round-every D] [--json FILE]
 //
-// The wire experiment runs the pagination workload across two real OS
-// processes over loopback TCP (spawning cmd/hoped); the wal experiment
-// prices the durability layer's append and recovery paths per fsync
-// policy; the chaos experiment runs the multi-node fault storm
-// (internal/harness) against live hoped processes behind fault-injecting
-// proxies; the stability experiment prices the commit watermark
-// (externalization lag plus a throughput A/B against the ungated §4.9
-// behaviour). None of the four is part of the default sweep.
+// The chaos experiment runs the multi-node fault storm (internal/harness)
+// against live hoped processes behind fault-injecting proxies; it is not
+// part of the default sweep. Performance is measured by the repository's
+// benchmark, `bash perf/run.sh` (perf/README.md), not here.
 package main
 
 import (
@@ -38,20 +31,10 @@ func main() {
 }
 
 func run(args []string) error {
-	// wire and wal take their own flags (and wire spawns a child
-	// process), so they are dispatched separately and excluded from the
-	// default sweep.
-	if len(args) > 0 && args[0] == "wire" {
-		return wireExperiment(args[1:])
-	}
-	if len(args) > 0 && args[0] == "wal" {
-		return walExperiment(args[1:])
-	}
+	// chaos takes its own flags and spawns child processes, so it is
+	// dispatched separately and excluded from the default sweep.
 	if len(args) > 0 && args[0] == "chaos" {
 		return chaosExperiment(args[1:])
-	}
-	if len(args) > 0 && args[0] == "stability" {
-		return stabilityExperiment(args[1:])
 	}
 	all := map[string]func() error{
 		"e1": e1, "e3": e3, "e5": e5, "e6": e6, "e7": e7, "e8": e8, "e9": e9,

@@ -74,8 +74,7 @@ func crashRestartRecovery(t *testing.T, extraArgs ...string) {
 	// pageSize 3 makes roughly every other report mispredict, so the
 	// crash lands in a workload that is already rolling back and
 	// re-streaming — the hardest interleaving recovery has to get right.
-	// (64 reports is the scale the streamed workload is validated at;
-	// see cmd/hopebench wire.)
+	// (64 reports is the scale the streamed workload is validated at.)
 	const pageSize, reports = 3, 64
 	var mu sync.Mutex
 	var rep rpc.PageReport
@@ -243,7 +242,7 @@ func buildHoped(t *testing.T) string {
 
 // startHoped launches a hoped child and parses its boot lines (the
 // RECOVERED line, if any, arrives strictly before READY); the parsing
-// lives in internal/harness, shared with hopebench wire and chaos.
+// lives in internal/harness, shared with hopebench chaos.
 func startHoped(t *testing.T, bin string, args []string) (*exec.Cmd, harness.BootInfo) {
 	t.Helper()
 	child, info, err := harness.StartHoped(bin, args)

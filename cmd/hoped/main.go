@@ -32,9 +32,7 @@
 // N records the node writes a durable checkpoint into the WAL and
 // prunes the segments behind it, so recovery replays checkpoint+tail
 // instead of the full history (from= is the checkpoint LSN, tail= the
-// records replayed after it; 0 disables checkpointing). Under --fsync
-// always, --fsync-linger bounds how long a group-commit leader waits
-// for concurrent appenders to share its fsync.
+// records replayed after it; 0 disables checkpointing).
 //
 // With --dead-after the wire failure detector runs: a peer silent past
 // --suspect-after is Suspect (and probed), past --dead-after it is Dead —
@@ -132,17 +130,9 @@ import (
 	"github.com/hope-dist/hope/internal/rpc"
 	"github.com/hope-dist/hope/internal/stability"
 	"github.com/hope-dist/hope/internal/trace"
-	"github.com/hope-dist/hope/internal/transport"
 	"github.com/hope-dist/hope/internal/wal"
 	"github.com/hope-dist/hope/internal/wire"
 )
-
-func init() {
-	// Every payload type that crosses the wire must be registered on
-	// both sides; hoped speaks the rpc vocabulary.
-	wire.RegisterPayload(rpc.Request{})
-	wire.RegisterPayload(rpc.Response{})
-}
 
 // peerMap collects repeated --peer N=host:port flags.
 type peerMap map[int]string
@@ -210,15 +200,10 @@ func run(args []string) error {
 	node := fs.Int("node", 1, "this node's ID (upper 16 bits of every local PID)")
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address")
 	serve := fs.String("serve", "printserver", "root service to host (printserver|none)")
-	flushDelay := fs.Duration("flush-delay", 0, "linger this long before flushing coalesced frames (trade latency for batch size)")
-	queueFrames := fs.Int("queue-frames", 0, "per-peer resend queue cap in frames (0 = default 65536, negative = unlimited)")
-	queueBytes := fs.Int("queue-bytes", 0, "per-peer resend queue cap in bytes (0 = default 64MiB, negative = unlimited)")
-	unbatched := fs.Bool("unbatched", false, "flush every frame with its own syscall (benchmark baseline; leave off)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "max wait for unacked frames on shutdown before dropping them")
 	traceTail := fs.Int("trace-tail", 0, "retain the last N transport trace events and dump them on shutdown (0 = off)")
 	dataDir := fs.String("data-dir", "", "WAL directory; enables crash recovery (empty = volatile node)")
 	fsync := fs.String("fsync", "interval", "WAL sync policy with --data-dir: always|interval|none")
-	fsyncLinger := fs.Duration("fsync-linger", 0, "with --fsync always, group-commit leaders wait this long for more appends before the shared fsync (0 = batch only what piles up during in-flight fsyncs)")
 	checkpointEvery := fs.Int("checkpoint-every", 4096, "write a durable checkpoint and prune the WAL behind it every N records, bounding restart replay to checkpoint+tail (0 = full-history replay)")
 	suspectAfter := fs.Duration("suspect-after", 0, "mark a silent peer Suspect (and probe it) after this silence (0 = dead-after/4)")
 	deadAfter := fs.Duration("dead-after", 0, "declare a silent peer Dead after this silence: drop its queue, stop dialing, auto-deny what it owned (0 = failure detector off)")
@@ -300,7 +285,7 @@ func run(args []string) error {
 		}
 		store, recov, err = durable.OpenOptions(durable.Options{
 			Dir: *dataDir, NodeID: *node, Policy: policy, Tracer: tracer,
-			Linger: *fsyncLinger, CheckpointEvery: *checkpointEvery,
+			CheckpointEvery: *checkpointEvery,
 		})
 		if err != nil {
 			return err
@@ -317,9 +302,6 @@ func run(args []string) error {
 
 	wcfg := wire.NodeConfig{
 		ID: *node, Listen: *listen, Peers: peers, Tracer: tracer,
-		Queue:      transport.QueueLimits{MaxFrames: *queueFrames, MaxBytes: *queueBytes},
-		FlushDelay: *flushDelay,
-		Unbatched:  *unbatched,
 		// Advertise the watermark mode in the handshake: a cluster mixing
 		// --watermark on and off would gate outputs on some nodes against
 		// a frontier others never advance, so a mismatched peer is refused
@@ -776,7 +758,7 @@ func run(args []string) error {
 	}
 
 	// The READY line is the contract with whoever spawned us (see
-	// cmd/hopebench's wire mode): resolved address and service PID.
+	// harness.AwaitBoot): resolved address and service PID.
 	fmt.Printf("HOPED READY node=%d addr=%s pid=%d\n", *node, n.Addr(), rootPID)
 
 	if *statsEvery > 0 {

@@ -50,11 +50,12 @@ func TestPeerMapSet(t *testing.T) {
 // TestRunRejectsBadFlags drives run() just far enough to hit flag
 // validation: each argument set must fail before any socket is bound.
 func TestRunRejectsBadFlags(t *testing.T) {
-	cases := []struct {
+	type flagCase struct {
 		name string
 		args []string
 		want string
-	}{
+	}
+	cases := []flagCase{
 		{"self peer", []string{"--node", "2", "--serve", "none", "--peer", "2=127.0.0.1:7102"},
 			"--peer 2=127.0.0.1:7102 names this node itself"},
 		{"self join", []string{"--node", "3", "--serve", "none", "--join", "3=127.0.0.1:7103"},
@@ -68,6 +69,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			"need cluster mode"},
 		{"gossip-every without cluster", []string{"--node", "1", "--gossip-every", "50ms"},
 			"need cluster mode"},
+	}
+	// Retired tuning knobs: the transport has one write path and the
+	// default queue bounds; the WAL batches what piles up.
+	for _, name := range []string{"unbatched", "flush-delay", "queue-frames", "queue-bytes", "fsync-linger"} {
+		cases = append(cases, flagCase{"retired " + name,
+			[]string{"--node", "1", "--" + name + "=1"}, "flag provided but not defined: -" + name})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,18 +17,13 @@ import (
 	"os"
 
 	"github.com/hope-dist/hope/internal/durable"
-	"github.com/hope-dist/hope/internal/rpc"
+	// Payload vocabulary must match hoped's, or journalled messages and
+	// compaction snapshots recovered from its WAL will not decode; rpc
+	// registers its own types.
+	_ "github.com/hope-dist/hope/internal/rpc"
 	"github.com/hope-dist/hope/internal/stability"
 	"github.com/hope-dist/hope/internal/wal"
-	"github.com/hope-dist/hope/internal/wire"
 )
-
-func init() {
-	// Payload vocabulary must match hoped's, or journalled messages and
-	// compaction snapshots recovered from its WAL will not decode.
-	wire.RegisterPayload(rpc.Request{})
-	wire.RegisterPayload(rpc.Response{})
-}
 
 func main() {
 	dir := flag.String("dir", "", "WAL directory (a hoped --data-dir)")

@@ -131,19 +131,6 @@ func (r *Ring) Owns(self int, key uint64) bool {
 	return ok && owner == self
 }
 
-// OwnedSlice filters keys down to the subset the ring assigns to self,
-// preserving input order — a survivor's slice of a dead node's
-// processes (or AIDs). An empty ring owns nothing.
-func (r *Ring) OwnedSlice(self int, keys []uint64) []uint64 {
-	var out []uint64
-	for _, k := range keys {
-		if r.Owns(self, k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // Live returns the sorted member set the ring was built from.
 func (r *Ring) Live() []int { return append([]int(nil), r.live...) }
 

@@ -132,11 +132,3 @@ func (p *Process) dropExternsLocked(fromIdx int) {
 	}
 	p.externs = kept
 }
-
-// PendingExterns reports how many registered outputs are still gated
-// (tests and the stats loop).
-func (p *Process) PendingExterns() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.externs)
-}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/ids"
@@ -60,9 +59,6 @@ type Options struct {
 	NodeID int
 	// Policy is the WAL fsync policy.
 	Policy wal.Policy
-	// Linger bounds the SyncAlways group-commit leader's wait for
-	// followers (wal.Options.Linger).
-	Linger time.Duration
 	// SegmentBytes overrides the WAL segment size (0 = wal default).
 	SegmentBytes int64
 	// CheckpointEvery writes a durable checkpoint — and prunes the WAL
@@ -107,7 +103,6 @@ func OpenOptions(o Options) (*Store, *Recovered, error) {
 	log, err := wal.Open(wal.Options{
 		Dir:          o.Dir,
 		Policy:       o.Policy,
-		Linger:       o.Linger,
 		SegmentBytes: o.SegmentBytes,
 		OnRecord:     onRecord,
 	})

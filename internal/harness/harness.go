@@ -57,14 +57,6 @@ import (
 	"github.com/hope-dist/hope/internal/wire"
 )
 
-func init() {
-	// The client engine speaks the RPC workload over the wire; without
-	// these registrations every encode fails and the storm stalls with
-	// zero frames out.
-	wire.RegisterPayload(rpc.Request{})
-	wire.RegisterPayload(rpc.Response{})
-}
-
 // BootInfo is what a hoped child reports on stdout before serving.
 type BootInfo struct {
 	Addr      string

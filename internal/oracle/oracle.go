@@ -163,7 +163,7 @@ func CheckTerminations(snaps []core.Status) error {
 // ExpectedFinalLine replays the print-server pagination workload
 // sequentially: the line counter the server must hold after n reports at
 // the given page size, regardless of speculation, rollbacks, crashes, or
-// partitions along the way. (Both cmd/hopebench's wire experiment and
+// partitions along the way. (The chaos harness, the perf benchmark and
 // cmd/hoped's crash tests check against this replay.)
 func ExpectedFinalLine(pageSize, n int) int {
 	line := 0

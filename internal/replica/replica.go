@@ -170,11 +170,6 @@ func (c Client) Put(ctx *core.Ctx, key string, value, seq int) error {
 	}
 }
 
-// PutAsync writes through the primary without waiting for the ack.
-func (c Client) PutAsync(ctx *core.Ctx, key string, value, seq int) {
-	ctx.Send(c.Primary, PutReq{Key: key, Value: value, Seq: seq})
-}
-
 // GetOptimistic reads from the local backup and speculates that the
 // value is current; a verifier process concurrently compares versions
 // with the primary. On a stale read the assumption is denied: the caller

@@ -26,6 +26,11 @@ func init() {
 	// A Server's compaction snapshot (ServerState) is persisted by the
 	// durable layer via gob when the node runs with a WAL.
 	gob.Register(ServerState{})
+	// Request and Response travel as message payloads: the wire codec
+	// and the WAL gob-encode them, so every program that imports this
+	// package speaks the same vocabulary without registering it itself.
+	gob.Register(Request{})
+	gob.Register(Response{})
 }
 
 // callIDs issues process-wide unique call identifiers. Uniqueness is all

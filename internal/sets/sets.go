@@ -42,17 +42,6 @@ func (s *AIDSet) Add(a ids.AID) bool {
 	return true
 }
 
-// AddAll inserts every AID in the slice, returning how many were new.
-func (s *AIDSet) AddAll(aids []ids.AID) int {
-	added := 0
-	for _, a := range aids {
-		if s.Add(a) {
-			added++
-		}
-	}
-	return added
-}
-
 // Remove deletes a from the set. It reports whether a was present.
 func (s *AIDSet) Remove(a ids.AID) bool {
 	if s.index == nil {

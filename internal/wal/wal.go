@@ -121,8 +121,8 @@ type Options struct {
 	// Interval is the group-commit period for SyncInterval. Default 2ms.
 	Interval time.Duration
 	// Linger bounds how long a SyncAlways group-commit leader waits for
-	// followers to append before issuing the shared fsync (the same
-	// latency-for-batch-size trade as the wire pump's FlushDelay).
+	// followers to append before issuing the shared fsync, trading that
+	// much latency for batch size.
 	// Default 0: batching still happens — appenders that arrive while a
 	// fsync is in flight join the next one — but no latency is added.
 	Linger time.Duration

@@ -129,16 +129,6 @@ type NodeConfig struct {
 	// on the trace stream — so Send never blocks and node memory stays
 	// bounded no matter how long a peer is unreachable.
 	Queue transport.QueueLimits
-	// FlushDelay, when positive, lets the per-peer writer linger up to
-	// this long after draining the queue before flushing the buffered
-	// frames, coalescing more frames per syscall at the cost of that
-	// much added latency. Zero flushes as soon as the queue is empty
-	// (frames queued while a flush is in progress still coalesce).
-	FlushDelay time.Duration
-	// Unbatched disables write coalescing entirely: every frame is
-	// flushed (one syscall) on its own. It exists so benchmarks can
-	// measure what batching buys; leave it false in real deployments.
-	Unbatched bool
 	// Durable, when non-nil, receives the write-ahead-log callbacks that
 	// make the node's wire state crash-recoverable (see DurableHooks).
 	Durable DurableHooks
@@ -300,19 +290,17 @@ type TransplantConfig struct {
 // number, so each message is delivered exactly once and per-pair FIFO
 // order is preserved end to end.
 type Node struct {
-	id         int
-	tracer     trace.Tracer
-	ln         net.Listener
-	queue      transport.QueueLimits // normalized per-peer bounds
-	flushDelay time.Duration
-	unbatched  bool
-	dur        DurableHooks     // nil = no durability
-	health     HealthConfig     // normalized failure-detector config
-	gossip     GossipConfig     // membership piggyback hooks (zero = none)
-	stab       StabilityConfig  // commit-watermark piggyback hooks (zero = none)
-	xfer       TransferConfig   // shard-migration piggyback hooks (zero = none)
-	tpl        TransplantConfig // process-transplant piggyback hooks (zero = none)
-	wmMode     WatermarkMode    // advertised in the handshake; mismatches are refused
+	id     int
+	tracer trace.Tracer
+	ln     net.Listener
+	queue  transport.QueueLimits // normalized per-peer bounds
+	dur    DurableHooks          // nil = no durability
+	health HealthConfig          // normalized failure-detector config
+	gossip GossipConfig          // membership piggyback hooks (zero = none)
+	stab   StabilityConfig       // commit-watermark piggyback hooks (zero = none)
+	xfer   TransferConfig        // shard-migration piggyback hooks (zero = none)
+	tpl    TransplantConfig      // process-transplant piggyback hooks (zero = none)
+	wmMode WatermarkMode         // advertised in the handshake; mismatches are refused
 
 	mu       sync.Mutex
 	idle     *sync.Cond // signalled when inflight returns to zero
@@ -332,7 +320,6 @@ type Node struct {
 	healthDone chan struct{} // closed when the monitor has exited
 
 	counts transport.Counters // delivered messages by kind; 0 = dead letters
-	sent   transport.Counters // messages accepted for sending by kind
 
 	bytesIn, bytesOut     atomic.Uint64
 	framesOut, framesIn   atomic.Uint64
@@ -518,8 +505,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		tracer:     tr,
 		ln:         ln,
 		queue:      cfg.Queue.Norm(),
-		flushDelay: cfg.FlushDelay,
-		unbatched:  cfg.Unbatched,
 		dur:        cfg.Durable,
 		health:     cfg.Health.norm(),
 		gossip:     cfg.Gossip,
@@ -829,7 +814,6 @@ func (n *Node) Send(m *msg.Message) {
 	n.mu.Unlock()
 
 	if h != nil {
-		n.sent.Observe(m.Kind)
 		n.counts.Observe(m.Kind)
 		h(m)
 		return
@@ -842,7 +826,6 @@ func (n *Node) Send(m *msg.Message) {
 	owner := NodeOf(m.To)
 	if owner == n.id {
 		// Locally owned PID with no handler: dead letter, like netsim.
-		n.sent.Observe(m.Kind)
 		n.counts.Observe(0)
 		n.consumedDeadLetter(m)
 		return
@@ -857,7 +840,6 @@ func (n *Node) Send(m *msg.Message) {
 		return
 	}
 	eb.b = data
-	n.sent.Observe(m.Kind)
 	p := n.peer(owner)
 
 	n.mu.Lock()
@@ -1047,9 +1029,6 @@ func (n *Node) DropConnections() int {
 // Stats implements transport.Transport: messages delivered to local
 // handlers by kind (the same semantics as netsim).
 func (n *Node) Stats() transport.Stats { return n.counts.Snapshot() }
-
-// SentStats returns messages accepted for sending by kind.
-func (n *Node) SentStats() transport.Stats { return n.sent.Snapshot() }
 
 // WireStats returns the transport-level counters plus a point-in-time
 // gauge of the outbound queues.
@@ -1823,19 +1802,14 @@ loop:
 // pump writes queued frames to conn until it fails or is replaced. It
 // coalesces: everything queued at wake-up — plus anything that arrives
 // while the batch is being written — goes into one buffered write,
-// flushed with a single syscall. With FlushDelay set it lingers that
-// long once per flush to gather stragglers; in unbatched mode it
-// flushes every frame individually (the one-syscall-per-frame baseline
-// benchmarks compare against).
+// flushed with a single syscall.
 func (p *peer) pump(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var batch []outFrame // reused round to round; entries are pinned while written
-	lingered := false
 	for {
 		p.mu.Lock()
 		p.pinLo, p.pinHi = 0, 0
 		for p.cursor >= len(p.queue) && len(p.gossip) == 0 && len(p.stability) == 0 && len(p.transfer) == 0 && len(p.transplant) == 0 && !p.probe && !p.closed && !p.dead && p.conn == conn {
-			lingered = false
 			p.cond.Wait()
 		}
 		if p.closed || p.dead || p.conn != conn {
@@ -1913,13 +1887,6 @@ func (p *peer) pump(conn net.Conn) {
 			}
 			p.n.tplSent.Add(1)
 		}
-		if p.n.unbatched && len(gossip)+len(stab)+len(xfer)+len(tpl) > 0 {
-			if err := bw.Flush(); err != nil {
-				p.detach(conn)
-				return
-			}
-		}
-
 		if len(batch) > 0 && p.n.dur != nil {
 			// A written frame's seq is burned: make its FrameQueued record
 			// durable before it can reach the network, or a restart could
@@ -1937,28 +1904,10 @@ func (p *peer) pump(conn net.Conn) {
 				return
 			}
 			p.n.framesOut.Add(1)
-			if p.n.unbatched {
-				if err := bw.Flush(); err != nil {
-					p.detach(conn)
-					return
-				}
-				p.n.flushes.Add(1)
-			}
-		}
-		if p.n.unbatched {
-			continue
 		}
 		if p.moreQueued(conn) {
 			continue // keep filling the buffer instead of flushing early
 		}
-		if d := p.n.flushDelay; d > 0 && !lingered {
-			lingered = true
-			time.Sleep(d)
-			if p.moreQueued(conn) {
-				continue
-			}
-		}
-		lingered = false
 		if err := bw.Flush(); err != nil {
 			p.detach(conn)
 			return

@@ -469,6 +469,57 @@ func TestNodeGracefulCloseAcksTail(t *testing.T) {
 	}
 }
 
+// TestPumpCoalesces pins the pump's one write path: a burst queued faster
+// than the socket drains must share flushes (frames queued while a batch
+// is being written join the same buffered write) and still arrive
+// complete and in order.
+func TestPumpCoalesces(t *testing.T) {
+	a, b := newPair(t, nil)
+	var mu sync.Mutex
+	var got []int
+	dst := PIDBase(1) + 1
+	b.Register(dst, func(m *msg.Message) {
+		mu.Lock()
+		got = append(got, m.Payload.(int))
+		mu.Unlock()
+	})
+	from := PIDBase(0) + 1
+
+	// Connect first, so the burst measures the pump and not the dial.
+	a.Send(&msg.Message{Kind: msg.KindData, From: from, To: dst, Payload: -1})
+	if !a.DrainFor(10 * time.Second) {
+		t.Fatalf("warm-up did not drain; stats %v", a.WireStats())
+	}
+	base := a.WireStats()
+
+	const burst = 2000
+	for i := 0; i < burst; i++ {
+		a.Send(&msg.Message{Kind: msg.KindData, From: from, To: dst, Payload: i})
+	}
+	if !a.DrainFor(30 * time.Second) {
+		t.Fatalf("burst did not drain; stats %v", a.WireStats())
+	}
+
+	ws := a.WireStats()
+	frames, flushes := ws.FramesOut-base.FramesOut, ws.Flushes-base.Flushes
+	if frames != burst {
+		t.Fatalf("wrote %d frames for a burst of %d; stats %v", frames, burst, ws)
+	}
+	if flushes >= frames {
+		t.Fatalf("%d flushes for %d frames: the pump did not coalesce", flushes, frames)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != burst+1 {
+		t.Fatalf("delivered %d messages, want %d", len(got), burst+1)
+	}
+	for i, n := range got {
+		if n != i-1 {
+			t.Fatalf("message %d carries %d, want %d: lost, duplicated, or reordered", i, n, i-1)
+		}
+	}
+}
+
 func BenchmarkCodecEncode(b *testing.B) {
 	m := &msg.Message{
 		Kind: msg.KindAffirm, From: 3, To: 9,
@@ -504,10 +555,10 @@ func BenchmarkCodecDecode(b *testing.B) {
 	}
 }
 
-// benchmarkNodeFlood measures one-way send throughput and per-send
-// allocation over loopback TCP, with and without write coalescing.
-func benchmarkNodeFlood(b *testing.B, unbatched bool) {
-	src, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0", Unbatched: unbatched})
+// BenchmarkNodeFloodBatched measures one-way send throughput and
+// per-send allocation over loopback TCP.
+func BenchmarkNodeFloodBatched(b *testing.B) {
+	src, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -532,9 +583,6 @@ func benchmarkNodeFlood(b *testing.B, unbatched bool) {
 	}
 	src.Drain()
 }
-
-func BenchmarkNodeFloodBatched(b *testing.B)   { benchmarkNodeFlood(b, false) }
-func BenchmarkNodeFloodUnbatched(b *testing.B) { benchmarkNodeFlood(b, true) }
 
 func BenchmarkNodeLoopbackRoundTrip(b *testing.B) {
 	a, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0"})

@@ -34,21 +34,6 @@ echo '== wire + wal + cluster + durable fuzz corpus replay'
 # TestDifferentialFold, runs with the ordinary tests above).
 go test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/wal/ ./internal/cluster/ ./internal/durable/
 
-echo '== hopebench wire smoke'
-# Two-process TCP round trip plus the in-process flood comparison; fails
-# if the child never reaches READY, a page is lost, or the run does not
-# reach quiescence.
-go run ./cmd/hopebench wire --pagesize 100 --reports 8 --flood 5000
-
-echo '== wal group-commit + checkpoint-recovery smoke'
-# Group commit: 8 concurrent appenders under fsync=always must share
-# fsyncs (the bench fails loudly on append/replay errors). Checkpoint
-# recovery: replayed-record count must come from the newest bracket,
-# not the full history (the bench fails if the reopened store did not
-# recover through a checkpoint).
-go run ./cmd/hopebench wal --records 2000 --appenders 8 --linger 200us \
-    --checkpoint-every 500 --histories 1500
-
 echo '== crash-restart smoke'
 # SIGKILLs a durable hoped child mid-workload and restarts it from its
 # WAL; fails if recovery loses, duplicates, or reorders a committed
@@ -122,11 +107,5 @@ echo '== process transplant churn smoke (pinned seed)'
 # workload must COMPLETE against the reborn server with exactly one
 # final outcome instead of quiescing by denial.
 go run ./cmd/hopebench chaos --churn --migrate --transplant --nodes 3 --seed 1 --reports 24
-
-echo '== stability watermark A/B smoke'
-# In-process lag + throughput A/B for the commit watermark: fails if a
-# gated output is lost or duplicated, if the frontier stops advancing
-# (outputs still gated after the run), or on any protocol violation.
-go run ./cmd/hopebench stability
 
 echo 'check: OK'
