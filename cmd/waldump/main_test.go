@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,8 +17,13 @@ import (
 	"github.com/hope-dist/hope/internal/wire"
 )
 
-// capture runs run() with stdout captured.
+// capture runs run() as node 1 with stdout captured.
 func capture(t *testing.T, dir string) (string, error) {
+	t.Helper()
+	return captureNode(t, dir, 1)
+}
+
+func captureNode(t *testing.T, dir string, node int) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -25,7 +31,7 @@ func capture(t *testing.T, dir string) (string, error) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := run(dir, 1, true)
+	runErr := run(dir, node, true)
 	w.Close()
 	os.Stdout = old
 	out, _ := io.ReadAll(r)
@@ -231,5 +237,57 @@ func TestRetainedRecordsDecodedOnDemand(t *testing.T) {
 	// the forensic pass merely annotated.
 	if runErr == nil || !strings.Contains(runErr.Error(), "recovery replay") {
 		t.Errorf("recovery replay accepted a malformed journal record: %v", runErr)
+	}
+}
+
+// TestMixedCodecWALDump: a WAL recorded when payloads were gob streams,
+// with a journal record appended in the binary payload form, dumps both
+// generations through durable.Describe — the forensic tool reads what an
+// upgraded node's disk actually holds.
+func TestMixedCodecWALDump(t *testing.T) {
+	const recorded = "../../internal/durable/testdata/differential/client-mid"
+	dir := t.TempDir()
+	segs, err := os.ReadDir(recorded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs { // the dump's recovery pass truncates: never in testdata
+		data, err := os.ReadFile(filepath.Join(recorded, seg.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, seg.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _, err := durable.OpenOptions(durable.Options{Dir: dir, NodeID: 0, Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker, server := wire.PIDBase(0)+11, wire.PIDBase(1)+1
+	m := msg.Data(server, worker, ids.IntervalID{}, nil, rpc.Response{Seq: 4, Result: -1})
+	m.SrcNode, m.SrcSeq = 1, 100000
+	if enc, err := wire.EncodeMessage(m); err != nil || len(enc) > 32 {
+		t.Fatalf("the appended message is not in the binary payload form: %d bytes, err %v", len(enc), err)
+	}
+	s.JournalAppend(worker, &journal.Entry{Kind: journal.KindRecv, Msg: m})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := captureNode(t, dir, 0)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"recv Data " + server.String() + "→" + worker.String() + " payload=rpc.Response src=1/100000", // appended, binary
+		"payload=rpc.Request", // recorded, gob
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in dump:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "undecodable") || strings.Contains(out, "malformed") {
+		t.Errorf("a record of one generation no longer reads:\n%s", out)
 	}
 }

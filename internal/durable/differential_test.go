@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -47,8 +48,6 @@ var differentialNode = map[string]int{
 }
 
 func TestDifferentialFold(t *testing.T) {
-	wire.RegisterPayload(rpc.Request{}) // hoped's payload vocabulary
-	wire.RegisterPayload(rpc.Response{})
 	if *recordWAL != "" {
 		recordDifferential(t, *recordWAL)
 		return
@@ -457,5 +456,111 @@ func recordDifferential(t *testing.T, out string) {
 			}
 		}
 		t.Logf("%s: %d bytes of golden", name, len(dump))
+	}
+}
+
+// TestMixedCodecWALFolds is the upgrade path of a durable node: a WAL
+// recorded when every payload was a gob stream (codec version 3) is
+// opened by the live store, which appends journal entries and frames in
+// the current codec's binary payload form, and the two generations fold
+// into one Recovered — the old records to what they folded to before
+// the append, the new ones to the values appended.
+func TestMixedCodecWALFolds(t *testing.T) {
+	const node, peer = 0, 1
+	dir := t.TempDir()
+	copyDir(t, filepath.Join(differentialDir, "client-mid"), dir)
+	open := func() (*Store, *Recovered) {
+		t.Helper()
+		s, rec, err := OpenOptions(Options{Dir: dir, NodeID: node, Policy: wal.SyncNone})
+		if err != nil {
+			t.Fatalf("OpenOptions: %v", err)
+		}
+		return s, rec
+	}
+	s, old := open()
+	worker, server := wire.PIDBase(node)+11, wire.PIDBase(peer)+1
+	before := old.Restore[worker]
+	oldFrames := old.Resume.Peers[peer].Frames
+	if before == nil || len(before.Entries) == 0 || len(oldFrames) == 0 || len(old.Redeliver) == 0 {
+		t.Fatalf("the recording no longer holds a journal, unacked frames and an unconsumed inbox: %s", old)
+	}
+	for _, f := range oldFrames {
+		if f.Frame[0] != 3 {
+			t.Fatalf("recorded frame seq=%d is codec version %d, want the gob-era 3", f.Seq, f.Frame[0])
+		}
+	}
+
+	// One request journalled and queued, its response received and
+	// journalled, and one more response delivered but not consumed.
+	iid := before.Intervals[len(before.Intervals)-1].ID
+	inSeq, outSeq := old.Resume.Delivered[peer]+1, old.Resume.Peers[peer].NextSeq+1
+	tag := []ids.AID{ids.AID(worker + 100)}
+	req := msg.Data(worker, server, iid, tag, rpc.Request{ReplyTo: worker, Method: rpc.MethodPrint, Arg: -3, Seq: 77, CallID: 1 << 40})
+	resp := msg.Data(server, worker, ids.IntervalID{Proc: server, Seq: 1, Epoch: 1}, tag, rpc.Response{Seq: 77, CallID: 1 << 40, Result: -9})
+	resp.SrcNode, resp.SrcSeq = peer, inSeq
+	late := msg.Data(server, worker, ids.IntervalID{}, nil, rpc.Response{Seq: 78})
+	for _, m := range []*msg.Message{req, resp, late} {
+		if enc := encode(t, m); enc[0] == 3 || len(enc) > 64 {
+			t.Fatalf("%v encodes to a %d-byte version-%d frame: not the binary payload form", m, len(enc), enc[0])
+		}
+	}
+	s.JournalAppend(worker, &journal.Entry{Kind: journal.KindSend, Msg: req, Interval: iid})
+	s.FrameQueued(peer, outSeq, encode(t, req))
+	if err := s.Delivered(peer, inSeq, encode(t, resp)); err != nil {
+		t.Fatal(err)
+	}
+	s.JournalAppend(worker, &journal.Entry{Kind: journal.KindRecv, Msg: resp, Interval: iid})
+	if err := s.Delivered(peer, inSeq+1, encode(t, late)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, mixed := open()
+	defer s2.Close()
+	after := mixed.Restore[worker]
+	if after == nil || len(after.Entries) != len(before.Entries)+2 {
+		t.Fatalf("worker journal: %d entries before, want 2 more after, got %+v", len(before.Entries), after)
+	}
+	for i, e := range before.Entries {
+		if got, want := entryString(after.Entries[i]), entryString(e); got != want {
+			t.Fatalf("gob-era entry %d changed under the append:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	tail := after.Entries[len(before.Entries):]
+	if !reflect.DeepEqual(tail[0].Msg, req) || !reflect.DeepEqual(tail[1].Msg, resp) {
+		t.Fatalf("appended entries folded to\n %s\n %s\nwant\n %s\n %s",
+			entryString(tail[0]), entryString(tail[1]), msgString(req), msgString(resp))
+	}
+	frames := mixed.Resume.Peers[peer].Frames
+	if len(frames) != len(oldFrames)+1 || mixed.Resume.Peers[peer].NextSeq != outSeq {
+		t.Fatalf("unacked frames: %d before, %d after, nextseq %d, want one more and %d", len(oldFrames), len(frames), mixed.Resume.Peers[peer].NextSeq, outSeq)
+	}
+	for i, f := range oldFrames {
+		if frames[i].Seq != f.Seq || string(frames[i].Frame) != string(f.Frame) {
+			t.Fatalf("gob-era frame seq=%d changed under the append", f.Seq)
+		}
+	}
+	if last := frames[len(frames)-1]; last.Seq != outSeq || string(last.Frame) != string(encode(t, req)) {
+		t.Fatalf("appended frame folded to seq=%d %x", last.Seq, last.Frame)
+	}
+	// The journalled response is consumed; the late one joins the
+	// recorded unconsumed inbox, after it.
+	if len(mixed.Redeliver) != len(old.Redeliver)+1 {
+		t.Fatalf("redeliver: %d before, %d after, want one more", len(old.Redeliver), len(mixed.Redeliver))
+	}
+	for i, m := range old.Redeliver {
+		if got, want := msgString(mixed.Redeliver[i]), msgString(m); got != want {
+			t.Fatalf("gob-era inbox message %d changed under the append:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	late.SrcNode, late.SrcSeq = peer, inSeq+1
+	if got := mixed.Redeliver[len(mixed.Redeliver)-1]; !reflect.DeepEqual(got, late) {
+		t.Fatalf("appended inbox message folded to %s, want %s", msgString(got), msgString(late))
+	}
+	if len(mixed.Resend) != len(old.Resend) || mixed.Skipped != 0 {
+		t.Fatalf("resend %d → %d, skipped %d: the appended send did not pair with its frame, or a frame no longer decodes",
+			len(old.Resend), len(mixed.Resend), mixed.Skipped)
 	}
 }

@@ -96,8 +96,11 @@ const (
 )
 
 // anyEnv wraps interface values (journal notes, compaction snapshots) so
-// gob can encode them; concrete types must be registered, exactly as for
-// wire payloads (wire.RegisterPayload).
+// gob can encode them; concrete types must be gob-registered
+// (wire.RegisterPayload does it). Message payloads are not this
+// package's format: an embedded message is wire.AppendMessage's bytes,
+// whose payload is binary where the type has a wire codec and gob
+// otherwise — and gob in every record written before wire's version 4.
 type anyEnv struct{ V any }
 
 func appendUv(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -365,8 +368,9 @@ func (r *reader) entryHeader() (h entryHeader, err error) {
 	return h, nil
 }
 
-// entry materialises a journal entry: the header, then the two gob
-// streams (message payload, note) the fold never opens.
+// entry materialises a journal entry: the header, then the two parts
+// the fold never opens — the embedded message (wire's codec) and the
+// note (gob).
 func (r *reader) entry() (*journal.Entry, error) {
 	h, err := r.entryHeader()
 	if err != nil {

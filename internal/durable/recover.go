@@ -138,7 +138,7 @@ type rPeer struct {
 
 // rEntry is one journal entry as the fold holds it: an immutable copy of
 // its encoded bytes plus the header fields the fold itself consults. The
-// gob streams inside (message payload, note) are opened only when the
+// embedded message's payload and the gob note are opened only when the
 // entry is materialised for a caller (decodeEntry).
 type rEntry struct {
 	enc     []byte // appendEntry's layout
@@ -212,9 +212,9 @@ func (p *rProc) pendingSend() bool {
 // record and keeps journal entries, frames and snapshots as immutable
 // copies of their encoded bytes. Rollback, send/frame pairing and the
 // checkpoint all work on those headers, the checkpoint re-emits the
-// bytes verbatim, and values are materialised (gob opened) only for what
-// survives to the end of the stream — in finish, ReadProcesses and
-// ReadOrphanFrames. That is what lets the store run this same fold on
+// bytes verbatim, and values are materialised (payloads decoded) only
+// for what survives to the end of the stream — in finish, ReadProcesses
+// and ReadOrphanFrames. That is what lets the store run this same fold on
 // every record it appends (the shadow) without decoding what it has
 // just encoded.
 type recoverState struct {

@@ -13,6 +13,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"sync/atomic"
@@ -20,17 +21,21 @@ import (
 
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/ids"
+	"github.com/hope-dist/hope/internal/wire"
 )
 
 func init() {
 	// A Server's compaction snapshot (ServerState) is persisted by the
 	// durable layer via gob when the node runs with a WAL.
 	gob.Register(ServerState{})
-	// Request and Response travel as message payloads: the wire codec
-	// and the WAL gob-encode them, so every program that imports this
-	// package speaks the same vocabulary without registering it itself.
-	gob.Register(Request{})
-	gob.Register(Response{})
+	// Request and Response travel as message payloads, in the wire
+	// codec's binary form (their bodies are below); every program that
+	// imports this package speaks the same vocabulary without registering
+	// it itself. The registration also gob-registers them: that is how a
+	// journalled note and a frame written before codec version 4 carry
+	// them.
+	wire.RegisterBinaryPayload(Request{}, decodeRequest)
+	wire.RegisterBinaryPayload(Response{}, decodeResponse)
 }
 
 // callIDs issues process-wide unique call identifiers. Uniqueness is all
@@ -62,6 +67,73 @@ type Response struct {
 	Seq    int
 	CallID uint64
 	Result int
+}
+
+// Wire payload ids (wire.BinaryPayload): protocol constants, never
+// reused or renumbered.
+const (
+	payloadRequest  = 32
+	payloadResponse = 33
+)
+
+// PayloadID implements wire.BinaryPayload.
+func (Request) PayloadID() uint8 { return payloadRequest }
+
+// AppendPayload implements wire.BinaryPayload: the fields in declaration
+// order, identifiers as uvarints, ints as zigzag varints.
+func (r Request) AppendPayload(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(r.ReplyTo))
+	buf = wire.AppendString(buf, r.Method)
+	buf = binary.AppendVarint(buf, int64(r.Arg))
+	buf = binary.AppendVarint(buf, int64(r.Seq))
+	return binary.AppendUvarint(buf, r.CallID)
+}
+
+func decodeRequest(d *wire.Decoder) (any, error) {
+	var r Request
+	replyTo, err := d.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	r.ReplyTo = ids.PID(replyTo)
+	if r.Method, err = d.Str(); err != nil {
+		return nil, err
+	}
+	if r.Arg, err = d.Int(); err != nil {
+		return nil, err
+	}
+	if r.Seq, err = d.Int(); err != nil {
+		return nil, err
+	}
+	if r.CallID, err = d.Uvarint(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// PayloadID implements wire.BinaryPayload.
+func (Response) PayloadID() uint8 { return payloadResponse }
+
+// AppendPayload implements wire.BinaryPayload.
+func (r Response) AppendPayload(buf []byte) []byte {
+	buf = binary.AppendVarint(buf, int64(r.Seq))
+	buf = binary.AppendUvarint(buf, r.CallID)
+	return binary.AppendVarint(buf, int64(r.Result))
+}
+
+func decodeResponse(d *wire.Decoder) (any, error) {
+	var r Response
+	var err error
+	if r.Seq, err = d.Int(); err != nil {
+		return nil, err
+	}
+	if r.CallID, err = d.Uvarint(); err != nil {
+		return nil, err
+	}
+	if r.Result, err = d.Int(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // Handler computes a server operation: state in, (state, result) out.

@@ -167,7 +167,7 @@ type Log struct {
 	segSize  int64 // bytes written to the active segment (incl. header)
 	segments []segment
 	nextLSN  uint64
-	dirty    bool  // unsynced appends present
+	dirty    bool // unsynced appends present
 	closed   bool
 	syncErr  error      // first fsync/flush failure, latched forever (fsyncgate)
 	syncBusy bool       // a shared fsync of l.f is in flight outside l.mu

@@ -3,21 +3,49 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"github.com/hope-dist/hope/internal/ids"
 	"github.com/hope-dist/hope/internal/msg"
 )
 
+// rpcFrames are binary-form frames carrying the rpc vocabulary, which
+// this package cannot import: the data frame perf/micro.go times, and a
+// Nack echoing a Response. (The test binary links internal/rpc through
+// the external tests, so its codecs are registered.)
+var rpcFrames = []string{
+	"04070789808080808040070329000000020b0c02200a07057072696e74000a00",
+	"040c09070000000002000002081904070789808080808040070329000000020b0c0221030a0905",
+}
+
 // FuzzDecodeMessage feeds arbitrary bytes to the decoder: it must never
 // panic or over-allocate, only return a message or an error. The seed
-// corpus is every kind's encoding with empty and large IDO sets plus the
-// malformed shapes the unit tests pin.
+// corpus is every kind's encoding with empty and large IDO sets, every
+// payload form (absent, gob, binary — scalars, rpc, nested messages)
+// plus the malformed shapes the unit tests pin.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range sampleMessages() {
 		if data, err := EncodeMessage(m); err == nil {
 			f.Add(data)
 		}
+	}
+	for _, h := range rpcFrames {
+		data, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeMessage(data); err != nil {
+			f.Fatalf("rpc seed frame no longer decodes: %v", err)
+		}
+		f.Add(data)
+	}
+	if bare, err := EncodeMessage(&msg.Message{Kind: msg.KindNack, From: 1, To: 2}); err == nil {
+		f.Add(nestedEchoes(bare, maxPayloadDepth))
+		f.Add(nestedEchoes(bare, maxPayloadDepth+1))
+		f.Add(append(bare[:len(bare)-1:len(bare)-1], payloadBinary, 200, 1, 0))                // unknown type id
+		f.Add(append(bare[:len(bare)-1:len(bare)-1], payloadBinary, payloadBatch, 2, 0xFF, 1)) // hostile batch count
 	}
 	f.Add([]byte{})
 	f.Add([]byte{codecVersion})
@@ -152,10 +180,14 @@ func FuzzFrameStream(f *testing.F) {
 // FuzzRoundTrip builds structured messages from fuzzed fields and
 // asserts exact round-trip through the codec.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint8(1), uint64(1), uint64(2), uint64(3), uint32(4), uint32(5), uint64(6), uint16(0), "payload")
-	f.Add(uint8(7), uint64(1)<<63, uint64(1)<<48, uint64(0), uint32(0), uint32(0), uint64(0), uint16(2000), "")
-	f.Add(uint8(11), uint64(9), uint64(9), uint64(9), uint32(9), uint32(9), uint64(9), uint16(1), "x")
-	f.Fuzz(func(t *testing.T, kind uint8, from, to, proc uint64, seq, epoch uint32, aid uint64, idoLen uint16, payload string) {
+	f.Add(uint8(1), uint64(1), uint64(2), uint64(3), uint32(4), uint32(5), uint64(6), uint16(0), "payload", uint8(0))
+	f.Add(uint8(7), uint64(1)<<63, uint64(1)<<48, uint64(0), uint32(0), uint32(0), uint64(0), uint16(2000), "", uint8(0))
+	f.Add(uint8(11), uint64(9), uint64(9), uint64(9), uint32(9), uint32(9), uint64(9), uint16(1), "x", uint8(0))
+	for ptype := uint8(1); ptype <= 8; ptype++ { // one seed per binary payload shape below
+		f.Add(uint8(msg.KindData), uint64(1)<<63, uint64(2), uint64(3), uint32(4), uint32(5), ^uint64(0), uint16(2), "payload", ptype)
+	}
+	f.Add(uint8(msg.KindData), uint64(1), uint64(2), uint64(3), uint32(4), uint32(5), uint64(6), uint16(0), "", uint8(6)) // empty []byte
+	f.Fuzz(func(t *testing.T, kind uint8, from, to, proc uint64, seq, epoch uint32, aid uint64, idoLen uint16, payload string, ptype uint8) {
 		m := &msg.Message{
 			Kind: msg.Kind(kind),
 			From: ids.PID(from),
@@ -169,6 +201,27 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if payload != "" {
 			m.Payload = payload
+		}
+		// The other binary payload shapes, their values drawn from the
+		// fuzzed fields; a nested message is a copy of m as built so far.
+		inner := *m
+		switch ptype % 9 {
+		case 1:
+			m.Payload = int(int64(aid))
+		case 2:
+			m.Payload = int64(aid)
+		case 3:
+			m.Payload = aid
+		case 4:
+			m.Payload = math.Float64frombits(aid)
+		case 5:
+			m.Payload = seq%2 == 1
+		case 6:
+			m.Payload = []byte(payload)
+		case 7:
+			m.Payload = &inner
+		case 8:
+			m.Payload = []*msg.Message{&inner, &inner}
 		}
 		data, err := EncodeMessage(m)
 		if err != nil {

@@ -428,7 +428,6 @@ func (s WireStats) String() string {
 type inbound struct {
 	mu        sync.Mutex
 	delivered uint64 // highest contiguous seq delivered
-	acked     uint64 // highest seq acked back to the sender
 }
 
 // outFrame is one sequenced, already-encoded message awaiting ack. Its
@@ -1330,8 +1329,13 @@ func (n *Node) serveConn(c net.Conn) {
 	var wmu sync.Mutex
 	in.mu.Lock()
 	resume := in.delivered
-	in.acked = resume
 	in.mu.Unlock()
+	// acked is the highest seq acked on THIS connection (guarded by
+	// in.mu). It is not the sender's state: two connections from one
+	// sender can overlap, and an ack the dying one wrote into its dead
+	// socket tells the sender nothing — the replacement must still ack
+	// the duplicates it discards, starting from its own handshake.
+	acked := resume
 	wmu.Lock()
 	err = n.writeFrame(c, frameHelloAck, append(seqPayload(resume), byte(n.wmMode)))
 	wmu.Unlock()
@@ -1346,7 +1350,7 @@ func (n *Node) serveConn(c net.Conn) {
 	sendAck := func(force bool) {
 		in.mu.Lock()
 		seq := in.delivered
-		stale := seq == in.acked
+		stale := seq == acked
 		in.mu.Unlock()
 		if stale && !force {
 			return
@@ -1363,13 +1367,13 @@ func (n *Node) serveConn(c net.Conn) {
 				}
 			}
 			in.mu.Lock()
-			if seq > in.acked {
-				in.acked = seq
+			if seq > acked {
+				acked = seq
 			} else if !force {
 				in.mu.Unlock()
 				return
 			}
-			seq = in.acked
+			seq = acked
 			in.mu.Unlock()
 		}
 		wmu.Lock()
@@ -1516,7 +1520,7 @@ func (n *Node) serveConn(c net.Conn) {
 			}
 		}
 		in.delivered = seq
-		pending := in.delivered - in.acked
+		pending := in.delivered - acked
 
 		// Decode and deliver under in.mu. Two connections from the same
 		// sender can briefly overlap — the dying one draining its buffered

@@ -9,6 +9,19 @@ go vet ./...
 echo '== go build ./...'
 go build ./...
 
+echo '== gob stays off the message path (internal/wire: one fallback encoder, one old-bytes decoder)'
+# The wire codec's binary payload form (DESIGN.md §7) exists because a
+# per-message gob encoder/decoder compiles a type engine per frame. gob
+# survives in internal/wire as exactly two call sites, both in codec.go;
+# a third anywhere in the package (tests included) fails the gate.
+sites=$(grep -rn --include='*.go' -e 'gob\.NewEncoder' -e 'gob\.NewDecoder' internal/wire || true)
+if [ "$(printf '%s\n' "$sites" | grep -c 'internal/wire/codec\.go:')" -ne 2 ] ||
+   [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 2 ]; then
+    echo "check: gob encoder/decoder sites in internal/wire changed (want 1 + 1, in codec.go):"
+    printf '%s\n' "$sites"
+    exit 1
+fi
+
 echo '== go test ./...'
 go test ./...
 
