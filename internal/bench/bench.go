@@ -19,8 +19,10 @@ import (
 	"github.com/hope-dist/hope/internal/replica"
 	"github.com/hope-dist/hope/internal/rpc"
 	"github.com/hope-dist/hope/internal/scicomp"
+	"github.com/hope-dist/hope/internal/stability"
 	"github.com/hope-dist/hope/internal/stream"
 	"github.com/hope-dist/hope/internal/timewarp"
+	"github.com/hope-dist/hope/internal/transport"
 	"github.com/hope-dist/hope/occ"
 
 	hope "github.com/hope-dist/hope"
@@ -225,6 +227,40 @@ func RunE5Alg(chain int, alg interval.Algorithm) (E5Result, error) {
 	}
 	res.Control = eng.Net().Stats().Control()
 	return res, nil
+}
+
+// ---------------------------------------------------------------------------
+// Ablation — cut confirmation on a streamed RPC (DESIGN.md §4.9)
+
+// RunStreamedCuts runs one never-denied rpc.StreamedWorker job of
+// `reports` reports over a 500 µs network under alg and returns the
+// delivered messages by kind. With revocable set the engine carries a
+// stability tracker (no agent: nothing is ever covered), which makes True
+// revocable, so every UDO hit is confirmed by a CutProbe round trip — what
+// every engine did before an interval could discharge a member it saw
+// affirmed.
+func RunStreamedCuts(alg interval.Algorithm, revocable bool, reports int) (transport.Stats, error) {
+	cfg := core.Config{Algorithm: alg, Transport: netsim.New(netsim.Constant(500 * time.Microsecond))}
+	if revocable {
+		cfg.Stability = stability.NewTracker(0)
+	}
+	eng := core.NewEngine(cfg)
+	defer eng.Shutdown()
+	server, err := eng.SpawnRoot(rpc.PrintServer())
+	if err != nil {
+		return transport.Stats{}, err
+	}
+	worker, err := eng.SpawnRoot(rpc.StreamedWorker(server.PID(), 1000, reports, func(rpc.PageReport) {}))
+	if err != nil {
+		return transport.Stats{}, err
+	}
+	if !eng.Settle(settleTimeout) {
+		return transport.Stats{}, fmt.Errorf("no settle")
+	}
+	if st := worker.Snapshot(); !st.Completed || !st.AllDefinite {
+		return transport.Stats{}, fmt.Errorf("worker not committed: %+v", st)
+	}
+	return eng.Net().Stats(), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -67,6 +67,41 @@ func TestRunE5QuadraticShape(t *testing.T) {
 	}
 }
 
+// TestStreamedCutResidue: on streamed-RPC jobs (R = 8, netsim) an
+// interval that saw an assumption affirmed no longer pays a CutProbe
+// round trip to re-confirm it; what is left is the chain-or-ring residue
+// — UDO members retired by a conditional affirm. With a watermark set the
+// engine still probes every UDO hit, as every engine did before the
+// discharge, and its counts match the parent commit's (200 jobs at 50 µs:
+// 34–112 probes per job against the parent's 32–116). Jobs alternate
+// between the two modes so both see the same host. Measured
+// discharging/probing ratio over 30 runs of 8 jobs per mode: 0.60–0.82
+// (median 0.71) by default, 0.61–0.78 under -race, 0.72–0.73 at
+// GOMAXPROCS=1; the test runs twice the jobs against a 0.9 bound.
+func TestStreamedCutResidue(t *testing.T) {
+	const jobs, reports = 16, 8
+	var discharged, probed uint64
+	for i := 0; i < jobs; i++ {
+		for _, revocable := range []bool{false, true} {
+			st, err := RunStreamedCuts(interval.Algorithm2, revocable, reports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.CutAck != st.CutProbe || st.Revive != 0 {
+				t.Fatalf("never-denied job answered its probes oddly: %v", st)
+			}
+			if revocable {
+				probed += st.CutProbe
+			} else {
+				discharged += st.CutProbe
+			}
+		}
+	}
+	if ratio := float64(discharged) / float64(probed); ratio > 0.9 {
+		t.Fatalf("CutProbes: %d discharging vs %d probing every UDO hit (ratio %.2f > 0.9)", discharged, probed, ratio)
+	}
+}
+
 func TestRunE6Smoke(t *testing.T) {
 	res, err := RunE6(2, 0, 200*time.Microsecond)
 	if err != nil {

@@ -41,7 +41,7 @@ var ErrShutdown = errors.New("core: engine shut down")
 // transport between them.
 type Engine struct {
 	machine *vpm.Machine
-	alg     interval.Algorithm
+	ctl     interval.Control
 	tracer  trace.Tracer
 	epochs  ids.EpochAllocator
 	persist Persister
@@ -153,7 +153,8 @@ func NewEngine(cfg Config) *Engine {
 		net = transport.NewLocal()
 	}
 	e := &Engine{
-		alg:     alg,
+		// Without the watermark True is absorbing (DESIGN.md §4.9).
+		ctl:     interval.Control{Alg: alg, TrueFinal: cfg.Stability == nil},
 		persist: cfg.Persist,
 		restore: cfg.Restore,
 		procs:   make(map[ids.PID]*Process),
@@ -232,7 +233,7 @@ func (e *Engine) Violations() int64 {
 func (e *Engine) Net() transport.Transport { return e.machine.Net() }
 
 // Algorithm returns the Control variant in use.
-func (e *Engine) Algorithm() interval.Algorithm { return e.alg }
+func (e *Engine) Algorithm() interval.Algorithm { return e.ctl.Alg }
 
 // Tracer returns the engine's tracer.
 func (e *Engine) Tracer() trace.Tracer { return e.tracer }

@@ -220,7 +220,7 @@ func (p *Process) handleReplace(m *msg.Message) {
 	if rec == nil || rec.Definite || p.term {
 		return // stale target: the paper's "if target in history" guard
 	}
-	res := interval.ApplyReplace(p.eng.alg, rec, m.AID, m.IDO)
+	res := p.eng.ctl.Replace(rec, m.AID, m.IDO)
 	p.persistIntervalState(rec)
 	for _, y := range res.NewDeps {
 		// Complete the DOM addition: register this interval with every
@@ -246,7 +246,7 @@ func (p *Process) handleReplace(m *msg.Message) {
 			// The machine's answer to a guess of an affirmed-and-collected
 			// AID is Replace(y→nil); apply it directly. A nil replacement
 			// set introduces no deps or cuts.
-			interval.ApplyReplace(p.eng.alg, rec, y, nil)
+			p.eng.ctl.Replace(rec, y, nil)
 			p.persistIntervalState(rec)
 			continue
 		}
@@ -254,7 +254,9 @@ func (p *Process) handleReplace(m *msg.Message) {
 	}
 	for _, y := range res.NewCuts {
 		// A provisional cycle cut: ask the cut AID to confirm it is
-		// still conditionally affirmed (DESIGN.md §4).
+		// still conditionally affirmed (DESIGN.md §4). Without the
+		// watermark a UDO member this interval saw affirmed was
+		// discharged by ctl.Replace instead: its answer is known.
 		p.eng.tracer.Emit(trace.Event{
 			Kind: trace.Info, PID: p.proc.PID(), Interval: rec.ID, AID: y,
 			Detail: "cycle cut pending confirmation",
@@ -343,9 +345,7 @@ func (p *Process) handleRevive(m *msg.Message) {
 		})
 		return
 	}
-	rec.UDO.Remove(m.AID)
-	rec.Cut.Remove(m.AID)
-	added := rec.IDO.Add(m.AID)
+	added := rec.Revive(m.AID)
 	p.persistIntervalState(rec)
 	if added {
 		p.send(msg.Guess(p.proc.PID(), rec.ID, m.AID))
@@ -707,6 +707,7 @@ func (p *Process) HistorySnapshot() []IntervalInfo {
 			IDO:      r.IDO.Slice(),
 			UDO:      r.UDO.Slice(),
 			Cut:      r.Cut.Slice(),
+			Affirmed: r.Affirmed(),
 		})
 	}
 	return out
@@ -721,4 +722,5 @@ type IntervalInfo struct {
 	IDO      []ids.AID
 	UDO      []ids.AID
 	Cut      []ids.AID // unconfirmed cycle cuts: live dependencies too
+	Affirmed []ids.AID // UDO members seen affirmed (interval.Record.Affirmed)
 }

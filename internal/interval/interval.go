@@ -7,6 +7,7 @@ package interval
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hope-dist/hope/internal/ids"
 	"github.com/hope-dist/hope/internal/sets"
@@ -101,6 +102,14 @@ type Record struct {
 	// Definite is set by finalize; a definite interval can no longer be
 	// rolled back.
 	Definite bool
+
+	// affirmed lists the UDO members this interval saw affirmed: retired
+	// by an empty Replace, which an AID machine sends only from True.
+	// Under Control.TrueFinal a later UDO hit on one of them is
+	// discharged without a cut (DESIGN.md §4.9). It stays a subset of UDO
+	// disjoint from Cut, holds one or two AIDs in practice (nil until
+	// used), and is deliberately not persisted: a restored record probes.
+	affirmed []ids.AID
 }
 
 // NewRecord returns an interval record with empty dependency sets.
@@ -144,26 +153,35 @@ type ReplaceResult struct {
 	NewCuts []ids.AID
 }
 
+// Control is the Replace handling an engine runs: the algorithm variant
+// and whether an AID's True verdict is absorbing.
+type Control struct {
+	Alg Algorithm
+	// TrueFinal reports that True is absorbing, as it is without the
+	// commit watermark (DESIGN.md §12). A UDO member the interval saw
+	// affirmed is then True for good, so the cut a later Replace would
+	// take on it is discharged in place: its CutProbe could only be
+	// answered CutAck (DESIGN.md §4.9).
+	TrueFinal bool
+}
+
 // ApplyReplace applies a Replace message — "replace AID from with set
 // repl in this interval's IDO" — under the given algorithm, mutating rec
-// and returning the follow-up work. Callers must already have checked
+// and returning the follow-up work. Every UDO hit is cut and must be
+// confirmed, which is correct whether or not True is absorbing; an
+// engine that knows it is uses Control.Replace.
+func ApplyReplace(alg Algorithm, rec *Record, from ids.AID, repl []ids.AID) ReplaceResult {
+	return Control{Alg: alg}.Replace(rec, from, repl)
+}
+
+// Replace is ApplyReplace under c. Callers must already have checked
 // that rec is live and speculative.
 //
 // Algorithm 1 follows Figure 10; Algorithm 2 follows Figure 15, whose
 // loop is equivalent to: discard replacements found in UDO, add the rest,
 // then retire the sender into UDO.
-func ApplyReplace(alg Algorithm, rec *Record, from ids.AID, repl []ids.AID) ReplaceResult {
+func (c Control) Replace(rec *Record, from ids.AID, repl []ids.AID) ReplaceResult {
 	var res ReplaceResult
-
-	if len(repl) == 0 {
-		rec.IDO.Remove(from)
-		if alg == Algorithm2 {
-			rec.UDO.Add(from)
-		}
-		res.Finalize = rec.Finalizable()
-		return res
-	}
-
 	for _, y := range repl {
 		if y == from {
 			// Self-replacement: from appears in its own replacement set,
@@ -174,13 +192,18 @@ func ApplyReplace(alg Algorithm, rec *Record, from ids.AID, repl []ids.AID) Repl
 			// must not re-enter IDO (or NewDeps) here.
 			continue
 		}
-		if alg == Algorithm2 && rec.UDO.Contains(y) {
+		if c.Alg == Algorithm2 && rec.UDO.Contains(y) {
 			// This interval already depended on y once and was told to
 			// stop: y appears to be part of a dependency cycle. Discard
 			// it provisionally — the cut must be confirmed by y's
 			// process before it can support finalization, because the
 			// UDO entry may be stale (the chain that replaced y away
-			// may since have been retracted; see DESIGN.md §4).
+			// may since have been retracted; see DESIGN.md §4) — unless
+			// y was affirmed here and True is absorbing.
+			if c.TrueFinal && slices.Contains(rec.affirmed, y) {
+				continue
+			}
+			rec.forget(y) // the probe, not the record, settles y now
 			if rec.Cut.Add(y) {
 				res.NewCuts = append(res.NewCuts, y)
 			}
@@ -191,12 +214,53 @@ func ApplyReplace(alg Algorithm, rec *Record, from ids.AID, repl []ids.AID) Repl
 		}
 	}
 	rec.IDO.Remove(from)
-	if alg == Algorithm2 {
+	if c.Alg == Algorithm2 {
 		rec.UDO.Add(from)
+		if len(repl) == 0 {
+			c.noteAffirmed(rec, from)
+		}
 	}
 	res.Finalize = rec.Finalizable()
 	return res
 }
+
+// noteAffirmed records that a, just retired into UDO by an empty Replace,
+// is True: only a True machine sends one. A cut of a still awaiting its
+// CutAck is discharged now if True is absorbing; otherwise the probe in
+// flight settles it and nothing is recorded.
+func (c Control) noteAffirmed(rec *Record, a ids.AID) {
+	if rec.Cut.Contains(a) {
+		if !c.TrueFinal {
+			return
+		}
+		rec.Cut.Remove(a)
+	}
+	if !slices.Contains(rec.affirmed, a) {
+		rec.affirmed = append(rec.affirmed, a)
+	}
+}
+
+// Revive re-establishes a direct dependency on a (msg.KindRevive):
+// whatever resolution of it the interval performed — UDO retirement, a
+// pending cut, the affirmed record — came through a voided chain. It
+// reports whether a joined IDO, i.e. whether a Guess registration is
+// owed.
+func (r *Record) Revive(a ids.AID) bool {
+	r.UDO.Remove(a)
+	r.Cut.Remove(a)
+	r.forget(a)
+	return r.IDO.Add(a)
+}
+
+// forget drops a from the affirmed list.
+func (r *Record) forget(a ids.AID) {
+	if i := slices.Index(r.affirmed, a); i >= 0 {
+		r.affirmed = slices.Delete(r.affirmed, i, i+1)
+	}
+}
+
+// Affirmed returns a copy of the UDO members this interval saw affirmed.
+func (r *Record) Affirmed() []ids.AID { return slices.Clone(r.affirmed) }
 
 // Finalizable reports whether the interval may become definite: no live
 // dependencies and no unconfirmed cycle cuts.

@@ -90,9 +90,7 @@ func (b *Box) Recv() (*msg.Message, error) {
 			return nil, ErrInterrupted
 		}
 		if len(b.items) > 0 {
-			m := b.items[0]
-			b.items = b.items[1:]
-			return m, nil
+			return b.pop(), nil
 		}
 		if b.closed {
 			return nil, ErrClosed
@@ -109,9 +107,17 @@ func (b *Box) TryRecv() (*msg.Message, bool) {
 	if len(b.items) == 0 {
 		return nil, false
 	}
+	return b.pop(), true
+}
+
+// pop removes the head of a non-empty queue. The vacated slot is cleared
+// so the backing array does not keep a consumed message reachable for as
+// long as the box lives.
+func (b *Box) pop() *msg.Message {
 	m := b.items[0]
+	b.items[0] = nil
 	b.items = b.items[1:]
-	return m, true
+	return m
 }
 
 // Interrupt wakes one pending Recv with ErrInterrupted. If no receiver is
@@ -138,6 +144,7 @@ func (b *Box) Purge(drop func(*msg.Message) bool) int {
 		}
 		kept = append(kept, m)
 	}
+	clear(b.items[len(kept):]) // the purged tail of the shared array
 	b.items = kept
 	return removed
 }

@@ -21,8 +21,8 @@ func TestSoakResidualCommitRace(t *testing.T) {
 	if os.Getenv("HOPE_SOAK") == "" {
 		t.Skip("soak hunt; set HOPE_SOAK=1 to run")
 	}
-	stalls := 0
 	const rounds = 300
+	var stalls, violatedRounds, violations int
 	for round := 0; round < rounds; round++ {
 		cfg := Config{Workers: 3, CellsPerWorker: 6, Iterations: 15, Tolerance: 0, Window: 3}
 		var latency netsim.LatencyModel
@@ -38,13 +38,20 @@ func TestSoakResidualCommitRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Settle(5 * time.Second)
-		if _, err := cluster.Result(); err != nil {
+		_, err = cluster.Result()
+		v := int(eng.Violations())
+		if v > 0 {
+			violatedRounds++
+			violations += v
+		}
+		if err != nil {
 			stalls++
-			t.Logf("round %d stalled (violations=%d): %v", round, eng.Violations(), err)
+			t.Logf("round %d stalled (violations=%d): %v", round, v, err)
 		}
 		eng.Shutdown()
 	}
-	fmt.Printf("stalls: %d / %d rounds\n", stalls, rounds)
+	fmt.Printf("soak: stalls %d/%d rounds, violations %d in %d/%d rounds\n",
+		stalls, rounds, violations, violatedRounds, rounds)
 	if stalls > rounds/50 {
 		t.Fatalf("stall rate regressed: %d/%d", stalls, rounds)
 	}

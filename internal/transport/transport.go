@@ -109,24 +109,32 @@ type Stats struct {
 	Rollback uint64
 	Retract  uint64
 	Data     uint64
+	CutProbe uint64 // cycle-cut confirmations (DESIGN.md §4.9)
+	CutAck   uint64
+	Revive   uint64
 	Probe    uint64 // engine-internal GC probes
+	Nack     uint64 // routed adjudications refused by a non-owner
+	Batch    uint64 // coalesced routed adjudications (the envelopes)
 	Dead     uint64 // delivered to an unregistered PID
 }
 
-// Total returns the number of delivered protocol messages (excluding
-// dead letters and GC probes).
+// Total returns the number of delivered protocol messages: every kind
+// but dead letters, GC probes, and the routing layer's Nack and Batch
+// envelopes.
 func (s Stats) Total() uint64 {
-	return s.Guess + s.Affirm + s.Deny + s.Replace + s.Rollback + s.Retract + s.Data
+	return s.Guess + s.Affirm + s.Deny + s.Replace + s.Rollback + s.Retract + s.Data +
+		s.CutProbe + s.CutAck + s.Revive
 }
 
-// Control returns the number of HOPE bookkeeping messages (everything
-// except Data).
+// Control returns the number of HOPE bookkeeping messages (every
+// protocol message except Data).
 func (s Stats) Control() uint64 { return s.Total() - s.Data }
 
 // String implements fmt.Stringer.
 func (s Stats) String() string {
-	return fmt.Sprintf("guess=%d affirm=%d deny=%d replace=%d rollback=%d retract=%d data=%d dead=%d",
-		s.Guess, s.Affirm, s.Deny, s.Replace, s.Rollback, s.Retract, s.Data, s.Dead)
+	return fmt.Sprintf("guess=%d affirm=%d deny=%d replace=%d rollback=%d retract=%d data=%d cutprobe=%d cutack=%d revive=%d probe=%d nack=%d batch=%d dead=%d",
+		s.Guess, s.Affirm, s.Deny, s.Replace, s.Rollback, s.Retract, s.Data,
+		s.CutProbe, s.CutAck, s.Revive, s.Probe, s.Nack, s.Batch, s.Dead)
 }
 
 // Counters is the shared per-kind delivery counter block used by
@@ -138,16 +146,22 @@ func (c *Counters) Observe(k msg.Kind) { c[int(k)].Add(1) }
 
 // Snapshot converts the counters into a Stats value.
 func (c *Counters) Snapshot() Stats {
+	n := func(k msg.Kind) uint64 { return c[int(k)].Load() }
 	return Stats{
 		Dead:     c[0].Load(),
-		Guess:    c[int(msg.KindGuess)].Load(),
-		Affirm:   c[int(msg.KindAffirm)].Load(),
-		Deny:     c[int(msg.KindDeny)].Load(),
-		Replace:  c[int(msg.KindReplace)].Load(),
-		Rollback: c[int(msg.KindRollback)].Load(),
-		Retract:  c[int(msg.KindRetract)].Load(),
-		Data:     c[int(msg.KindData)].Load(),
-		Probe:    c[int(msg.KindProbe)].Load(),
+		Guess:    n(msg.KindGuess),
+		Affirm:   n(msg.KindAffirm),
+		Deny:     n(msg.KindDeny),
+		Replace:  n(msg.KindReplace),
+		Rollback: n(msg.KindRollback),
+		Retract:  n(msg.KindRetract),
+		Data:     n(msg.KindData),
+		CutProbe: n(msg.KindCutProbe),
+		CutAck:   n(msg.KindCutAck),
+		Revive:   n(msg.KindRevive),
+		Probe:    n(msg.KindProbe),
+		Nack:     n(msg.KindNack),
+		Batch:    n(msg.KindBatch),
 	}
 }
 

@@ -45,14 +45,19 @@ func TestStatsAggregates(t *testing.T) {
 	}
 	c.Observe(0) // dead letter
 	st := c.Snapshot()
-	if st.Total() != 7 { // Guess..Retract + Data; probes and cut traffic excluded
-		t.Fatalf("Total = %d, want 7 (%v)", st.Total(), st)
+	// Guess..Retract, Data and the cut traffic (CutProbe, CutAck,
+	// Revive); GC probes, Nack and Batch are counted apart.
+	if st.Total() != 10 {
+		t.Fatalf("Total = %d, want 10 (%v)", st.Total(), st)
 	}
-	if st.Control() != 6 {
-		t.Fatalf("Control = %d, want 6", st.Control())
+	if st.Control() != 9 {
+		t.Fatalf("Control = %d, want 9", st.Control())
 	}
-	if st.Dead != 1 || st.Probe != 1 {
-		t.Fatalf("dead/probe miscounted: %v", st)
+	if st.CutProbe != 1 || st.CutAck != 1 || st.Revive != 1 {
+		t.Fatalf("cut traffic miscounted: %v", st)
+	}
+	if st.Dead != 1 || st.Probe != 1 || st.Nack != 1 || st.Batch != 1 {
+		t.Fatalf("dead/probe/nack/batch miscounted: %v", st)
 	}
 	if st.String() == "" {
 		t.Fatal("empty String()")

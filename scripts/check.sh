@@ -37,15 +37,16 @@ echo '== premature-commit window regression (pinned seeds, repeated under race)'
 # load, three repetitions under the race detector (DESIGN.md §12).
 go test -race -count=3 -run TestPrematureCommitWindow ./internal/stability/
 
-echo '== wire + wal + cluster + durable fuzz corpus replay'
+echo '== wire + wal + cluster + durable + interval fuzz corpus replay'
 # Replays the seed corpora plus any regression inputs under testdata/fuzz
 # without fuzzing (no -fuzz flag): cheap, deterministic, catches codec,
 # frame-reader, header-peek (FuzzPeekHeader: the durable fold classifies
 # retained frames by it), WAL-record, and view-codec regressions pinned
 # by past crashes. internal/durable is on the line so a fuzz target added
 # there replays from its first day (today its recorded-WAL differential,
-# TestDifferentialFold, runs with the ordinary tests above).
-go test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/wal/ ./internal/cluster/ ./internal/durable/
+# TestDifferentialFold, runs with the ordinary tests above). The
+# internal/interval corpus pins Control's set invariants (FuzzApplyReplace).
+go test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/wal/ ./internal/cluster/ ./internal/durable/ ./internal/interval/
 
 echo '== crash-restart smoke'
 # SIGKILLs a durable hoped child mid-workload and restarts it from its
@@ -93,6 +94,14 @@ echo '== migration battery (pinned seeds, repeated under race)'
 # seeds, three repetitions under the race detector.
 go test -race -count=3 -run 'TestRingMovement|TestMigration|TestStaleRollback' \
     ./internal/cluster/ ./internal/core/
+
+echo '== cycle-cut confirmation (gated, repeated under race)'
+# When a UDO hit costs a CutProbe round trip (DESIGN.md §4.9): none when
+# the interval saw the member affirmed and True is absorbing; one with the
+# watermark on, or when the member left through a conditional affirm; and
+# a Revive clears what the interval saw. Gated on interval state, not
+# timed; three repetitions under the race detector.
+go test -race -count=3 -run 'TestCut|TestReviveClearsAffirmed' ./internal/core/
 
 echo '== shard migration churn smoke (pinned seed)'
 # The churn storm with --route --migrate: adjudication goes through the
