@@ -5,14 +5,17 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"github.com/hope-dist/hope/internal/core"
+	"github.com/hope-dist/hope/internal/durable"
 	"github.com/hope-dist/hope/internal/harness"
 	"github.com/hope-dist/hope/internal/ids"
+	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/oracle"
 	"github.com/hope-dist/hope/internal/rpc"
 	"github.com/hope-dist/hope/internal/trace"
@@ -98,6 +101,19 @@ func crashRestartRecovery(t *testing.T, extraArgs ...string) {
 	}
 	child.Wait()
 
+	// AID frames are consumed by the AID table that steps them, so what
+	// recovery redelivers is process-bound traffic only.
+	orphans, err := durable.ReadOrphanFrames(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range orphans {
+		switch m.Kind {
+		case msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract, msg.KindCutProbe, msg.KindProbe:
+			t.Fatalf("recovery would redeliver AID frame %v", m)
+		}
+	}
+
 	// Restart on the same address and data dir. The client's transport
 	// redials with backoff on its own; nothing on this side is touched.
 	child2, boot2 := startHoped(t, bin, append([]string{"--listen", serverAddr}, args...))
@@ -109,6 +125,9 @@ func crashRestartRecovery(t *testing.T, extraArgs ...string) {
 		t.Fatal("restarted server printed no HOPED RECOVERED line")
 	}
 	t.Logf("restart: %s", boot2.Recovered)
+	if want := fmt.Sprintf(" redeliver=%d ", len(orphans)); !strings.Contains(boot2.Recovered, want) {
+		t.Fatalf("RECOVERED line %q, want%s(the unconsumed frames read before the restart)", boot2.Recovered, want)
+	}
 	if boot2.PID != serverPID {
 		t.Fatalf("server PID changed across restart: %v -> %v", serverPID, boot2.PID)
 	}

@@ -89,7 +89,7 @@
 //
 //	HOPED ADOPTED node=2 from=3 count=5
 //
-// A durable routed node also re-adopts its own hosted shard on restart
+// A durable node re-adopts its own AID table on restart, routed or not
 // (from= names itself). Every node must run with the same --route
 // setting; mixing is unsupported.
 //
@@ -569,6 +569,18 @@ func run(args []string) error {
 			fmt.Printf("HOPED TRANSPLANTED node=%d from=%d procs=%d map=%s\n",
 				*node, *node, len(pairs), formatTransplantMap(pairs))
 		}
+		if len(recov.AIDExports) > 0 {
+			// Reclaim the pre-crash AID table wholesale, before any frame
+			// is redelivered so the AIDs those frames address are hosted
+			// again; with a ring, the first view change ships away whatever
+			// the ring moved meanwhile.
+			count, err := eng.InstallExports(recov.AIDExports, false)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "hoped: node %d restart shard adoption: %v\n", *node, err)
+			} else {
+				fmt.Printf("HOPED ADOPTED node=%d from=%d count=%d\n", *node, *node, count)
+			}
+		}
 		if !recovEmpty {
 			for _, m := range recov.Resend {
 				n.Send(m)
@@ -577,16 +589,6 @@ func run(args []string) error {
 				n.Redeliver(m)
 			}
 			fmt.Printf("HOPED RECOVERED node=%d %s\n", *node, recovLine)
-		}
-		if *route && len(recov.AIDExports) > 0 {
-			// Reclaim the pre-crash hosted shard wholesale; the first view
-			// change ships away whatever the ring moved meanwhile.
-			count, err := eng.InstallExports(recov.AIDExports, false)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hoped: node %d restart shard adoption: %v\n", *node, err)
-			} else {
-				fmt.Printf("HOPED ADOPTED node=%d from=%d count=%d\n", *node, *node, count)
-			}
 		}
 		n.ReleaseInbound()
 	}

@@ -204,3 +204,31 @@ func TestCollectSkipsConditionallyAffirmed(t *testing.T) {
 		t.Fatalf("collected %d, want 2", n)
 	}
 }
+
+// TestCollectSendsNothing: collection reads the AID table directly — no
+// probe round trip, not a single message on the transport.
+func TestCollectSendsNothing(t *testing.T) {
+	sys := hope.New()
+	defer sys.Shutdown()
+
+	yes, _ := sys.NewAID()
+	no, _ := sys.NewAID()
+	if _, err := sys.Spawn(func(ctx *hope.Ctx) error {
+		ctx.Affirm(yes)
+		ctx.Deny(no)
+		return nil
+	}); err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
+	if !sys.Settle(10 * time.Second) {
+		t.Fatal("no settle")
+	}
+	before := sys.Stats()
+	n, err := sys.Collect()
+	if err != nil || n != 2 {
+		t.Fatalf("Collect = %d, %v; want 2", n, err)
+	}
+	if after := sys.Stats(); after != before {
+		t.Fatalf("Collect moved the transport: before %v, after %v", before, after)
+	}
+}

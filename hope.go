@@ -152,8 +152,8 @@ func (o tracerOption) apply(opts *options) { opts.tracer = o.t }
 // WithTracer installs a tracer receiving runtime events.
 func WithTracer(t Tracer) Option { return tracerOption{t: t} }
 
-// System is a running HOPE environment: a set of user processes and AID
-// processes over a simulated network.
+// System is a running HOPE environment: a set of user processes and the
+// AID table adjudicating their assumptions, over a simulated network.
 type System struct {
 	eng *core.Engine
 }
@@ -231,11 +231,11 @@ func Loop[S any](cfg LoopConfig[S]) Body {
 	return core.Loop(cfg)
 }
 
-// Collect reclaims the processes of assumptions that have reached a
-// final verdict, archiving the verdicts so later guesses are answered
-// locally (the paper's §5.2 garbage-collection remark). Call it only at
-// a quiescent point — after a successful Settle. It returns the number
-// of assumption processes reclaimed.
+// Collect reclaims the AID-table entries of assumptions that have
+// reached a final verdict, archiving the verdicts so later guesses are
+// answered locally (the paper's §5.2 garbage-collection remark). It
+// sends no message. Call it only at a quiescent point — after a
+// successful Settle. It returns the number of assumptions reclaimed.
 func (s *System) Collect() (int, error) {
 	return s.eng.Collect()
 }

@@ -6,19 +6,18 @@
 //
 // The state machine itself (Machine) is pure — Step consumes one message
 // and returns the messages to transmit — which lets the test suite
-// exhaustively cover every (state × message) transition. Run binds a
-// Machine to a vpm process.
+// exhaustively cover every (state × message) transition. The paper's AID
+// "process" is an abstraction: the engine hosts every Machine in one
+// table (internal/core), addressed by the assumption's PID.
 package aid
 
 import (
 	"fmt"
 
 	"github.com/hope-dist/hope/internal/ids"
-	"github.com/hope-dist/hope/internal/mailbox"
 	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/sets"
 	"github.com/hope-dist/hope/internal/trace"
-	"github.com/hope-dist/hope/internal/vpm"
 )
 
 // State is the truth value of an assumption, extended with the partial
@@ -81,6 +80,10 @@ type Machine struct {
 	// produced True, and treats a Deny of a True assumption as a
 	// revocation (rollback fan-out) rather than a user-error violation.
 	revocable bool
+
+	// version counts the changes Export would see: every state transition
+	// and every new DOM member.
+	version uint64
 }
 
 // NewMachine returns a Cold machine for assumption self.
@@ -98,8 +101,8 @@ func NewMachine(self ids.AID, tracer trace.Tracer) *Machine {
 }
 
 // EnableRevocable switches the machine into revocable-commit mode (see
-// the revocable field). Called once at construction time by RunMode;
-// never mid-run.
+// the revocable field). Called once at construction time by the engine's
+// AID table; never mid-run.
 func (a *Machine) EnableRevocable() { a.revocable = true }
 
 // Self returns the assumption this machine models.
@@ -108,6 +111,11 @@ func (a *Machine) Self() ids.AID { return a.self }
 // State returns the current truth value.
 func (a *Machine) State() State { return a.state }
 
+// Version returns a counter that moves whenever the machine's exported
+// state changes, so a host can skip re-exporting a Step that changed
+// nothing (a repeated Guess, a CutProbe answered from True).
+func (a *Machine) Version() uint64 { return a.version }
+
 // DOM returns a copy of the Depends-On-Me interval set.
 func (a *Machine) DOM() []ids.IntervalID { return a.dom.Slice() }
 
@@ -115,8 +123,8 @@ func (a *Machine) DOM() []ids.IntervalID { return a.dom.Slice() }
 func (a *Machine) AIDO() []ids.AID { return a.aido.Slice() }
 
 // Step processes one message and returns the messages to transmit. Only
-// Guess, Affirm, Deny, and Retract messages are meaningful; anything else
-// is ignored with a violation trace.
+// Guess, Affirm, Deny, Retract and CutProbe messages are meaningful;
+// anything else is ignored with a violation trace.
 func (a *Machine) Step(m *msg.Message) []*msg.Message {
 	switch m.Kind {
 	case msg.KindGuess:
@@ -129,16 +137,6 @@ func (a *Machine) Step(m *msg.Message) []*msg.Message {
 		return a.stepRetract(m)
 	case msg.KindCutProbe:
 		return a.stepCutProbe(m)
-	case msg.KindProbe:
-		// Engine-internal state query (assumption GC); answered from any
-		// state without side effects.
-		return []*msg.Message{{
-			Kind:    msg.KindData,
-			From:    a.self.PID(),
-			To:      m.From,
-			AID:     a.self,
-			Payload: a.state,
-		}}
 	default:
 		a.violation("unexpected message kind %s", m.Kind)
 		return nil
@@ -150,11 +148,11 @@ func (a *Machine) Step(m *msg.Message) []*msg.Message {
 func (a *Machine) stepGuess(m *msg.Message) []*msg.Message {
 	switch a.state {
 	case Cold:
-		a.dom.Add(m.IID)
+		a.depend(m.IID)
 		a.setState(Hot, "first guess")
 		return nil
 	case Hot:
-		a.dom.Add(m.IID)
+		a.depend(m.IID)
 		return nil
 	case Maybe:
 		// "Pass the buck": tell the sender to depend on the AIDs that
@@ -169,13 +167,13 @@ func (a *Machine) stepGuess(m *msg.Message) []*msg.Message {
 		// whose base was withdrawn. Recording it is harmless in the
 		// paper's own cases (on True it receives a redundant empty
 		// Replace).
-		a.dom.Add(m.IID)
+		a.depend(m.IID)
 		return []*msg.Message{msg.Replace(a.self, m.IID, a.aido.Slice())}
 	case True:
 		if a.revocable {
 			// True is revocable until the watermark covers the affirmer:
 			// keep the dependent reachable by a later retract or deny.
-			a.dom.Add(m.IID)
+			a.depend(m.IID)
 		}
 		return []*msg.Message{msg.Replace(a.self, m.IID, nil)}
 	case False:
@@ -289,15 +287,15 @@ func (a *Machine) stepRetract(m *msg.Message) []*msg.Message {
 func (a *Machine) stepCutProbe(m *msg.Message) []*msg.Message {
 	switch a.state {
 	case Maybe:
-		a.dom.Add(m.IID) // reachable by a later retract/deny
+		a.depend(m.IID) // reachable by a later retract/deny
 		return []*msg.Message{msg.CutAck(a.self, m.IID)}
 	case True:
 		if a.revocable {
-			a.dom.Add(m.IID) // True is revocable: stay reachable
+			a.depend(m.IID) // True is revocable: stay reachable
 		}
 		return []*msg.Message{msg.CutAck(a.self, m.IID)}
 	case Cold, Hot:
-		a.dom.Add(m.IID)
+		a.depend(m.IID)
 		if a.state == Cold {
 			// The prober is now a dependent, which is exactly what Hot
 			// means; stepGuess makes the same transition.
@@ -310,8 +308,16 @@ func (a *Machine) stepCutProbe(m *msg.Message) []*msg.Message {
 	return nil
 }
 
+// depend records b in DOM.
+func (a *Machine) depend(b ids.IntervalID) {
+	if a.dom.Add(b) {
+		a.version++
+	}
+}
+
 func (a *Machine) setState(s State, why string) {
 	a.state = s
+	a.version++
 	a.tracer.Emit(trace.Event{
 		Kind:   trace.AIDState,
 		PID:    a.self.PID(),
@@ -327,44 +333,4 @@ func (a *Machine) violation(format string, args ...any) {
 		AID:    a.self,
 		Detail: fmt.Sprintf(format, args...),
 	})
-}
-
-// Run is the vpm process body hosting a Machine: it loops over the
-// mailbox, stepping the machine and transmitting its outputs, until the
-// process is killed. AID processes never terminate on their own (paper
-// §5.2: pending guesses must still be answered after the state becomes
-// final); the engine kills them at system shutdown. The assumption's
-// identity is the hosting process's PID.
-func Run(tracer trace.Tracer) vpm.Body {
-	return RunMode(tracer, false)
-}
-
-// RunMode is Run with the revocable-commit switch: revocable machines
-// back an engine running under the global commit watermark (DESIGN.md
-// §12), where True is final only below the stability frontier.
-func RunMode(tracer trace.Tracer, revocable bool) vpm.Body {
-	return func(p *vpm.Proc) {
-		self := ids.AID(p.PID())
-		m := NewMachine(self, tracer)
-		if revocable {
-			m.EnableRevocable()
-		}
-		for {
-			in, err := p.Recv()
-			if err != nil {
-				if err != mailbox.ErrClosed {
-					tracer.Emit(trace.Event{
-						Kind:   trace.Violation,
-						PID:    self.PID(),
-						AID:    self,
-						Detail: "aid recv: " + err.Error(),
-					})
-				}
-				return
-			}
-			for _, out := range m.Step(in) {
-				p.Send(out)
-			}
-		}
-	}
 }

@@ -395,27 +395,11 @@ func TestUnknownMessageKindIsViolation(t *testing.T) {
 	}
 }
 
-// --- Probe (engine-internal GC query) ---
+// --- Probe (retired engine-internal GC query) ---
 
-func TestProbeReportsStateWithoutSideEffects(t *testing.T) {
-	m, out := drive(t,
-		guessFrom(iidA),
-		msg.Probe(iidB.Proc, testAID),
-	)
-	if len(out) != 1 || out[0].Kind != msg.KindData {
-		t.Fatalf("probe reply = %v, want one Data message", out)
-	}
-	if st, ok := out[0].Payload.(State); !ok || st != Hot {
-		t.Fatalf("probe payload = %v, want Hot", out[0].Payload)
-	}
-	if m.State() != Hot {
-		t.Fatalf("probe mutated state to %s", m.State())
-	}
-	if len(m.DOM()) != 1 {
-		t.Fatalf("probe mutated DOM: %v", m.DOM())
-	}
-}
-
+// TestProbeInEveryState: the retired Probe kind still decodes but is no
+// adjudication — from any state the machine answers nothing, keeps its
+// state and DOM, and traces the junk as a violation.
 func TestProbeInEveryState(t *testing.T) {
 	for _, tt := range []struct {
 		name  string
@@ -428,16 +412,21 @@ func TestProbeInEveryState(t *testing.T) {
 		{"false", []*msg.Message{denyFrom(iidB)}, False},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			m := NewMachine(testAID, trace.Nop)
+			rec := trace.NewRecorder()
+			m := NewMachine(testAID, rec)
 			for _, in := range tt.setup {
 				m.Step(in)
 			}
-			out := m.Step(msg.Probe(iidC.Proc, testAID))
-			if len(out) != 1 {
-				t.Fatalf("out = %v", out)
+			dom := len(m.DOM())
+			out := m.Step(&msg.Message{Kind: msg.KindProbe, From: iidC.Proc, To: testAID.PID(), AID: testAID})
+			if len(out) != 0 {
+				t.Fatalf("probe answered %v", out)
 			}
-			if st := out[0].Payload.(State); st != tt.want {
-				t.Fatalf("probe payload = %v, want %v", st, tt.want)
+			if m.State() != tt.want || len(m.DOM()) != dom {
+				t.Fatalf("probe moved the machine to %s with DOM %v", m.State(), m.DOM())
+			}
+			if rec.Count(trace.Violation) != 1 {
+				t.Fatal("probe not traced as a violation")
 			}
 		})
 	}

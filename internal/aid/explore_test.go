@@ -53,7 +53,6 @@ func expAlphabet(self ids.AID) []*msg.Message {
 			in = append(in, msg.Affirm(iid.Proc, iid, self, ido))
 		}
 	}
-	in = append(in, &msg.Message{Kind: msg.KindProbe, From: 99, To: self.PID(), AID: self})
 	return in
 }
 
@@ -132,10 +131,6 @@ func checkStepContract(t *testing.T, before State, domBefore int, in *msg.Messag
 			if o.To != o.IID.Proc {
 				fail("output %s not addressed to its interval's process", o)
 			}
-		case msg.KindData:
-			if in.Kind != msg.KindProbe {
-				fail("Data emitted for non-Probe input")
-			}
 		default:
 			fail("unexpected output kind %s", o.Kind)
 		}
@@ -149,15 +144,6 @@ func checkStepContract(t *testing.T, before State, domBefore int, in *msg.Messag
 	if in.Kind == msg.KindDeny && before != False && before != True {
 		if len(out) != domBefore {
 			fail("deny fan-out %d, DOM had %d", len(out), domBefore)
-		}
-	}
-	// Probe answers exactly one Data message from any state.
-	if in.Kind == msg.KindProbe {
-		if len(out) != 1 || out[0].Kind != msg.KindData {
-			fail("probe answered %v", out)
-		}
-		if out[0].Payload != m.State() {
-			fail("probe reported %v in state %s", out[0].Payload, m.State())
 		}
 	}
 }
@@ -225,7 +211,7 @@ func TestExhaustiveStateGraph(t *testing.T) {
 	// Every (state × kind) combination of the paper's figures must have
 	// been exercised.
 	for _, st := range []State{Cold, Hot, Maybe, True, False} {
-		for _, k := range []msg.Kind{msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract, msg.KindCutProbe, msg.KindProbe} {
+		for _, k := range []msg.Kind{msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract, msg.KindCutProbe} {
 			if !covered[fmt.Sprintf("%s/%s", st, k)] {
 				t.Errorf("(state=%s, input=%s) unreachable in exploration", st, k)
 			}

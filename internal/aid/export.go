@@ -75,7 +75,7 @@ func stateRank(s State) int {
 // stay reachable by a later deny's rollback fan-out.
 func (a *Machine) Merge(e Export) {
 	for _, b := range e.DOM {
-		a.dom.Add(b)
+		a.depend(b)
 	}
 	if stateRank(e.State) <= stateRank(a.state) {
 		return

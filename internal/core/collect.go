@@ -1,66 +1,28 @@
 package core
 
-import (
-	"fmt"
-	"time"
-
-	"github.com/hope-dist/hope/internal/aid"
-	"github.com/hope-dist/hope/internal/ids"
-	"github.com/hope-dist/hope/internal/msg"
-	"github.com/hope-dist/hope/internal/vpm"
-)
+import "github.com/hope-dist/hope/internal/ids"
 
 // This file implements assumption garbage collection — the paper's §5.2
 // remark that "reference counting can garbage collect old AID processes".
 //
 // Instead of reference counts (which would require tracking every AID
 // value held by user code), collection archives: at a quiescent point,
-// every AID process whose assumption has reached a final state is
-// probed, killed, and its verdict recorded in the engine. Future guesses
-// of an archived assumption are answered locally — True behaves like the
-// Replace-with-null its AID process would have sent, False like its
-// Rollback — so archiving is observationally equivalent while the
-// goroutine and mailbox are reclaimed.
+// every machine in the engine's AID table whose assumption has reached a
+// final state is dropped and its verdict recorded in the engine. Future
+// guesses of an archived assumption are answered locally — True behaves
+// like the Replace-with-null its machine would have sent, False like its
+// Rollback — so archiving is observationally equivalent while the table
+// entry is reclaimed. The table is read directly: collection sends
+// nothing.
 
-// probeTimeout bounds how long Collect waits for one AID's state reply.
-const probeTimeout = 5 * time.Second
-
-// Collect reclaims AID processes whose assumptions have reached a final
-// state, archiving their verdicts. Call it at a quiescent point (after a
-// successful Settle): collecting while control traffic is in flight
-// could strand a registration mid-protocol.
+// Collect reclaims the table entries of assumptions that have reached a
+// final state, archiving their verdicts. Call it at a quiescent point
+// (after a successful Settle): collecting while control traffic is in
+// flight could strand a registration mid-protocol.
 //
-// It returns the number of assumption processes reclaimed.
+// It returns the number of assumptions reclaimed; the error is always nil.
 func (e *Engine) Collect() (int, error) {
-	if e.router != nil {
-		// Routed mode hosts machines in the router's table rather than as
-		// processes; final ones are archived without a probe round trip.
-		return e.router.collectHosted(), nil
-	}
-	e.mu.Lock()
-	candidates := make([]ids.AID, 0, len(e.aids))
-	for a := range e.aids {
-		candidates = append(candidates, a)
-	}
-	e.mu.Unlock()
-
-	collected := 0
-	for _, a := range candidates {
-		st, err := e.probeAID(a)
-		if err != nil {
-			return collected, err
-		}
-		if !st.Final() {
-			continue
-		}
-		e.mu.Lock()
-		e.archive[a] = st == aid.True
-		delete(e.aids, a)
-		e.mu.Unlock()
-		e.machine.Kill(a.PID())
-		collected++
-	}
-	return collected, nil
+	return e.router.collect(), nil
 }
 
 // Archived reports whether x has been collected, and its final verdict.
@@ -83,36 +45,4 @@ func (e *Engine) archiveInvalidates(tags []ids.AID) bool {
 		}
 	}
 	return false
-}
-
-// probeAID asks one AID process for its current state with an
-// engine-internal Probe message via a transient prober process.
-func (e *Engine) probeAID(a ids.AID) (aid.State, error) {
-	reply := make(chan aid.State, 1)
-	proc, err := e.machine.Spawn(func(p *vpm.Proc) {
-		p.Send(msg.Probe(p.PID(), a))
-		for {
-			m, err := p.Recv()
-			if err != nil {
-				return
-			}
-			if m.Kind == msg.KindData && m.AID == a {
-				if st, ok := m.Payload.(aid.State); ok {
-					reply <- st
-				}
-				return
-			}
-		}
-	})
-	if err != nil {
-		return 0, fmt.Errorf("collect: spawn prober: %w", err)
-	}
-	defer e.machine.Kill(proc.PID())
-
-	select {
-	case st := <-reply:
-		return st, nil
-	case <-time.After(probeTimeout):
-		return 0, fmt.Errorf("collect: probe of %s timed out", a)
-	}
 }

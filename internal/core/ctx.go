@@ -136,7 +136,7 @@ func (c *Ctx) GuessNew(x ids.AID) (ids.AID, bool) {
 	if verdict, known := c.resolvedLocked(x); known {
 		// x is already known final — denied locally, or archived by
 		// assumption GC: answer without speculation or a round trip,
-		// exactly as the AID process's Rollback / Replace-null would.
+		// exactly as the AID machine's Rollback / Replace-null would.
 		rec := p.newIntervalLocked(interval.Guessed, p.jnl.Len(), nil, x)
 		p.appendJournalLocked(&journal.Entry{Kind: journal.KindGuess, AID: x, Result: verdict, Interval: rec.ID})
 		c.cursor = p.jnl.Len()

@@ -1,6 +1,6 @@
 // Package core implements the HOPE engine: it binds the virtual process
-// machine, the replay journal, the interval histories, and the AID
-// processes into the wait-free algorithm of the paper's Section 5.
+// machine, the replay journal, the interval histories, and the AID table
+// into the wait-free algorithm of the paper's Section 5.
 //
 // A user process is a deterministic body function driven through a Ctx.
 // All HOPE primitives perform only local bookkeeping plus asynchronous
@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hope-dist/hope/internal/aid"
 	"github.com/hope-dist/hope/internal/ids"
 	"github.com/hope-dist/hope/internal/interval"
 	"github.com/hope-dist/hope/internal/msg"
@@ -37,8 +36,8 @@ var ErrTerminated = errors.New("core: process terminated by rollback of speculat
 // ErrShutdown is reported for processes still running at engine shutdown.
 var ErrShutdown = errors.New("core: engine shut down")
 
-// Engine hosts a HOPE system: user processes, AID processes, and the
-// transport between them.
+// Engine hosts a HOPE system: user processes, the AID table that
+// adjudicates their assumptions, and the transport between them.
 type Engine struct {
 	machine *vpm.Machine
 	ctl     interval.Control
@@ -65,8 +64,8 @@ type Engine struct {
 	// intervals can be un-finalized (see stability.go).
 	stability Stability
 
-	// router, when non-nil, routes AID adjudication to ring owners and
-	// hosts this node's shard of assumption machines (see route.go).
+	// router is the AID table: it hosts this engine's assumption machines
+	// and, with a ring, routes adjudication to ring owners (see route.go).
 	router *router
 
 	// Transplant state (see transplant.go): the old→new incarnation map
@@ -80,7 +79,6 @@ type Engine struct {
 
 	mu      sync.Mutex
 	procs   map[ids.PID]*Process
-	aids    map[ids.AID]*vpm.Proc
 	archive map[ids.AID]bool // collected assumptions → final verdict
 	closing bool
 
@@ -158,7 +156,6 @@ func NewEngine(cfg Config) *Engine {
 		persist: cfg.Persist,
 		restore: cfg.Restore,
 		procs:   make(map[ids.PID]*Process),
-		aids:    make(map[ids.AID]*vpm.Proc),
 		archive: make(map[ids.AID]bool),
 	}
 	// Every outbound message passes the transplant-translation chokepoint
@@ -187,14 +184,7 @@ func NewEngine(cfg Config) *Engine {
 		e.archive[a] = false
 	}
 	e.stability = cfg.Stability
-	if rc := cfg.Routing.norm(); rc != nil {
-		e.router = newRouter(e, rc)
-		if err := e.router.start(); err != nil {
-			// The well-known router PID is reserved for us; a collision
-			// means the config is broken, not a runtime condition.
-			panic(err)
-		}
-	}
+	e.router = newRouter(e, cfg.Routing.norm())
 	e.liveness = cfg.Liveness.norm()
 	e.leaseStop = make(chan struct{})
 	e.leaseDone = make(chan struct{})
@@ -243,24 +233,20 @@ func (e *Engine) SpawnRoot(body Body) (*Process, error) {
 	return e.spawn(body, nil)
 }
 
-// NewAID spawns a fresh AID process and returns its identifier. Exposed
-// on the engine so that assumptions can be created before the processes
-// that use them (the paper's aid_init). With ownership routing on, no
-// local process is spawned: the AID is an identity only, and its machine
-// is lazily hosted by whichever node the ring designates when the first
-// adjudication arrives.
+// NewAID mints a fresh assumption and returns its identifier (the
+// paper's aid_init). Exposed on the engine so that assumptions can be
+// created before the processes that use them. The AID is a PID attached
+// to the engine's AID table — no process is spawned; with a ring, its
+// machine lives on whichever node the ring designates.
 func (e *Engine) NewAID() (ids.AID, error) {
-	if e.router != nil {
-		return ids.AID(e.machine.AllocPID()), nil
-	}
-	proc, err := e.machine.Spawn(aid.RunMode(e.tracer, e.stability != nil))
-	if err != nil {
-		return ids.NilAID, fmt.Errorf("spawn aid: %w", err)
-	}
-	a := ids.AID(proc.PID())
 	e.mu.Lock()
-	e.aids[a] = proc
+	closing := e.closing
 	e.mu.Unlock()
+	if closing {
+		return ids.NilAID, ErrShutdown
+	}
+	a := ids.AID(e.machine.AllocPID())
+	e.router.mint(a)
 	return a, nil
 }
 
@@ -332,13 +318,12 @@ func (e *Engine) Shutdown() {
 	// routing retry pacer stops for the same reason.
 	close(e.leaseStop)
 	<-e.leaseDone
-	if e.router != nil {
-		e.router.shutdown()
-	}
+	e.router.stopRetries()
 	for _, p := range procs {
 		p.shutdown()
 	}
 	e.runners.Wait()
+	e.router.close()
 	e.machine.Shutdown()
 }
 
@@ -370,36 +355,13 @@ func (e *Engine) Settle(timeout time.Duration) bool {
 	}
 }
 
-// quiet reports whether every mailbox is empty and every process parked.
+// quiet reports whether the AID table is idle and every process parked.
 func (e *Engine) quiet() bool {
-	e.mu.Lock()
-	procs := make([]*Process, 0, len(e.procs))
-	for _, p := range e.procs {
-		procs = append(procs, p)
+	if e.router.busy() {
+		return false
 	}
-	aids := make([]*vpm.Proc, 0, len(e.aids))
-	for _, ap := range e.aids {
-		aids = append(aids, ap)
-	}
-	e.mu.Unlock()
-
-	for _, ap := range aids {
-		if ap.Box().Len() > 0 {
-			return false
-		}
-	}
-	for _, p := range procs {
+	for _, p := range e.Processes() {
 		if !p.parked() {
-			return false
-		}
-	}
-	if rt := e.router; rt != nil {
-		// An undelivered routed adjudication — in the router's mailbox or
-		// parked awaiting a retry — is in-flight protocol traffic.
-		if rp := e.machine.Lookup(rt.cfg.RouterPID(rt.cfg.Self)); rp != nil && rp.Box().Len() > 0 {
-			return false
-		}
-		if rt.pendingRetries() > 0 {
 			return false
 		}
 	}

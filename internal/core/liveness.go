@@ -20,8 +20,8 @@ import (
 // the owner is declared Dead by the wire failure detector, or the lease
 // expires with no owner traffic, the runtime denies the assumption
 // locally. Auto-deny reuses the protocol's own machinery — a Deny into
-// the AID process when we host it, a synthesized Rollback fan-out when
-// the dead owner hosted it — so dependents roll back through the
+// the AID table that hosts it, a synthesized Rollback fan-out when no
+// reachable table does — so dependents roll back through the
 // ordinary path and Theorem 5.1's consistency argument is unchanged: an
 // auto-denied assumption is simply denied, and nothing that committed
 // depended on it (a committed interval has an empty IDO by definition).
@@ -93,7 +93,6 @@ func (e *Engine) AutoDeny(a ids.AID, reason string) bool {
 		return false
 	}
 	e.archive[a] = false
-	ap := e.aids[a]
 	e.mu.Unlock()
 
 	if per := e.persist; per != nil {
@@ -105,25 +104,14 @@ func (e *Engine) AutoDeny(a ids.AID, reason string) bool {
 		Detail: fmt.Sprintf("liveness: auto-denied %v (%s)", a, reason),
 	})
 
-	switch {
-	case e.router != nil:
-		// Routed mode: the ring owner hosts the machine. Route a Deny
-		// there — its fan-out reaches every dependent, local and remote —
-		// falling back to a direct local fan-out when no owner is known
-		// (ring empty: nobody is left to fan out for us).
-		deny := msg.Deny(a.PID(), ids.NilInterval, a)
-		if e.router.redirect(deny) {
-			e.fanoutDenied(a)
-		} else {
-			e.machine.Net().Send(deny)
-		}
-	case ap != nil:
-		// We host the AID process: a protocol Deny moves it to False and
-		// it fans Rollback out to its whole DOM, local and remote alike.
-		e.machine.Net().Send(msg.Deny(a.PID(), ids.NilInterval, a))
-	default:
-		// The dead owner hosted it; nobody will fan out for us. Roll back
-		// our own dependents directly.
+	// A table that hosts a — ours, or the ring owner's — steps a protocol
+	// Deny to False and fans Rollback out to its whole DOM, local and
+	// remote alike. With none reachable (a dead node hosted it, or no ring
+	// owner is known yet) nobody will fan out for us: roll back our own
+	// dependents directly.
+	if deny := msg.Deny(a.PID(), ids.NilInterval, a); e.router.reaches(deny) {
+		e.machine.Net().Send(deny)
+	} else {
 		e.fanoutDenied(a)
 	}
 	return true
@@ -162,7 +150,7 @@ func (e *Engine) DenyOwned(owned func(ids.PID) bool, reason string) int {
 		// the ring has since reassigned to a live owner is a migration in
 		// progress, not an orphan — the successor adjudicates it now, and
 		// denying it here would kill speculation the handoff is saving.
-		if rt := e.router; rt != nil && rt.migrationAdopted(a) {
+		if e.router.migrationAdopted(a) {
 			e.tracer.Emit(trace.Event{
 				Kind: trace.Info, AID: a,
 				Detail: "liveness: skipped deny, ring reassigned since lease grant (" + reason + ")",
@@ -202,7 +190,7 @@ func (p *Process) appendRevocableAIDs(out map[ids.AID]struct{}) {
 
 // fanoutDenied sends each local process a Rollback targeting its
 // earliest non-definite interval depending on a — the synthesized
-// equivalent of the Rollback the AID process would have sent had it
+// equivalent of the Rollback the AID machine would have sent had it
 // been reachable to deny.
 func (e *Engine) fanoutDenied(a ids.AID) {
 	for _, p := range e.Processes() {

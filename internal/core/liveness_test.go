@@ -29,8 +29,8 @@ func remoteAID(n uint64) ids.AID { return ids.AID(1_000_000 + n) }
 
 // TestLeaseExpiryAutoDenies: an assumption that stays Hot past its lease
 // with nobody affirming or denying is auto-denied by the sweeper. The
-// engine hosts the AID process here, so the denial takes the protocol
-// path — a real Deny into the AID process, Rollback fan-out to the
+// engine's AID table hosts the assumption here, so the denial takes the
+// protocol path — a real Deny into the table, Rollback fan-out to the
 // dependent — and the re-executed body observes Guess = false.
 func TestLeaseExpiryAutoDenies(t *testing.T) {
 	eng := newTestEngine(t, Config{Liveness: &LivenessConfig{
@@ -71,7 +71,7 @@ func TestLeaseExpiryAutoDenies(t *testing.T) {
 // TestOwnerDeadAutoDenies: an assumption whose (fabricated) remote owner
 // is reported dead by the Owner callback is denied on the fast path —
 // well before its generous lease expires. The dead owner hosted the AID
-// process, so the engine must synthesize the Rollback fan-out itself.
+// machine, so the engine must synthesize the Rollback fan-out itself.
 func TestOwnerDeadAutoDenies(t *testing.T) {
 	x := remoteAID(1)
 	var dead sync.Map // set after the guess is in flight

@@ -150,7 +150,7 @@ func (p *Process) newIntervalLocked(kind interval.OpenKind, journalIndex int, ex
 // ownership routing on, AID-bound adjudications are re-addressed to the
 // ring owner's router first (see route.go).
 func (p *Process) send(m *msg.Message) {
-	if rt := p.eng.router; rt != nil && rt.redirect(m) {
+	if p.eng.router.redirect(m) {
 		return
 	}
 	p.proc.Send(m)
@@ -432,8 +432,8 @@ func (p *Process) handleRollback(m *msg.Message) {
 //     afresh, as the paper's interval state machine requires;
 //   - received messages from the discarded suffix that remain causally
 //     valid (no denied AID in their tag) are requeued in their original
-//     order; assumptions created in the suffix are orphaned and their
-//     AID processes killed;
+//     order; assumptions created in the suffix are orphaned and denied
+//     (DESIGN.md §4 item 5);
 //   - the body goroutine is signalled to unwind and re-execute.
 //
 // Rollback of a speculative root terminates the process.

@@ -3,31 +3,42 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/hope-dist/hope/internal/aid"
 	"github.com/hope-dist/hope/internal/ids"
+	"github.com/hope-dist/hope/internal/mailbox"
 	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/trace"
-	"github.com/hope-dist/hope/internal/vpm"
 )
 
-// This file implements ownership-driven AID routing (DESIGN.md §13): the
-// adjudicator for an assumption is the node the consistent-hash ring
-// designates, not the node that minted the AID. Every AID-bound
-// adjudication (Guess, Affirm, Deny, Retract, CutProbe, Probe) is
-// rewritten to the ring owner's well-known router process and stamped
-// with the sender's view epoch; a receiver that does not own the AID
-// under its own ring NACKs the frame back, and the sender retries
-// against a fresher ring. On a view change the old owner ships each
-// moved AID's machine snapshot to the new owner (OwnershipChanged); on
-// an owner's death the successor adopts the shard from the corpse's WAL
-// (InstallExports). Both install paths merge rather than overwrite, so
-// a transfer racing the receiver's lazy Cold-create converges.
+// This file implements the engine's AID table: the one host of the
+// paper's AID machine (Figures 4–8). The paper's AID "process" is an
+// abstraction (DESIGN.md §2); here it is an entry in a table that one
+// goroutine steps from one mailbox. Each hosted assumption's PID is
+// attached to that mailbox on the transport, so an assumption costs a
+// table entry, not a goroutine, and adjudications still travel as
+// messages: nothing is stepped inline under a process lock.
+//
+// Without a ring (Config.Routing nil) the table owns exactly the AIDs
+// this engine minted or reinstalled from its WAL, and no message is
+// re-addressed. With ownership routing (DESIGN.md §13) the adjudicator
+// for an assumption is the node the consistent-hash ring designates, not
+// the node that minted the AID. Every AID-bound adjudication (Guess,
+// Affirm, Deny, Retract, CutProbe) is rewritten to the ring owner's
+// well-known router PID and stamped with the sender's view epoch; a
+// receiver that does not own the AID under its own ring NACKs the frame
+// back, and the sender retries against a fresher ring. On a view change
+// the old owner ships each moved AID's machine snapshot to the new owner
+// (OwnershipChanged); on an owner's death the successor adopts the shard
+// from the corpse's WAL (InstallExports). Both install paths merge rather
+// than overwrite, so a transfer racing the receiver's lazy Cold-create
+// converges.
 
 // RoutingConfig parameterizes ownership routing. Nil (the default
-// Config.Routing) disables it: AIDs are local processes adjudicated by
-// the node that spawned them, exactly the pre-routing behavior.
+// Config.Routing) means no ring: every AID is adjudicated by the engine
+// that minted it, at the AID's own PID.
 type RoutingConfig struct {
 	// Self is this node's cluster ID.
 	Self int
@@ -64,33 +75,35 @@ func (c *RoutingConfig) norm() *RoutingConfig {
 	return &out
 }
 
-// AIDExporter is the optional durable hook for ownership routing: a
+// AIDExporter is the optional durable hook for the AID table: a
 // Persister that also implements it receives each hosted AID's current
-// machine snapshot after every applied adjudication (blob = one-element
-// aid.EncodeBatch) and an empty blob as a tombstone when the AID is
-// shipped away. A dead owner's successor replays these records to adopt
-// the shard (durable.ReadAIDExports).
+// machine snapshot (blob = one-element aid.EncodeBatch) when it is
+// minted, and again after each drain of the table's mailbox that changed
+// it — before any frame of that drain is marked consumed — and an empty
+// blob as a tombstone when the AID is shipped away. A restart reinstalls its own table from these records,
+// and a dead owner's successor replays them to adopt the shard
+// (durable.ReadAIDExports).
 type AIDExporter interface {
 	AIDExport(a ids.AID, blob []byte)
 }
 
-// RoutingStats counts the routing layer's work, for tests and the
-// harness's exactly-once assertions.
+// RoutingStats counts the AID table's work, for tests and the harness's
+// exactly-once assertions.
 type RoutingStats struct {
 	Applied    uint64 // adjudications applied to hosted machines
 	Nacked     uint64 // inbound adjudications rejected for wrong ownership
 	Retries    uint64 // messages re-sent after a NACK or unknown owner
 	Duplicates uint64 // exact duplicates dropped by the applied set
-	Conflicts  uint64 // late conflicting messages dropped at a final state
 	Moved      uint64 // hosted AIDs shipped to a new owner
 	Adopted    uint64 // AIDs absorbed from a transfer or a WAL
 	Batched    uint64 // retried adjudications that rode a coalesced Batch frame
 }
 
-// appliedKey identifies one adjudication for exactly-once application.
-// idoHash folds the IDO set in (order-independently): a NACK retry of
-// the same physical message collides, while a legitimate basis-refresh
-// re-Affirm from the same interval (different IDO) does not.
+// appliedKey identifies one state-changing adjudication (Affirm, Deny,
+// Retract) for exactly-once application. idoHash folds the IDO set in
+// (order-independently): a NACK retry or WAL replay of the same physical
+// message collides, while a legitimate basis-refresh re-Affirm from the
+// same interval (different IDO) does not.
 type appliedKey struct {
 	kind    msg.Kind
 	from    ids.PID
@@ -106,123 +119,200 @@ func keyOf(m *msg.Message) appliedKey {
 	return appliedKey{kind: m.Kind, from: m.From, iid: m.IID, idoHash: h}
 }
 
-// hostState is one assumption's machine as hosted by the router, plus
+// hostState is one assumption's machine as hosted by the table, plus
 // the bookkeeping that makes application exactly-once.
 type hostState struct {
 	m       *aid.Machine
 	applied map[appliedKey]bool
 	moved   bool // shipped to a new owner; kept as a tombstone
+	dirty   bool // changed since its last export (listed in router.dirty)
 }
 
-// router is the per-engine ownership-routing state: a single vpm
-// process (at the node's well-known RouterPID) that applies inbound
-// adjudications to the hosted machine table, plus the retry queue for
-// outbound messages whose owner was stale or unknown.
+// router is the engine's AID table: one goroutine stepping hosted
+// machines from one mailbox, which the transport feeds for every hosted
+// AID's PID and, with a ring, for the node's well-known router PID. With
+// a ring it also keeps the retry queue for outbound adjudications whose
+// owner was stale or unknown.
 type router struct {
-	eng *Engine
-	cfg *RoutingConfig
+	eng  *Engine
+	ring *RoutingConfig // nil: no ring (see RoutingConfig)
+	self int            // ring.Self; 0 without a ring
+
+	box      *mailbox.Box
+	pending  atomic.Int64 // frames delivered to box and not yet handled
+	stepped  chan struct{}
+	exporter AIDExporter // the engine's Persister, when it keeps exports
 
 	mu         sync.Mutex
 	hosts      map[ids.AID]*hostState
+	dirty      []ids.AID // hosts changed since the last export flush
 	retry      []*msg.Message
 	grantEpoch map[ids.AID]uint64 // view epoch at first routed Guess (lease grant)
 
 	stats struct {
-		applied, nacked, retries, duplicates, conflicts, moved, adopted, batched uint64
+		applied, nacked, retries, duplicates, moved, adopted, batched uint64
 	}
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-func newRouter(e *Engine, cfg *RoutingConfig) *router {
-	return &router{
+// newRouter starts the table's goroutine and, with a ring, attaches the
+// node's router PID and starts the retry pacer. Called by NewEngine after
+// the machine exists.
+func newRouter(e *Engine, ring *RoutingConfig) *router {
+	rt := &router{
 		eng:        e,
-		cfg:        cfg,
+		ring:       ring,
+		box:        mailbox.New(),
+		stepped:    make(chan struct{}),
 		hosts:      make(map[ids.AID]*hostState),
 		grantEpoch: make(map[ids.AID]uint64),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-}
-
-// start spawns the router process and the retry pacer. Called by
-// NewEngine after the machine exists.
-func (rt *router) start() error {
-	_, err := rt.eng.machine.SpawnAt(rt.cfg.RouterPID(rt.cfg.Self), rt.run)
-	if err != nil {
-		return fmt.Errorf("core: spawn router: %w", err)
+	if ring != nil {
+		rt.self = ring.Self
 	}
+	rt.exporter, _ = e.persist.(AIDExporter)
+	go rt.run()
+	if ring == nil {
+		close(rt.done)
+		return rt
+	}
+	e.machine.Attach(ring.RouterPID(rt.self), rt.deliver)
 	go rt.retryLoop()
-	return nil
+	return rt
 }
 
-// run is the router's vpm body: every inbound frame is either a NACK of
-// something we sent (requeue it) or an adjudication to adjudicate or
-// reject under our own ring. Each handled remote frame is marked
-// consumed in the WAL — the application's effect (the export record, or
-// the NACK requeue) is appended first, so a crash between the two only
-// costs an idempotent replay — which keeps the delivered-but-unconsumed
-// fold (ReadOrphanFrames, Recovered.Redeliver) down to the frames a
-// crash genuinely swallowed.
-func (rt *router) run(p *vpm.Proc) {
+// deliver is the transport handler for every PID attached to the table:
+// a non-blocking enqueue, like a process mailbox's.
+func (rt *router) deliver(m *msg.Message) {
+	rt.pending.Add(1)
+	rt.box.Put(m)
+}
+
+// maxDrain bounds how many queued frames the table handles between two
+// export flushes.
+const maxDrain = 64
+
+// run steps the table until its mailbox closes at engine shutdown. It
+// handles whatever is queued, up to maxDrain frames, then exports each
+// machine those frames changed once, and only then marks the frames
+// consumed in the WAL: a crash in between costs an idempotent replay of
+// frames whose effect the last export may lack, never a lost one. Under
+// load a drain holds many adjudications of the same few assumptions, so
+// one export covers all of them.
+func (rt *router) run() {
+	defer close(rt.stepped)
+	batch := make([]*msg.Message, 0, maxDrain)
 	for {
-		m, err := p.Recv()
+		m, err := rt.box.Recv()
 		if err != nil {
-			return // mailbox closed: engine shutdown
+			return
 		}
-		switch m.Kind {
-		case msg.KindNack:
-			orig, ok := m.Payload.(*msg.Message)
-			if !ok || orig == nil {
-				rt.consumed(m)
-				continue
+		batch = append(batch[:0], m)
+		for len(batch) < maxDrain {
+			m, ok := rt.box.TryRecv()
+			if !ok {
+				break
 			}
+			batch = append(batch, m)
+		}
+		for _, m := range batch {
+			rt.handle(m)
+		}
+		rt.flushExports()
+		for i, m := range batch {
+			rt.consumed(m)
+			batch[i] = nil
+		}
+		rt.pending.Add(-int64(len(batch)))
+	}
+}
+
+// flushExports writes the snapshot of every hosted machine changed since
+// the last flush. The snapshots are taken under rt.mu and encoded
+// outside it; an engine without an exporter never marks a host dirty.
+func (rt *router) flushExports() {
+	rt.mu.Lock()
+	if len(rt.dirty) == 0 {
+		rt.mu.Unlock()
+		return
+	}
+	snaps := make([]aid.Export, 0, len(rt.dirty))
+	for _, a := range rt.dirty {
+		if h := rt.hosts[a]; h != nil && h.dirty {
+			h.dirty = false
+			if !h.moved {
+				snaps = append(snaps, h.m.Export())
+			}
+		}
+	}
+	rt.dirty = rt.dirty[:0]
+	rt.mu.Unlock()
+	for _, snap := range snaps {
+		rt.exporter.AIDExport(snap.AID, aid.EncodeBatch([]aid.Export{snap}))
+	}
+}
+
+// busy reports whether an adjudication is queued, being stepped, or
+// parked awaiting a retry: in-flight protocol traffic for Settle.
+func (rt *router) busy() bool {
+	return rt.pending.Load() > 0 || rt.pendingRetries() > 0
+}
+
+// isAdjudication reports whether k is addressed to an AID machine.
+func isAdjudication(k msg.Kind) bool {
+	switch k {
+	case msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract, msg.KindCutProbe:
+		return true
+	}
+	return false
+}
+
+// handle processes one inbound frame: a NACK of something we sent
+// (requeue it), an adjudication to step or reject under our own ring, or
+// a peer's Batch of them. run marks the frame consumed afterwards, which
+// keeps the delivered-but-unconsumed fold (ReadOrphanFrames,
+// Recovered.Redeliver) down to the frames a crash genuinely swallowed.
+func (rt *router) handle(m *msg.Message) {
+	switch {
+	case m.Kind == msg.KindNack:
+		if orig, ok := m.Payload.(*msg.Message); ok && orig != nil {
 			rt.mu.Lock()
 			rt.stats.nacked++
 			rt.retry = append(rt.retry, orig)
 			rt.mu.Unlock()
-		case msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract,
-			msg.KindCutProbe, msg.KindProbe:
-			rt.handleRouted(p, m)
-		case msg.KindBatch:
-			// A peer's flushRetries coalesced several adjudications bound
-			// for this owner into one frame. Unpack and adjudicate each:
-			// an inner message we turn out not to own is NACKed
-			// individually, so a batch straddling a view change costs only
-			// the stale members a retry.
-			inner, ok := m.Payload.([]*msg.Message)
-			if !ok {
-				rt.eng.tracer.Emit(trace.Event{
-					Kind: trace.Violation, PID: p.PID(),
-					Detail: fmt.Sprintf("router received Batch with %T payload", m.Payload),
-				})
-				rt.consumed(m)
-				continue
-			}
-			for _, im := range inner {
-				if im == nil {
-					continue
-				}
-				switch im.Kind {
-				case msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract,
-					msg.KindCutProbe, msg.KindProbe:
-					rt.handleRouted(p, im)
-				default:
-					rt.eng.tracer.Emit(trace.Event{
-						Kind: trace.Violation, PID: p.PID(),
-						Detail: "router received batched " + im.Kind.String(),
-					})
-				}
-			}
-		default:
-			rt.eng.tracer.Emit(trace.Event{
-				Kind: trace.Violation, PID: p.PID(),
-				Detail: "router received " + m.Kind.String(),
-			})
 		}
-		rt.consumed(m)
+	case isAdjudication(m.Kind):
+		rt.adjudicate(m)
+	case m.Kind == msg.KindBatch:
+		// A peer's flushRetries coalesced several adjudications bound for
+		// this owner into one frame. Unpack and adjudicate each: an inner
+		// message we turn out not to own is NACKed individually, so a batch
+		// straddling a view change costs only the stale members a retry.
+		inner, ok := m.Payload.([]*msg.Message)
+		if !ok {
+			rt.violation(fmt.Sprintf("AID table received Batch with %T payload", m.Payload))
+			return
+		}
+		for _, im := range inner {
+			switch {
+			case im == nil:
+			case isAdjudication(im.Kind):
+				rt.adjudicate(im)
+			default:
+				rt.violation("AID table received batched " + im.Kind.String())
+			}
+		}
+	default:
+		rt.violation("AID table received " + m.Kind.String())
 	}
+}
+
+func (rt *router) violation(detail string) {
+	rt.eng.tracer.Emit(trace.Event{Kind: trace.Violation, Detail: detail})
 }
 
 // consumed retires a remote-origin frame's WAL identity. Local frames
@@ -233,93 +323,157 @@ func (rt *router) consumed(m *msg.Message) {
 	}
 }
 
-// handleRouted applies m if this node owns m.AID under its current
-// ring, and NACKs it back to the sender's router otherwise.
-func (rt *router) handleRouted(p *vpm.Proc, m *msg.Message) {
-	owner, myEpoch, ok := rt.cfg.Owner(m.AID)
-	if !ok || owner != rt.cfg.Self {
-		p.Send(msg.Nack(p.PID(), rt.cfg.RouterPID(rt.cfg.NodeOf(m.From)), myEpoch, m))
+// owner names the node that adjudicates a under the current view. Without
+// a ring it is always this engine: only the PIDs it attached reach it.
+func (rt *router) owner(a ids.AID) (node int, epoch uint64, ok bool) {
+	if rt.ring == nil {
+		return rt.self, 0, true
+	}
+	return rt.ring.Owner(a)
+}
+
+// adjudicate applies m if this node owns m.AID under its current view,
+// and NACKs it back to the sender's router otherwise.
+func (rt *router) adjudicate(m *msg.Message) {
+	net := rt.eng.machine.Net()
+	if owner, epoch, ok := rt.owner(m.AID); !ok || owner != rt.self {
+		self := rt.ring.RouterPID(rt.self)
+		net.Send(msg.Nack(self, rt.ring.RouterPID(rt.ring.NodeOf(m.From)), epoch, m))
 		return
 	}
 	for _, out := range rt.apply(m) {
-		p.Send(out)
+		net.Send(out)
 	}
 }
 
 // apply steps the hosted machine for m.AID with m, creating it Cold on
-// first contact, deduplicating retries, and dropping late conflicting
-// messages at a final state. It returns the machine's outputs.
+// first contact and applying each state-changing adjudication once. It
+// returns the machine's outputs. A conflicting Affirm or Deny at a final
+// state is stepped like any other message: the machine traces it as the
+// paper's §3 user error, whichever node hosts it. Two conflicts are not
+// the user's and are dropped: an Affirm overtaken by its own interval's
+// Retract, and the engine's own lease Deny reaching an assumption that
+// was affirmed meanwhile.
 func (rt *router) apply(m *msg.Message) []*msg.Message {
 	rt.mu.Lock()
-	h := rt.hosts[m.AID]
-	if h == nil {
-		h = &hostState{
-			m:       rt.newMachine(m.AID),
-			applied: make(map[appliedKey]bool),
-		}
-		rt.hosts[m.AID] = h
-	}
+	h := rt.hostLocked(m.AID)
 	// Ownership came back (a leave was undone, or a transfer bounced):
 	// the tombstone is live state again.
 	h.moved = false
-	key := keyOf(m)
-	if h.applied[key] {
-		rt.stats.duplicates++
-		rt.mu.Unlock()
-		return nil
+	// Guess and CutProbe are questions: the machine absorbs a repeat
+	// idempotently and a repeat deserves its answer (a Revive re-asks the
+	// same Guess). Affirm, Deny and Retract act for one interval and must
+	// not apply twice when a NACK retry or a replayed frame repeats them.
+	// An Affirm from an interval whose Retract was already applied is void
+	// too: the interval rolled back, and only a NACK retry overtaking the
+	// Retract delivers its Affirm this late — per-sender FIFO rules out
+	// every other order.
+	switch m.Kind {
+	case msg.KindAffirm, msg.KindDeny, msg.KindRetract:
+		key := keyOf(m)
+		retracted := appliedKey{kind: msg.KindRetract, from: m.From, iid: m.IID}
+		if h.applied[key] || m.Kind == msg.KindAffirm && h.applied[retracted] {
+			rt.stats.duplicates++
+			rt.mu.Unlock()
+			return nil
+		}
+		if rt.leaseDenyLost(m, h.m) {
+			rt.mu.Unlock()
+			rt.eng.tracer.Emit(trace.Event{
+				Kind: trace.Info, AID: m.AID,
+				Detail: "AID table dropped a lease deny of an affirmed assumption",
+			})
+			return nil
+		}
+		h.applied[key] = true
 	}
-	// A retried or migrated message can legitimately cross finality; a
-	// conflicting one is dropped here rather than fed to the machine,
-	// where it would trace as a protocol violation.
-	st := h.m.State()
-	if (m.Kind == msg.KindAffirm && st == aid.False) ||
-		(m.Kind == msg.KindDeny && st == aid.True && rt.eng.stability == nil) {
-		rt.stats.conflicts++
-		rt.mu.Unlock()
-		rt.eng.tracer.Emit(trace.Event{
-			Kind: trace.Info, AID: m.AID,
-			Detail: fmt.Sprintf("router dropped %s of %s AID", m.Kind, st),
-		})
-		return nil
-	}
-	h.applied[key] = true
+	v := h.m.Version()
 	outs := h.m.Step(m)
 	rt.stats.applied++
-	blob := aid.EncodeBatch([]aid.Export{h.m.Export()})
-	rt.mu.Unlock()
-	if ex, ok := rt.eng.persist.(AIDExporter); ok {
-		ex.AIDExport(m.AID, blob)
+	if rt.exporter != nil && h.m.Version() != v && !h.dirty {
+		h.dirty = true
+		rt.dirty = append(rt.dirty, m.AID)
 	}
+	rt.mu.Unlock()
 	return outs
 }
 
-func (rt *router) newMachine(a ids.AID) *aid.Machine {
-	m := aid.NewMachine(a, rt.eng.tracer)
-	if rt.eng.stability != nil {
-		m.EnableRevocable()
+// leaseDenyLost reports whether m is the Deny the liveness layer sends on
+// its own behalf (AutoDeny: from the assumption's own PID, for no
+// interval) and it reached a machine already True outside revocable
+// mode. The lease expired while the Affirm that decided the assumption
+// was in flight; the affirmed verdict stands, and no user erred.
+func (rt *router) leaseDenyLost(m *msg.Message, mach *aid.Machine) bool {
+	return m.Kind == msg.KindDeny && m.From == m.AID.PID() && !m.IID.Valid() &&
+		mach.State() == aid.True && rt.eng.stability == nil
+}
+
+// hostLocked returns a's hosted state, creating a Cold machine on first
+// contact. Called with rt.mu held.
+func (rt *router) hostLocked(a ids.AID) *hostState {
+	h := rt.hosts[a]
+	if h == nil {
+		m := aid.NewMachine(a, rt.eng.tracer)
+		if rt.eng.stability != nil {
+			m.EnableRevocable()
+		}
+		h = &hostState{m: m, applied: make(map[appliedKey]bool)}
+		rt.hosts[a] = h
 	}
-	return m
+	return h
+}
+
+// mint hosts a freshly allocated assumption. Without a ring its PID is
+// attached to the table's mailbox and its Cold machine entered in the
+// table — and exported, so a restart reinstalls it even if no frame for
+// it was ever applied. With a ring nothing happens here: adjudications
+// travel to the owner's router PID, which creates the machine on first
+// contact.
+func (rt *router) mint(a ids.AID) {
+	if rt.ring != nil {
+		return
+	}
+	rt.eng.machine.Attach(a.PID(), rt.deliver)
+	rt.mu.Lock()
+	h := rt.hostLocked(a)
+	var snap aid.Export
+	if rt.exporter != nil {
+		snap = h.m.Export()
+	}
+	rt.mu.Unlock()
+	if rt.exporter != nil {
+		rt.exporter.AIDExport(a, aid.EncodeBatch([]aid.Export{snap}))
+	}
+}
+
+// reaches reports whether adjudication m has a table to step it: ours,
+// when we host its AID, or the ring owner's (m is re-addressed there).
+// False means none is reachable now — without a ring the AID lives on
+// another engine; with one no owner is known yet, and m waits on the
+// retry queue.
+func (rt *router) reaches(m *msg.Message) bool {
+	if rt.ring == nil {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		h := rt.hosts[m.AID]
+		return h != nil && !h.moved
+	}
+	return !rt.redirect(m)
 }
 
 // redirect intercepts an outbound message at the engine's send choke
-// points. AID-bound adjudications addressed to the assumption itself
-// are stamped with the current view epoch and re-addressed to the ring
-// owner's router; everything else (Replace, Rollback, Revive, CutAck,
-// Data — all targeting interval processes) passes through untouched.
-// It reports whether the message was consumed (parked on the retry
-// queue because no owner is known yet); false means send m, possibly
-// rewritten, normally.
+// points. With a ring, AID-bound adjudications addressed to the
+// assumption itself are stamped with the current view epoch and
+// re-addressed to the ring owner's router; everything else (Replace,
+// Rollback, Revive, CutAck, Data — all targeting interval processes), and
+// everything without a ring, passes through untouched. It reports whether
+// the message was consumed (parked on the retry queue because no owner is
+// known yet); false means send m, possibly rewritten, normally.
 func (rt *router) redirect(m *msg.Message) bool {
-	switch m.Kind {
-	case msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract,
-		msg.KindCutProbe, msg.KindProbe:
-	default:
+	if rt.ring == nil || !isAdjudication(m.Kind) || !m.AID.Valid() || m.To != m.AID.PID() {
 		return false
 	}
-	if !m.AID.Valid() || m.To != m.AID.PID() {
-		return false
-	}
-	owner, epoch, ok := rt.cfg.Owner(m.AID)
+	owner, epoch, ok := rt.ring.Owner(m.AID)
 	if !ok {
 		rt.mu.Lock()
 		rt.retry = append(rt.retry, m)
@@ -336,7 +490,7 @@ func (rt *router) redirect(m *msg.Message) bool {
 		rt.mu.Unlock()
 	}
 	m.Epoch = epoch
-	m.To = rt.cfg.RouterPID(owner)
+	m.To = rt.ring.RouterPID(owner)
 	return false
 }
 
@@ -344,7 +498,7 @@ func (rt *router) redirect(m *msg.Message) bool {
 // the current ring, paced by RetryEvery.
 func (rt *router) retryLoop() {
 	defer close(rt.done)
-	t := time.NewTicker(rt.cfg.RetryEvery)
+	t := time.NewTicker(rt.ring.RetryEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -375,13 +529,13 @@ func (rt *router) flushRetries() {
 	var owners []int // insertion order: deterministic frame emission
 	var unknown []*msg.Message
 	for _, m := range pending {
-		owner, epoch, ok := rt.cfg.Owner(m.AID)
+		owner, epoch, ok := rt.ring.Owner(m.AID)
 		if !ok {
 			unknown = append(unknown, m)
 			continue
 		}
 		m.Epoch = epoch
-		m.To = rt.cfg.RouterPID(owner)
+		m.To = rt.ring.RouterPID(owner)
 		if len(groups[owner]) == 0 {
 			owners = append(owners, owner)
 		}
@@ -392,7 +546,7 @@ func (rt *router) flushRetries() {
 		rt.retry = append(unknown, rt.retry...)
 		rt.mu.Unlock()
 	}
-	self := rt.cfg.RouterPID(rt.cfg.Self)
+	self := rt.ring.RouterPID(rt.self)
 	for _, owner := range owners {
 		grp := groups[owner]
 		rt.mu.Lock()
@@ -422,7 +576,7 @@ func (rt *router) pendingRetries() int {
 // must then leave a alone — the successor adjudicates it now, and
 // denying it here would kill a migration in progress.
 func (rt *router) migrationAdopted(a ids.AID) bool {
-	_, epoch, ok := rt.cfg.Owner(a)
+	_, epoch, ok := rt.owner(a)
 	if !ok {
 		return false
 	}
@@ -437,7 +591,7 @@ func (rt *router) migrationAdopted(a ids.AID) bool {
 func (rt *router) shipBatches(batches map[int][]aid.Export) (tombstones, failed []ids.AID) {
 	for owner, exports := range batches {
 		payload := aid.EncodeBatch(exports)
-		shipped := rt.cfg.Ship != nil && rt.cfg.Ship(owner, payload)
+		shipped := rt.ring.Ship != nil && rt.ring.Ship(owner, payload)
 		for _, e := range exports {
 			if shipped {
 				tombstones = append(tombstones, e.AID)
@@ -455,20 +609,17 @@ func (rt *router) shipBatches(batches map[int][]aid.Export) (tombstones, failed 
 // view change. A batch the transport refuses stays hosted and is
 // re-offered on the next call; inbound adjudications for a moved AID
 // are NACKed by the ownership check regardless, so the flag only
-// prevents duplicate exports. No-op when routing is off.
+// prevents duplicate exports. Without a ring nothing ever moves.
 func (e *Engine) OwnershipChanged() {
 	rt := e.router
-	if rt == nil {
-		return
-	}
 	rt.mu.Lock()
 	batches := make(map[int][]aid.Export)
 	for a, h := range rt.hosts {
 		if h.moved {
 			continue
 		}
-		owner, _, ok := rt.cfg.Owner(a)
-		if !ok || owner == rt.cfg.Self {
+		owner, _, ok := rt.owner(a)
+		if !ok || owner == rt.self {
 			continue
 		}
 		batches[owner] = append(batches[owner], h.m.Export())
@@ -484,12 +635,11 @@ func (e *Engine) OwnershipChanged() {
 		}
 	}
 	rt.mu.Unlock()
-	ex, durable := e.persist.(AIDExporter)
 	for _, a := range tombstones {
-		if durable {
+		if rt.exporter != nil {
 			// The shipped machine is no longer ours: tombstone its WAL
 			// export so a successor adopting our corpse skips it.
-			ex.AIDExport(a, nil)
+			rt.exporter.AIDExport(a, nil)
 		}
 		e.tracer.Emit(trace.Event{
 			Kind: trace.Info, AID: a, Detail: "shipped to new ring owner",
@@ -506,32 +656,24 @@ func (e *Engine) OwnershipChanged() {
 // moment the ship was accepted — filtering by our own (possibly lagging)
 // view here would drop the only live copy. If the ring still disagrees
 // once our view catches up, the next OwnershipChanged ships the machine
-// onward. Returns how many AIDs were absorbed. No-op when routing is
-// off.
+// onward. Returns how many AIDs were absorbed.
 func (e *Engine) InstallTransfer(payload []byte) (int, error) {
-	rt := e.router
-	if rt == nil {
-		return 0, nil
-	}
 	exports, err := aid.DecodeBatch(payload)
 	if err != nil {
 		return 0, fmt.Errorf("core: install transfer: %w", err)
 	}
-	return rt.install(exports, false), nil
+	return e.router.install(exports, false), nil
 }
 
 // InstallExports absorbs WAL-recovered export blobs (one per AID, each
 // a one-element batch): the restart path passes onlyOwned=false to
-// reclaim its own shard wholesale (a later OwnershipChanged ships away
-// what the ring moved meanwhile); the death-adoption path passes
-// onlyOwned=true so concurrent survivors reading one corpse's WAL
-// partition the shard without overlap. It returns how many AIDs were
-// absorbed. No-op when routing is off.
+// reclaim its own table wholesale (with a ring, a later OwnershipChanged
+// ships away what the ring moved meanwhile); the death-adoption path
+// passes onlyOwned=true so concurrent survivors reading one corpse's WAL
+// partition the shard without overlap. A restart must install before it
+// redelivers recovered frames, so the AIDs those frames address are
+// hosted again. It returns how many AIDs were absorbed.
 func (e *Engine) InstallExports(blobs map[ids.AID][]byte, onlyOwned bool) (int, error) {
-	rt := e.router
-	if rt == nil {
-		return 0, nil
-	}
 	var exports []aid.Export
 	for a, blob := range blobs {
 		if len(blob) == 0 {
@@ -543,11 +685,12 @@ func (e *Engine) InstallExports(blobs map[ids.AID][]byte, onlyOwned bool) (int, 
 		}
 		exports = append(exports, decoded...)
 	}
-	return rt.install(exports, onlyOwned), nil
+	return e.router.install(exports, onlyOwned), nil
 }
 
 // install merges exports into the hosted table, optionally filtered to
-// ring-owned AIDs, and persists each absorbed machine. A machine
+// ring-owned AIDs, attaches their PIDs when there is no ring, and
+// persists each absorbed machine. A machine
 // adopted in a final state re-announces its outcome to its DOM: the
 // previous owner may have died with the fan-out still in its outbound
 // queue, and no later Step repeats it (stepAffirm on True is a no-op).
@@ -555,31 +698,27 @@ func (e *Engine) InstallExports(blobs map[ids.AID][]byte, onlyOwned bool) (int, 
 // fan-out that did survive makes these duplicates, not conflicts.
 func (rt *router) install(exports []aid.Export, onlyOwned bool) int {
 	installed := 0
-	var persistAIDs []ids.AID
-	var persistBlobs [][]byte
+	var snaps []aid.Export
 	var announce []*msg.Message
 	rt.mu.Lock()
 	for _, exp := range exports {
 		if onlyOwned {
-			owner, _, ok := rt.cfg.Owner(exp.AID)
-			if !ok || owner != rt.cfg.Self {
+			owner, _, ok := rt.owner(exp.AID)
+			if !ok || owner != rt.self {
 				continue
 			}
 		}
-		h := rt.hosts[exp.AID]
-		if h == nil {
-			h = &hostState{
-				m:       rt.newMachine(exp.AID),
-				applied: make(map[appliedKey]bool),
-			}
-			rt.hosts[exp.AID] = h
+		if rt.ring == nil {
+			rt.eng.machine.Attach(exp.AID.PID(), rt.deliver)
 		}
+		h := rt.hostLocked(exp.AID)
 		h.moved = false
 		h.m.Merge(exp)
 		rt.stats.adopted++
 		installed++
-		persistAIDs = append(persistAIDs, exp.AID)
-		persistBlobs = append(persistBlobs, aid.EncodeBatch([]aid.Export{h.m.Export()}))
+		if rt.exporter != nil {
+			snaps = append(snaps, h.m.Export())
+		}
 		switch h.m.State() {
 		case aid.True:
 			for _, b := range h.m.DOM() {
@@ -592,10 +731,8 @@ func (rt *router) install(exports []aid.Export, onlyOwned bool) int {
 		}
 	}
 	rt.mu.Unlock()
-	if ex, ok := rt.eng.persist.(AIDExporter); ok {
-		for i, a := range persistAIDs {
-			ex.AIDExport(a, persistBlobs[i])
-		}
+	for _, snap := range snaps {
+		rt.exporter.AIDExport(snap.AID, aid.EncodeBatch([]aid.Export{snap}))
 	}
 	for _, m := range announce {
 		rt.eng.machine.Net().Send(m)
@@ -609,18 +746,12 @@ func (rt *router) install(exports []aid.Export, onlyOwned bool) int {
 // the ring on each flush, so once the view reassigns the shard the
 // message reaches the successor; if the corpse had in fact applied it
 // before dying, the adopted machine absorbs the replay idempotently.
-// It reports whether the message was queued: false when routing is off
-// or m is not a routed adjudication (NACKs and interval-directed
-// traffic die with the peer, by design).
+// It reports whether the message was queued: false without a ring (the
+// dead peer was the only adjudicator) or when m is not an adjudication
+// (NACKs and interval-directed traffic die with the peer, by design).
 func (e *Engine) RequeueRouted(m *msg.Message) bool {
 	rt := e.router
-	if rt == nil || m == nil || !m.AID.Valid() {
-		return false
-	}
-	switch m.Kind {
-	case msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract,
-		msg.KindCutProbe, msg.KindProbe:
-	default:
+	if rt.ring == nil || m == nil || !m.AID.Valid() || !isAdjudication(m.Kind) {
 		return false
 	}
 	rt.mu.Lock()
@@ -629,13 +760,9 @@ func (e *Engine) RequeueRouted(m *msg.Message) bool {
 	return true
 }
 
-// RoutingStats snapshots the routing counters (zero value when routing
-// is off).
+// RoutingStats snapshots the AID table's counters.
 func (e *Engine) RoutingStats() RoutingStats {
 	rt := e.router
-	if rt == nil {
-		return RoutingStats{}
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return RoutingStats{
@@ -643,7 +770,6 @@ func (e *Engine) RoutingStats() RoutingStats {
 		Nacked:     rt.stats.nacked,
 		Retries:    rt.stats.retries,
 		Duplicates: rt.stats.duplicates,
-		Conflicts:  rt.stats.conflicts,
 		Moved:      rt.stats.moved,
 		Adopted:    rt.stats.adopted,
 		Batched:    rt.stats.batched,
@@ -651,12 +777,9 @@ func (e *Engine) RoutingStats() RoutingStats {
 }
 
 // HostedExports snapshots every live (non-moved) hosted machine, for
-// the migration oracle and tests. Nil when routing is off.
+// the migration oracle and tests.
 func (e *Engine) HostedExports() []aid.Export {
 	rt := e.router
-	if rt == nil {
-		return nil
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	out := make([]aid.Export, 0, len(rt.hosts))
@@ -673,9 +796,6 @@ func (e *Engine) HostedExports() []aid.Export {
 // node currently hosts it live. Tests use it to assert exactly-one-host.
 func (e *Engine) HostedState(a ids.AID) (aid.State, bool) {
 	rt := e.router
-	if rt == nil {
-		return 0, false
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	h := rt.hosts[a]
@@ -685,9 +805,13 @@ func (e *Engine) HostedState(a ids.AID) (aid.State, bool) {
 	return h.m.State(), true
 }
 
-// collectHosted archives and reclaims final hosted machines — the
-// routed analogue of Collect's probe-and-kill sweep.
-func (rt *router) collectHosted() int {
+// collect archives the verdict of every final hosted machine, drops it
+// from the table, and, without a ring, detaches its PID (a later frame to
+// it is a dead letter; guesses are answered from the archive before any
+// is sent). It
+// reads the table directly, so it sends nothing. Moved tombstones are
+// dropped too. It returns how many final machines were archived.
+func (rt *router) collect() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	collected := 0
@@ -704,14 +828,22 @@ func (rt *router) collectHosted() int {
 		rt.eng.archive[a] = st == aid.True
 		rt.eng.mu.Unlock()
 		delete(rt.hosts, a)
+		if rt.ring == nil {
+			rt.eng.machine.Detach(a.PID())
+		}
 		collected++
 	}
 	return collected
 }
 
-// shutdown stops the retry pacer. The router process itself dies with
-// the machine.
-func (rt *router) shutdown() {
+// stopRetries stops the retry pacer.
+func (rt *router) stopRetries() {
 	close(rt.stop)
 	<-rt.done
+}
+
+// close stops the table's goroutine once nothing can address it any more.
+func (rt *router) close() {
+	rt.box.Close()
+	<-rt.stepped
 }

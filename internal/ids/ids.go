@@ -14,9 +14,9 @@ import (
 	"sync/atomic"
 )
 
-// PID identifies a process in the virtual process machine. Both user
-// processes and AID processes have PIDs. The zero PID is never allocated
-// and acts as "no process".
+// PID identifies a process in the virtual process machine, or an
+// assumption attached to its engine's AID table. The zero PID is never
+// allocated and acts as "no process".
 type PID uint64
 
 // NilPID is the reserved "no process" identifier.
@@ -33,9 +33,10 @@ func (p PID) String() string {
 // Valid reports whether p names an allocated process.
 func (p PID) Valid() bool { return p != NilPID }
 
-// AID identifies an optimistic assumption. In this implementation an AID
-// is realized by a dedicated AID process (as in the paper's prototype), so
-// an AID is the PID of its AID process.
+// AID identifies an optimistic assumption. The paper's prototype realizes
+// each assumption as a dedicated AID process; here an AID is a PID drawn
+// from the same allocator and attached to its engine's AID table, so
+// messages address an assumption exactly as they address a process.
 type AID PID
 
 // NilAID is the reserved "no assumption" identifier. guess(NilAID) in the
@@ -53,7 +54,7 @@ func (a AID) String() string {
 // Valid reports whether a names an allocated assumption.
 func (a AID) Valid() bool { return a != NilAID }
 
-// PID returns the PID of the AID process realizing this assumption.
+// PID returns the PID that addresses this assumption's machine.
 func (a AID) PID() PID { return PID(a) }
 
 // IntervalID identifies one interval in one process's execution history.

@@ -38,10 +38,11 @@ const (
 	KindRetract
 	// KindData is a user message tagged with the sender's IDO set.
 	KindData
-	// KindProbe is an engine-internal query of an AID process's current
-	// state, used by assumption garbage collection; the AID replies with
-	// a Data message whose payload is the state. Probes are not part of
-	// the paper's Table 1 and never originate from user primitives.
+	// KindProbe was an engine-internal query of an AID's state, used by
+	// assumption garbage collection before the engine's AID table could
+	// read its machines directly. Nothing sends it any more; the value
+	// stays so old frames and WALs still decode, and a table receiving
+	// one traces it as a violation.
 	KindProbe
 	// KindCutProbe asks an AID whether a UDO-based cycle cut of it is
 	// currently sound (the AID is still in the same conditional-affirm
@@ -241,11 +242,6 @@ func Retract(from ids.PID, iid ids.IntervalID, x ids.AID) *Message {
 // Data constructs a tagged user message.
 func Data(from, to ids.PID, iid ids.IntervalID, tag []ids.AID, payload any) *Message {
 	return &Message{Kind: KindData, From: from, To: to, IID: iid, Tag: tag, Payload: payload}
-}
-
-// Probe constructs a state query for x's AID process.
-func Probe(from ids.PID, x ids.AID) *Message {
-	return &Message{Kind: KindProbe, From: from, To: x.PID(), AID: x}
 }
 
 // Revive constructs a revive of x in the target interval's IDO.

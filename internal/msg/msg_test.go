@@ -94,10 +94,6 @@ func TestMessageString(t *testing.T) {
 }
 
 func TestNewProtocolConstructors(t *testing.T) {
-	p := Probe(3, x)
-	if p.Kind != KindProbe || p.To != x.PID() || p.AID != x {
-		t.Fatalf("Probe = %v", p)
-	}
 	r := Revive(x, iid)
 	if r.Kind != KindRevive || r.To != iid.Proc || r.IID != iid || r.AID != x {
 		t.Fatalf("Revive = %v", r)

@@ -114,7 +114,7 @@ func (a Asymmetric) Delay(from, to ids.PID) time.Duration {
 
 // Sites models a multi-site deployment: messages within a site take
 // Local, messages between sites take Remote. SiteOf maps a PID to its
-// site; unmapped PIDs (e.g. AID processes) are treated as colocated with
+// site; unmapped PIDs (e.g. assumptions' AIDs) are treated as colocated with
 // whichever peer they talk to, so control traffic to an assumption costs
 // Local — matching the paper's prototype, where AID processes are spawned
 // on the guessing host.

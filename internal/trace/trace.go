@@ -19,7 +19,7 @@ type Kind int
 const (
 	// Primitive records a user call to a HOPE primitive.
 	Primitive Kind = iota + 1
-	// AIDState records an AID process state transition.
+	// AIDState records an AID machine state transition.
 	AIDState
 	// Finalize records an interval becoming definite.
 	Finalize

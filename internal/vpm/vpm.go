@@ -1,8 +1,9 @@
 // Package vpm implements the virtual process machine — the substitute for
 // the paper's PVM substrate. Processes are goroutines with mailboxes,
 // identified by PIDs, exchanging asynchronous messages over a simulated
-// network (internal/netsim). Both HOPE user processes and AID processes
-// run as vpm processes.
+// network (internal/netsim). HOPE user processes run as vpm processes;
+// the engine's AID table attaches its assumptions' PIDs to one mailbox
+// instead (Attach), so an assumption costs no goroutine.
 package vpm
 
 import (
@@ -102,6 +103,21 @@ func (m *Machine) AllocPID() ids.PID {
 		}
 	}
 }
+
+// Attach registers h as pid's delivery handler without spawning a process
+// for it, and reserves pid so AllocPID never issues it. The engine's AID
+// table attaches every assumption it hosts this way; Detach undoes the
+// registration but keeps the reservation (PIDs are never reused).
+func (m *Machine) Attach(pid ids.PID, h transport.Handler) {
+	m.mu.Lock()
+	m.taken[pid] = true
+	m.mu.Unlock()
+	m.net.Register(pid, h)
+}
+
+// Detach removes an attached pid's handler; later deliveries to it are
+// dead letters, exactly as for an exited process.
+func (m *Machine) Detach(pid ids.PID) { m.net.Unregister(pid) }
 
 func (m *Machine) spawn(pid ids.PID, body Body) (*Proc, error) {
 	m.mu.Lock()

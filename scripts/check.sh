@@ -95,6 +95,18 @@ echo '== migration battery (pinned seeds, repeated under race)'
 go test -race -count=3 -run 'TestRingMovement|TestMigration|TestStaleRollback' \
     ./internal/cluster/ ./internal/core/
 
+echo '== AID table (repeated under race)'
+# Every engine hosts its assumptions' machines in one table stepped by one
+# goroutine under one lock (DESIGN.md §2, §13): no goroutine per AID,
+# collection reads the table without a message, a conflicting
+# affirm/deny is a violation with or without a ring — except the Affirm
+# of an already-retracted interval that a NACK retry delivers late, and
+# a lease deny that reaches an already affirmed owner — and a durable
+# restart reinstalls the AIDs it minted, adjudicated or not. The root
+# package is not raced anywhere else; three repetitions under the race
+# detector.
+go test -race -count=3 -run 'TestAIDsCostNoGoroutine|TestCollect|TestGuessAfterCollect|TestViolations|TestRestartRestoresMintedAIDs|TestRetriedAffirm|TestLeaseDeny' . ./internal/core/
+
 echo '== cycle-cut confirmation (gated, repeated under race)'
 # When a UDO hit costs a CutProbe round trip (DESIGN.md §4.9): none when
 # the interval saw the member affirmed and True is absorbing; one with the
