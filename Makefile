@@ -32,11 +32,12 @@ perf:
 # The third storm is membership churn: a dynamic 3-node cluster loses a
 # member to SIGKILL mid-speculation and absorbs a replacement, with the
 # sharded-ownership invariant checked over the survivors' final views.
-# The fourth adds --migrate: adjudication routes through the ring owners
-# and the dead owner's shard must be adopted from its WAL by the ring
+# The fourth adds --survive (every member on hoped --data-root):
+# adjudication routes through the ring owners, and the dead member's
+# shard and processes must be adopted from its WAL by the ring
 # successors, not denied (DESIGN.md §13).
 chaos:
 	go run ./cmd/hopebench chaos --nodes 3 --seed 42
 	go run ./cmd/hopebench chaos --nodes 2 --seed 10 --span 1s --reports 24 --perm-kill
 	go run ./cmd/hopebench chaos --churn --nodes 3 --seed 3
-	go run ./cmd/hopebench chaos --churn --migrate --nodes 3 --seed 1 --reports 24
+	go run ./cmd/hopebench chaos --churn --survive --nodes 3 --seed 1 --reports 24

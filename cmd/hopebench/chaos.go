@@ -42,8 +42,7 @@ func chaosExperiment(args []string) error {
 	vnodes := fs.Int("vnodes", 0, "churn: ring virtual nodes per member (0 = cluster default)")
 	deadAfter := fs.Duration("dead-after", 0, "churn: members' failure-detector death threshold (0 = harness default 1s)")
 	watermark := fs.Bool("watermark", false, "churn: run every member with the stability watermark (fast rounds) and assert the frontier resumes advancing after the churn")
-	migrate := fs.Bool("migrate", false, "churn: ownership-routed adjudication with live shard migration — the killed owner's in-flight speculative assumptions must be adopted (not denied) by the ring successors, with the WAL-hosted tables partitioning by the final ring")
-	transplant := fs.Bool("transplant", false, "churn: process transplant (implies --migrate) — the killed member's user processes must be reborn by deterministic replay on the ring-designated survivors, and the doomed workload must complete with exactly one final outcome")
+	survive := fs.Bool("survive", false, "churn: run every member with hoped --data-root (state survival) — the killed member's AID shard must be adopted (not denied) and its user processes reborn by deterministic replay on the ring-designated survivors, the WAL-hosted tables must partition by the final ring, and the doomed workload must complete with exactly one final outcome")
 	jsonOut := fs.String("json", "", "churn: also write the results as JSON to this file")
 	planOnly := fs.Bool("plan", false, "print each seed's fault plan and exit (no processes spawned)")
 	verbose := fs.Bool("v", false, "narrate the storm as it runs")
@@ -75,16 +74,13 @@ func chaosExperiment(args []string) error {
 
 	if *churn {
 		return churnStorms(seedList, *nodes, *vnodes, *deadAfter, *fsync, *hopedPath,
-			*pageSize, *reports, *watermark, *migrate, *transplant, *jsonOut, *verbose)
+			*pageSize, *reports, *watermark, *survive, *jsonOut, *verbose)
 	}
 	if *watermark {
 		return fmt.Errorf("--watermark needs --churn: the fault storm's children are not clustered, so no member would ever lead a stability round")
 	}
-	if *migrate {
-		return fmt.Errorf("--migrate needs --churn: shard migration is a membership-churn behavior, and the fault storm's children are not clustered")
-	}
-	if *transplant {
-		return fmt.Errorf("--transplant needs --churn: process transplant is a membership-churn behavior, and the fault storm's children are not clustered")
+	if *survive {
+		return fmt.Errorf("--survive needs --churn: state survival is a membership-churn behavior, and the fault storm's children are not clustered")
 	}
 
 	if *planOnly {
@@ -174,10 +170,9 @@ type churnRun struct {
 	Watermark   bool    `json:"watermark,omitempty"`
 	StableFront string  `json:"stable_frontier,omitempty"`
 	StableLagNS int64   `json:"stable_resume_ns,omitempty"`
-	Migrate     bool    `json:"migrate,omitempty"`
+	Survive     bool    `json:"survive,omitempty"`
 	Adopted     int     `json:"adopted,omitempty"`
 	AdoptNS     int64   `json:"adopt_latency_ns,omitempty"`
-	Transplant  bool    `json:"transplant,omitempty"`
 	TplProcs    int     `json:"transplanted,omitempty"`
 	TplNS       int64   `json:"transplant_adopt_latency_ns,omitempty"`
 	TplOutcomes int     `json:"transplant_final_outcomes,omitempty"`
@@ -196,10 +191,7 @@ type churnReport struct {
 // cluster from one seed node, SIGKILL of a member mid-speculation,
 // replacement join, ownership invariants over the final views.
 func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
-	fsync, hopedPath string, pageSize, reports int, watermark, migrate, transplant bool, jsonOut string, verbose bool) error {
-	if transplant {
-		migrate = true // the harness couples them the same way
-	}
+	fsync, hopedPath string, pageSize, reports int, watermark, survive bool, jsonOut string, verbose bool) error {
 	fmt.Println("CHAOS --churn — membership churn over a dynamic hoped cluster")
 	fmt.Printf("workload: %d reports × %d members, pageSize %d, fsync=%s; SIGKILL one member mid-speculation, join a replacement\n",
 		reports, nodes, pageSize, fsync)
@@ -224,15 +216,15 @@ func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
 		cfg := harness.ChurnConfig{
 			Seed: s, Nodes: nodes, HopedBin: bin, Fsync: fsync,
 			PageSize: pageSize, Reports: reports, VNodes: vnodes, DeadAfter: deadAfter,
-			Watermark: watermark, Migrate: migrate, Transplant: transplant,
+			Watermark: watermark, Survive: survive,
 		}
 		if verbose {
 			cfg.Log = os.Stderr
 		}
 		res, err := harness.RunChurn(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "churn seed %d FAILED: %v\nreplay: hopebench chaos --churn --nodes %d --seed %d --migrate=%v --transplant=%v\n",
-				s, err, nodes, s, migrate, transplant)
+			fmt.Fprintf(os.Stderr, "churn seed %d FAILED: %v\nreplay: hopebench chaos --churn --nodes %d --seed %d --reports %d --watermark=%v --survive=%v\n",
+				s, err, nodes, s, reports, watermark, survive)
 			return fmt.Errorf("seed %d: %w", s, err)
 		}
 		// Rollback rate: worker restarts per report across every
@@ -245,9 +237,9 @@ func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
 			JoinShare: res.JoinShare, Rollbacks: res.Rollbacks, RollbackPct: rate,
 			AutoDenied: res.AutoDenied, FinalEpoch: res.FinalEpoch,
 			Watermark: watermark, StableFront: res.StableFrontier, StableLagNS: res.StableLag.Nanoseconds(),
-			Migrate: migrate, Adopted: res.Adopted, AdoptNS: res.AdoptLatency.Nanoseconds(),
-			Transplant: transplant, TplProcs: res.Transplanted,
-			TplNS: res.TransplantLatency.Nanoseconds(), TplOutcomes: res.TransplantOutcomes,
+			Survive: survive, Adopted: res.Adopted, AdoptNS: res.AdoptLatency.Nanoseconds(),
+			TplProcs: res.Transplanted,
+			TplNS:    res.TransplantLatency.Nanoseconds(), TplOutcomes: res.TransplantOutcomes,
 			ElapsedNS: res.Elapsed.Nanoseconds(),
 		})
 		fmt.Printf("%-12d %10v %12v %12v %12v %10v %9.1f%% %8d %8d\n",
@@ -261,21 +253,17 @@ func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
 			fmt.Printf("  watermark survived churn: frontier %s at e%d, resumed %v after join agreement\n",
 				res.StableFrontier, res.FinalEpoch, res.StableLag.Round(time.Millisecond))
 		}
-		if migrate {
+		if survive {
 			fmt.Printf("  shard migrated: %d machine(s) adopted from node %d's WAL, adopt latency %v\n",
 				res.Adopted, res.Killed, res.AdoptLatency.Round(time.Millisecond))
-		}
-		if transplant {
 			fmt.Printf("  processes transplanted: %d reborn off node %d, adopt latency %v, doomed workload reached %d final outcome(s)\n",
 				res.Transplanted, res.Killed, res.TransplantLatency.Round(time.Millisecond), res.TransplantOutcomes)
 		}
 	}
 	fmt.Println("all invariants held: view agreement, sharded ownership (agreed ring, live owners),")
 	fmt.Println("liveness (no dead-owned speculation), verdict agreement, sequential layouts, per-pair FIFO")
-	if migrate {
+	if survive {
 		fmt.Println("migration: every survivor adopted its ring slice, hosted tables partition by the final ring, sequential page layouts held")
-	}
-	if transplant {
 		fmt.Println("transplant: every corpse process reborn exactly once at its ring owner, doomed workload completed with one final outcome")
 	}
 

@@ -103,10 +103,11 @@ func crashRestartRecovery(t *testing.T, extraArgs ...string) {
 
 	// AID frames are consumed by the AID table that steps them, so what
 	// recovery redelivers is process-bound traffic only.
-	orphans, err := durable.ReadOrphanFrames(dataDir)
+	ex, err := durable.ReadExtract(dataDir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	orphans := ex.Unconsumed
 	for _, m := range orphans {
 		switch m.Kind {
 		case msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract, msg.KindCutProbe, msg.KindProbe:

@@ -76,37 +76,38 @@
 // epoch is WAL-logged, so a restart resumes past it and can never
 // gossip a view staler than one it already announced.
 //
-// With --route (cluster mode only) AID adjudication is ownership-routed
-// (DESIGN.md §13): every guess/affirm/deny goes to the ring-designated
+// --data-root turns on state survival (DESIGN.md §13). It names the
+// parent directory holding every member's WAL as node<N> subdirectories
+// and needs cluster mode, --data-dir <data-root>/node<N> (survivors read
+// a dead member's WAL exactly there) and --serve printserver. A
+// surviving cluster does three things together. AID adjudication is
+// ownership-routed: every guess/affirm/deny goes to the ring-designated
 // owner for the current view epoch, stale-view senders are NACKed and
 // retry, and on a view change the node ships the assumption machines it
 // no longer owns to their new owners over the out-of-band transfer
-// frame. With --migrate (requires --route and --data-root, the parent
-// directory holding every node's WAL as node<N> subdirectories) a dead
-// owner's shard is adopted rather than denied: each survivor replays the
-// corpse's WAL-checkpointed AID table and absorbs the machines its own
-// ring now assigns to it, printing:
+// frame. A dead owner's shard is adopted rather than denied: each
+// survivor replays the corpse's WAL-checkpointed AID table and absorbs
+// the machines its own ring now assigns to it, printing:
 //
 //	HOPED ADOPTED node=2 from=3 count=5
 //
-// A durable node re-adopts its own AID table on restart, routed or not
-// (from= names itself). Every node must run with the same --route
-// setting; mixing is unsupported.
-//
-// With --transplant (requires --route and --data-root) a dead member's
-// user PROCESSES survive too, not just the assumption machines it
-// hosted: each survivor reads the corpse's WAL, takes the ring slice of
-// its processes, and rebirths them by deterministic replay under its
-// own PID namespace (DESIGN.md §13). The definite prefix of each
-// process is trusted; the speculative suffix is rolled back and re-run
-// from the replay frontier. Every survivor announces its slice:
+// And a dead member's user processes are transplanted: each survivor
+// takes the ring slice of the corpse's processes and rebirths them by
+// deterministic replay under its own PID namespace. The definite prefix
+// of each process is trusted; the speculative suffix is rolled back and
+// re-run from the replay frontier. Every survivor announces its slice:
 //
 //	HOPED TRANSPLANTED node=2 from=3 procs=1 map=844424930131970:562949953421314
 //
 // (map is old:new PID pairs, "-" when the slice is empty) and
-// broadcasts the mapping to its peers, so frames still addressed to
-// the dead incarnations are forwarded to the reborn ones. A durable
-// node re-adopts its own transplants on restart (from= names itself).
+// broadcasts the mapping to its peers, so frames still addressed to the
+// dead incarnations are forwarded to the reborn ones.
+//
+// Without --data-root a clustered node is unrouted and a dead member's
+// assumptions are denied. A durable node re-adopts its own AID table on
+// restart either way, and its own transplants when surviving (from=
+// names itself). Every member must agree on --data-root; mixing
+// surviving and non-surviving members is unsupported.
 package main
 
 import (
@@ -214,10 +215,7 @@ func run(args []string) error {
 	seedNode := fs.Bool("seed-node", false, "bootstrap a fresh cluster as its seed (enables dynamic membership)")
 	gossipEvery := fs.Duration("gossip-every", 0, "membership gossip period (0 = cluster default 150ms)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per member on the ownership ring (0 = default; must match cluster-wide)")
-	route := fs.Bool("route", false, "route AID adjudication to ring owners and migrate shards on view changes (needs cluster mode; must match cluster-wide)")
-	migrate := fs.Bool("migrate", false, "adopt a dead owner's shard from its WAL instead of denying it (needs --route and --data-root)")
-	transplant := fs.Bool("transplant", false, "rebirth a dead member's user processes from its WAL by deterministic replay (needs --route and --data-root)")
-	dataRoot := fs.String("data-root", "", "parent directory holding every node's WAL as node<N> subdirectories (shard adoption reads dead owners' logs here)")
+	dataRoot := fs.String("data-root", "", "parent directory holding every member's WAL as node<N> subdirectories; turns on state survival: ownership routing, adoption of a dead owner's AID shard, transplant of a dead member's processes (needs cluster mode, --data-dir <data-root>/node<N> and --serve printserver; must match cluster-wide)")
 	peers := peerMap{}
 	fs.Var(peers, "peer", "peer address as N=host:port (repeatable)")
 	join := peerMap{}
@@ -243,23 +241,16 @@ func run(args []string) error {
 	if *watermarkEvery != 0 && !*watermark {
 		return fmt.Errorf("--watermark-every needs --watermark")
 	}
-	if *route && !clustered {
-		return fmt.Errorf("--route needs cluster mode (--seed-node or --join)")
+	survive := *dataRoot != ""
+	nodeDir := func(id int) string { return filepath.Join(*dataRoot, fmt.Sprintf("node%d", id)) }
+	if survive && !clustered {
+		return fmt.Errorf("--data-root needs cluster mode (--seed-node or --join)")
 	}
-	if *migrate && !*route {
-		return fmt.Errorf("--migrate needs --route")
+	if survive && filepath.Clean(*dataDir) != nodeDir(*node) {
+		return fmt.Errorf("--data-root needs --data-dir %s, where survivors read this node's WAL (got %q)", nodeDir(*node), *dataDir)
 	}
-	if *migrate && *dataRoot == "" {
-		return fmt.Errorf("--migrate needs --data-root (where the dead owners' WALs live)")
-	}
-	if *transplant && !*route {
-		return fmt.Errorf("--transplant needs --route (reborn processes re-register assumptions with the ring owners)")
-	}
-	if *transplant && *dataRoot == "" {
-		return fmt.Errorf("--transplant needs --data-root (where the dead members' WALs live)")
-	}
-	if *transplant && *serve != "printserver" {
-		return fmt.Errorf("--transplant needs --serve printserver (rebirth replays the same deterministic body the corpse ran)")
+	if survive && *serve != "printserver" {
+		return fmt.Errorf("--data-root needs --serve printserver (transplant replays the same deterministic body the corpse ran)")
 	}
 
 	// A capped recorder keeps the tail of the transport's event stream
@@ -327,23 +318,19 @@ func run(args []string) error {
 					eng.DenyOwned(func(pid ids.PID) bool {
 						// A transplanted process was adopted, not lost: its
 						// reborn incarnation re-adjudicates what it minted.
-						return wire.NodeOf(pid) == dead && !(*transplant && eng.Transplanted(pid))
+						return wire.NodeOf(pid) == dead && !eng.Transplanted(pid)
 					}, fmt.Sprintf("node %d declared dead", dead))
 				}
 			},
 		}
-		if *route {
+		if survive {
 			// Frames stranded toward a dead peer come back here instead of
 			// being dropped: adjudications re-park on the routing retry
-			// queue and reach the ring successor; with --transplant,
-			// everything else (user Data toward the corpse's processes)
-			// parks until an adopter's announcement makes it forwardable.
+			// queue and reach the ring successor; everything else (user
+			// Data toward the corpse's processes) parks until an adopter's
+			// announcement makes it forwardable.
 			wcfg.Health.OnDeadFrame = func(_ int, m *msg.Message) {
-				eng := engRef.Load()
-				if eng == nil {
-					return
-				}
-				if !eng.RequeueRouted(m) && *transplant {
+				if eng := engRef.Load(); eng != nil && !eng.RequeueRouted(m) {
 					eng.RequeueTransplant(m)
 				}
 			}
@@ -365,7 +352,7 @@ func run(args []string) error {
 				return nil
 			},
 		}
-		if *route {
+		if survive {
 			// Shard handoff rides the out-of-band transfer frame; a batch
 			// arriving before the engine exists is dropped — the shipper
 			// re-offers it on its next view change.
@@ -378,8 +365,6 @@ func run(args []string) error {
 					}
 				},
 			}
-		}
-		if *transplant {
 			// Adoption announcements ride the out-of-band transplant frame:
 			// installing a peer's old→new map lets this node forward frames
 			// still addressed to the dead incarnations. First mapping wins,
@@ -461,7 +446,7 @@ func run(args []string) error {
 	defer n.Close()
 
 	ecfg.Transport = n
-	if *route {
+	if survive {
 		ecfg.Routing = &core.RoutingConfig{
 			Self:      *node,
 			NodeOf:    wire.NodeOf,
@@ -482,7 +467,7 @@ func run(args []string) error {
 			Lease: *lease,
 			Owner: func(a ids.AID) core.OwnerStatus {
 				owner := wire.NodeOf(a.PID())
-				if *route {
+				if survive {
 					// Ownership-routed: the adjudicator is the ring owner,
 					// not the minting node.
 					if m := mgrRef.Load(); m != nil {
@@ -528,6 +513,55 @@ func run(args []string) error {
 		}
 	}
 
+	// adoptCorpse takes over this node's ring slice of a dead member, read
+	// from its WAL in one fold, before anything it owned is denied.
+	adoptCorpse := func(id int, ring *cluster.Ring) {
+		ex, err := durable.ReadExtract(nodeDir(id), id)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hoped: node %d adopt from dead node %d: %v\n", *node, id, err)
+			return
+		}
+		// Rebirth our slice of the corpse's user processes first: an
+		// adopted process re-adjudicates its own assumptions (definite
+		// prefix re-fired, speculative suffix rolled back), so denial must
+		// skip what the transplant saved. The announcement is printed even
+		// for an empty slice — it proves the path ran.
+		if ex.ProcErr != nil {
+			fmt.Fprintf(os.Stderr, "hoped: node %d transplant from dead node %d: %v\n", *node, id, ex.ProcErr)
+		} else {
+			own := func(pid ids.PID) bool { return ring.Owns(*node, uint64(pid)) }
+			pairs, aerr := eng.AdoptProcesses(id, ex.Procs, own, rpc.PrintServer())
+			if aerr != nil {
+				fmt.Fprintf(os.Stderr, "hoped: node %d transplant from dead node %d: %v\n", *node, id, aerr)
+			}
+			fmt.Printf("HOPED TRANSPLANTED node=%d from=%d procs=%d map=%s\n",
+				*node, id, len(pairs), formatTransplantMap(pairs))
+			if len(pairs) > 0 {
+				announceTransplants(pairs)
+				// The corpse's swallowed output and the inbox backlog of
+				// the processes we adopted get a second life too; receivers
+				// absorb duplicates exactly as they absorb rollback re-sends.
+				eng.ReinjectCorpseTraffic(append(ex.Resend, ex.Unacked...), ex.Orphans)
+			}
+		}
+		// Then the shard: the machines our ring now assigns to us become
+		// ours (survivors each take only their own slice, so one corpse's
+		// shard partitions without overlap), and DenyOwned's grant-epoch
+		// check skips what the ring reassigned.
+		if count, err := eng.InstallExports(ex.AIDExports, true); err != nil {
+			fmt.Fprintf(os.Stderr, "hoped: node %d adopt from dead node %d: %v\n", *node, id, err)
+		} else {
+			fmt.Printf("HOPED ADOPTED node=%d from=%d count=%d\n", *node, id, count)
+		}
+		// The corpse also acked frames it never consumed: their senders
+		// pruned them, so only the WAL copy remains. Requeue the
+		// adjudications among them through our own ring — the current
+		// owner deduplicates replays.
+		for _, m := range ex.Unconsumed {
+			eng.RequeueRouted(m)
+		}
+	}
+
 	rootPID := uint64(0)
 	switch *serve {
 	case "printserver":
@@ -546,7 +580,7 @@ func run(args []string) error {
 	// frames died with the crash, then re-inject delivered-but-unconsumed
 	// inbound messages in arrival order.
 	if store != nil {
-		if *transplant && len(recov.Transplants) > 0 {
+		if survive && len(recov.Transplants) > 0 {
 			// Re-adopt our own recorded transplants: the hand-off records
 			// and forced exports made each adoption durable, so a crashed
 			// adopter rebirths them again (from= names ourselves, like a
@@ -611,7 +645,7 @@ func run(args []string) error {
 			Tracer:    tracer,
 			OnChange: func(v cluster.View, _ *cluster.Ring) {
 				fmt.Println(cluster.FormatViewLine(*node, v))
-				if *route {
+				if survive {
 					// Re-evaluate the hosted shard against the new ring and
 					// ship what moved to its new owners.
 					if e := engRef.Load(); e != nil {
@@ -626,70 +660,14 @@ func run(args []string) error {
 					if e == nil {
 						continue
 					}
-					dir := filepath.Join(*dataRoot, fmt.Sprintf("node%d", id))
-					if _, serr := os.Stat(dir); *transplant && serr == nil {
-						// Rebirth our ring slice of the corpse's user
-						// processes before denying anything it owned: an
-						// adopted process re-adjudicates its own assumptions
-						// (definite prefix re-fired, speculative suffix
-						// rolled back), so denial must skip what the
-						// transplant saved. The announcement is printed even
-						// for an empty slice — it proves the path ran.
-						ex, rerr := durable.ReadProcesses(dir, id)
-						if rerr != nil {
-							fmt.Fprintf(os.Stderr, "hoped: node %d transplant from dead node %d: %v\n", *node, id, rerr)
-						} else {
-							own := func(pid ids.PID) bool { return ring.Owns(*node, uint64(pid)) }
-							pairs, aerr := e.AdoptProcesses(id, ex.Procs, own, rpc.PrintServer())
-							if aerr != nil {
-								fmt.Fprintf(os.Stderr, "hoped: node %d transplant from dead node %d: %v\n", *node, id, aerr)
-							}
-							fmt.Printf("HOPED TRANSPLANTED node=%d from=%d procs=%d map=%s\n",
-								*node, id, len(pairs), formatTransplantMap(pairs))
-							if len(pairs) > 0 {
-								announceTransplants(pairs)
-								// The corpse's swallowed output and the inbox
-								// backlog of the processes we adopted get a
-								// second life too; receivers absorb duplicates
-								// exactly as they absorb rollback re-sends.
-								e.ReinjectCorpseTraffic(append(ex.Resend, ex.Unacked...), ex.Orphans)
-							}
-						}
-					}
-					if _, serr := os.Stat(dir); *migrate && serr == nil {
-						// Adopt before denying: the dead owner's WAL carries
-						// its checkpointed AID table, and the machines our
-						// ring now assigns to us become ours (survivors each
-						// take only their own slice, so one corpse's shard
-						// partitions without overlap). Adopted assumptions
-						// are then no longer orphans — DenyOwned's
-						// grant-epoch check skips what the ring reassigned.
-						// A dead peer with no WAL here was never a member
-						// with local state (e.g. an external client that
-						// gossip declared dead): nothing to adopt.
-						blobs, err := durable.ReadAIDExports(dir)
-						if err != nil {
-							fmt.Fprintf(os.Stderr, "hoped: node %d adopt from dead node %d: %v\n", *node, id, err)
-						} else {
-							count, ierr := e.InstallExports(blobs, true)
-							if ierr != nil {
-								fmt.Fprintf(os.Stderr, "hoped: node %d adopt from dead node %d: %v\n", *node, id, ierr)
-							} else {
-								fmt.Printf("HOPED ADOPTED node=%d from=%d count=%d\n", *node, id, count)
-							}
-						}
-						// The corpse also acked frames it never consumed: their
-						// senders pruned them, so only the WAL copy remains.
-						// Requeue the adjudications among them through our own
-						// ring — the current owner deduplicates replays.
-						if orphans, err := durable.ReadOrphanFrames(dir); err == nil {
-							for _, m := range orphans {
-								e.RequeueRouted(m)
-							}
-						}
+					// A dead peer with no WAL under --data-root was never a
+					// member with local state (e.g. an external client that
+					// gossip declared dead): nothing to take over.
+					if _, serr := os.Stat(nodeDir(id)); survive && serr == nil {
+						adoptCorpse(id, ring)
 					}
 					e.DenyOwned(func(pid ids.PID) bool {
-						return wire.NodeOf(pid) == id && !(*transplant && e.Transplanted(pid))
+						return wire.NodeOf(pid) == id && !e.Transplanted(pid)
 					}, fmt.Sprintf("node %d dead in view e%d", id, v.Epoch))
 				}
 			},
@@ -812,7 +790,7 @@ func run(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "hoped: node %d shutting down; net %v; wire %v\n",
 		*node, n.Stats(), n.WireStats())
-	if *route {
+	if survive {
 		fmt.Fprintf(os.Stderr, "hoped: node %d routing %+v\n", *node, eng.RoutingStats())
 	}
 	if mgr != nil {

@@ -69,10 +69,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			"need cluster mode"},
 		{"gossip-every without cluster", []string{"--node", "1", "--gossip-every", "50ms"},
 			"need cluster mode"},
+		{"data-root without cluster", []string{"--node", "1", "--data-dir", "/d/node1", "--data-root", "/d"},
+			"--data-root needs cluster mode"},
+		{"data-root without data-dir", []string{"--node", "1", "--seed-node", "--data-root", "/d"},
+			"--data-root needs --data-dir /d/node1"},
+		{"data-dir outside data-root", []string{"--node", "1", "--seed-node", "--data-dir", "/elsewhere", "--data-root", "/d"},
+			"--data-root needs --data-dir /d/node1"},
+		{"data-root without printserver", []string{"--node", "1", "--seed-node", "--data-dir", "/d/node1", "--data-root", "/d", "--serve", "none"},
+			"--data-root needs --serve printserver"},
 	}
 	// Retired tuning knobs: the transport has one write path and the
-	// default queue bounds; the WAL batches what piles up.
-	for _, name := range []string{"unbatched", "flush-delay", "queue-frames", "queue-bytes", "fsync-linger"} {
+	// default queue bounds; the WAL batches what piles up. Routing,
+	// migration and transplant are one mode, switched by --data-root.
+	for _, name := range []string{"unbatched", "flush-delay", "queue-frames", "queue-bytes", "fsync-linger", "route", "migrate", "transplant"} {
 		cases = append(cases, flagCase{"retired " + name,
 			[]string{"--node", "1", "--" + name + "=1"}, "flag provided but not defined: -" + name})
 	}

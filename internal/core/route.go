@@ -82,7 +82,7 @@ func (c *RoutingConfig) norm() *RoutingConfig {
 // it — before any frame of that drain is marked consumed — and an empty
 // blob as a tombstone when the AID is shipped away. A restart reinstalls its own table from these records,
 // and a dead owner's successor replays them to adopt the shard
-// (durable.ReadAIDExports).
+// (durable.ReadExtract).
 type AIDExporter interface {
 	AIDExport(a ids.AID, blob []byte)
 }
@@ -274,7 +274,7 @@ func isAdjudication(k msg.Kind) bool {
 // handle processes one inbound frame: a NACK of something we sent
 // (requeue it), an adjudication to step or reject under our own ring, or
 // a peer's Batch of them. run marks the frame consumed afterwards, which
-// keeps the delivered-but-unconsumed fold (ReadOrphanFrames,
+// keeps the delivered-but-unconsumed fold (ReadExtract,
 // Recovered.Redeliver) down to the frames a crash genuinely swallowed.
 func (rt *router) handle(m *msg.Message) {
 	switch {

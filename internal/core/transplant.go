@@ -14,7 +14,7 @@ import (
 // Process transplant (DESIGN.md §13): when a member dies for good, each
 // survivor adopts its ring slice of the corpse's user processes by
 // extracting their replay state from the dead node's WAL
-// (durable.ReadProcesses), deterministically replaying it into a fresh
+// (durable.ReadExtract), deterministically replaying it into a fresh
 // process under the survivor's PID namespace, and resuming from the
 // replay frontier.
 //
@@ -188,7 +188,7 @@ func (e *Engine) TransplantParked() int {
 }
 
 // AdoptProcesses transplants this node's ring slice of a dead node's
-// user processes. procs is the corpse extraction (durable.ReadProcesses
+// user processes. procs is the corpse extraction (durable.ReadExtract
 // reshaped to core's Restored); own selects the slice (nil adopts all);
 // body is the deterministic body to replay — the same function the
 // corpse ran, by the determinism contract. For each adopted process the
@@ -223,6 +223,15 @@ func (e *Engine) AdoptProcesses(from int, procs map[ids.PID]*Restored, own func(
 		}
 		newPid := e.machine.AllocPID()
 		r.Transplant = true
+		// The journal's WAL identities name the corpse's inbox, whose
+		// (node, seq) space collides with ours: cleared, as for
+		// ReinjectCorpseTraffic, so no adopted receive — re-folded from a
+		// checkpoint, or re-consumed after rollback — retires our frames.
+		for _, en := range r.Entries {
+			if en.Msg != nil {
+				en.Msg.SrcNode, en.Msg.SrcSeq = 0, 0
+			}
+		}
 		if tr, ok := e.persist.(TransplantRecorder); ok {
 			if err := tr.TransplantRecorded(from, old, newPid); err != nil {
 				return pairs, fmt.Errorf("core: record transplant of %s: %w", old, err)

@@ -9,10 +9,14 @@ import (
 
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/durable"
+	"github.com/hope-dist/hope/internal/ids"
+	"github.com/hope-dist/hope/internal/interval"
+	"github.com/hope-dist/hope/internal/journal"
 	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/netsim"
 	"github.com/hope-dist/hope/internal/transport"
 	"github.com/hope-dist/hope/internal/wal"
+	"github.com/hope-dist/hope/internal/wire"
 )
 
 // sharedNet suppresses Close: engine Shutdown closes its transport, and
@@ -160,9 +164,12 @@ func TestTransplantAdoptReplayContinuation(t *testing.T) {
 	})
 
 	// Node 2 adopts the corpse's processes from its WAL.
-	ex, err := durable.ReadProcesses(dirA, 1)
+	ex, err := durable.ReadExtract(dirA, 1)
 	if err != nil {
-		t.Fatalf("ReadProcesses: %v", err)
+		t.Fatalf("ReadExtract: %v", err)
+	}
+	if ex.ProcErr != nil {
+		t.Fatalf("ReadExtract: %v", ex.ProcErr)
 	}
 	if ex.Procs[serverPID] == nil {
 		t.Fatalf("corpse extraction lost the server: %v", ex.Procs)
@@ -247,5 +254,79 @@ func TestTransplantAdoptReplayContinuation(t *testing.T) {
 	r := recB.Restore[pairs[0].New]
 	if r == nil || len(r.Intervals) == 0 {
 		t.Fatalf("no respawnable snapshot recovered for the reborn PID: %v", r)
+	}
+}
+
+// TestTransplantAdoptedKeysDoNotCollide reproduces the adopter-side key
+// collision (DESIGN.md §13): a corpse's journalled receives carry the
+// corpse's WAL identities (SrcNode/SrcSeq of frames it was delivered),
+// which name the same (node, seq) space as the adopter's own inbox.
+// Adopt a process whose journal consumed node 3's seq 5, let the
+// adopter's own connection from node 3 deliver its seq 5 unconsumed,
+// checkpoint, restart: the adopter's frame must still be redelivered,
+// not retired by the adopted receive re-folded from the bracket.
+func TestTransplantAdoptedKeysDoNotCollide(t *testing.T) {
+	net := netsim.New(netsim.Constant(0))
+	defer net.Close()
+	dir := t.TempDir()
+	store, _, err := durable.OpenOptions(durable.Options{Dir: dir, NodeID: 2, Policy: wal.SyncAlways, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(core.Config{PIDBase: 2 << routePIDBits, Transport: &sharedNet{Transport: net}, Persist: store})
+
+	old, peer := ids.PID(1<<routePIDBits+1), ids.PID(3<<routePIDBits+1)
+	in := msg.Data(peer, old, ids.IntervalID{}, nil, 5)
+	in.SrcNode, in.SrcSeq = 3, 5
+	procs := map[ids.PID]*core.Restored{old: {
+		Intervals: []core.RestoredInterval{{ID: ids.IntervalID{Proc: old, Epoch: 1}, Kind: interval.Root, Definite: true}},
+		Entries:   []*journal.Entry{{Kind: journal.KindRecv, Msg: in}},
+		NextSeq:   1,
+		MaxEpoch:  1,
+	}}
+	replayed := make(chan any, 1)
+	body := func(ctx *core.Ctx) error {
+		v, _, err := ctx.Recv()
+		if err != nil {
+			return err
+		}
+		replayed <- v
+		_, _, err = ctx.Recv() // park until shutdown
+		return err
+	}
+	if pairs, err := eng.AdoptProcesses(1, procs, nil, body); err != nil || len(pairs) != 1 {
+		t.Fatalf("AdoptProcesses = %v, %v", pairs, err)
+	}
+	select {
+	case v := <-replayed:
+		if v != 5 {
+			t.Fatalf("replayed receive = %v, want 5", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the adopted journal was not replayed")
+	}
+
+	own, err := wire.EncodeMessage(msg.Data(peer, ids.PID(2<<routePIDBits+1), ids.IntervalID{}, nil, "own"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Delivered(3, 5, own); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Shutdown()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, rec, err := durable.Open(dir, 2, wal.SyncAlways, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if len(rec.Redeliver) != 1 || rec.Redeliver[0].Payload != "own" {
+		t.Fatalf("redeliver = %v, want the adopter's own unconsumed frame from node 3", rec.Redeliver)
 	}
 }

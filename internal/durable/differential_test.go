@@ -82,7 +82,8 @@ func TestDifferentialFold(t *testing.T) {
 }
 
 // foldAndDump folds a copy of the WAL at src every way the package
-// offers — restart recovery, process extraction, orphan frames — and
+// offers — restart recovery and the extract (processes, unconsumed
+// frames) — and
 // renders the results canonically.
 func foldAndDump(t *testing.T, src string, node int) string {
 	t.Helper()
@@ -90,13 +91,12 @@ func foldAndDump(t *testing.T, src string, node int) string {
 	copyDir(t, src, dir)
 	var b strings.Builder
 
-	ex, err := ReadProcesses(dir, node)
+	ex, err := ReadExtract(dir, node)
 	if err != nil {
-		t.Fatalf("ReadProcesses: %v", err)
+		t.Fatalf("ReadExtract: %v", err)
 	}
-	orphans, err := ReadOrphanFrames(dir)
-	if err != nil {
-		t.Fatalf("ReadOrphanFrames: %v", err)
+	if ex.ProcErr != nil {
+		t.Fatalf("ReadExtract: %v", ex.ProcErr)
 	}
 	s, rec, err := OpenOptions(Options{Dir: dir, NodeID: node, Policy: wal.SyncNone})
 	if err != nil {
@@ -142,7 +142,7 @@ func foldAndDump(t *testing.T, src string, node int) string {
 	dumpMsgs(&b, "unacked", ex.Unacked, true) // peers fold in map order
 	dumpMsgs(&b, "orphan", ex.Orphans, false)
 	same.Reset()
-	dumpMsgs(&same, "redeliver", orphans, false)
+	dumpMsgs(&same, "redeliver", ex.Unconsumed, false)
 	fmt.Fprintf(&b, "== orphan frames %s\n", digest(same.String()))
 	return b.String()
 }
@@ -395,9 +395,12 @@ func recordDifferential(t *testing.T, out string) {
 	// the server's WAL: a complete bracket, then a tail holding
 	// recTransplant plus the forced recProcIndex under the reborn PID, then
 	// a second bracket torn mid-write.
-	ex, err := ReadProcesses(sdir, 1)
+	ex, err := ReadExtract(sdir, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ex.ProcErr != nil {
+		t.Fatal(ex.ProcErr)
 	}
 	snap := ex.Procs[srv.PID()]
 	if snap == nil {

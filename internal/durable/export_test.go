@@ -12,7 +12,7 @@ import (
 
 // TestAIDExportRoundTrip pins the recAIDExport fold: last write per AID
 // wins, an empty blob tombstones, and both the restart path (Recovered)
-// and the forensic corpse-read path (ReadAIDExports) see the same map.
+// and the forensic corpse-read path (ReadExtract) see the same map.
 func TestAIDExportRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := openStore(t, dir)
@@ -44,11 +44,11 @@ func TestAIDExportRoundTrip(t *testing.T) {
 
 	// Forensic path: the successor reads the corpse's WAL without
 	// touching it.
-	exports, err := ReadAIDExports(dir)
+	ex, err := ReadExtract(dir, testSelf)
 	if err != nil {
-		t.Fatalf("ReadAIDExports: %v", err)
+		t.Fatalf("ReadExtract: %v", err)
 	}
-	check("ReadAIDExports", exports)
+	check("ReadExtract", ex.AIDExports)
 
 	// Restart path: the node's own recovery folds the same map.
 	s2, rec2 := openStore(t, dir)
@@ -57,11 +57,11 @@ func TestAIDExportRoundTrip(t *testing.T) {
 
 	// Reading a corpse must not modify it: a second forensic scan and a
 	// third recovery still agree.
-	exports2, err := ReadAIDExports(dir)
+	ex2, err := ReadExtract(dir, testSelf)
 	if err != nil {
-		t.Fatalf("ReadAIDExports (second): %v", err)
+		t.Fatalf("ReadExtract (second): %v", err)
 	}
-	check("ReadAIDExports second scan", exports2)
+	check("ReadExtract second scan", ex2.AIDExports)
 }
 
 // TestAIDExportSurvivesCheckpoint pins the re-emission: a checkpoint
@@ -91,11 +91,11 @@ func TestAIDExportSurvivesCheckpoint(t *testing.T) {
 		var got map[ids.AID][]byte
 		switch path {
 		case "forensic":
-			m, err := ReadAIDExports(dir)
+			ex, err := ReadExtract(dir, testSelf)
 			if err != nil {
-				t.Fatalf("ReadAIDExports: %v", err)
+				t.Fatalf("ReadExtract: %v", err)
 			}
-			got = m
+			got = ex.AIDExports
 		case "recover":
 			s2, rec := openStore(t, dir)
 			got = rec.AIDExports
@@ -138,10 +138,11 @@ func TestReadOrphanFrames(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	orphans, err := ReadOrphanFrames(dir)
+	ex, err := ReadExtract(dir, testSelf)
 	if err != nil {
-		t.Fatalf("ReadOrphanFrames: %v", err)
+		t.Fatalf("ReadExtract: %v", err)
 	}
+	orphans := ex.Unconsumed
 	if len(orphans) != 2 {
 		t.Fatalf("%d orphans, want 2: %v", len(orphans), orphans)
 	}

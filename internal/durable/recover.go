@@ -213,8 +213,8 @@ func (p *rProc) pendingSend() bool {
 // copies of their encoded bytes. Rollback, send/frame pairing and the
 // checkpoint all work on those headers, the checkpoint re-emits the
 // bytes verbatim, and values are materialised (payloads decoded) only
-// for what survives to the end of the stream — in finish, ReadProcesses
-// and ReadOrphanFrames. That is what lets the store run this same fold on
+// for what survives to the end of the stream — in finish and
+// ReadExtract. That is what lets the store run this same fold on
 // every record it appends (the shadow) without decoding what it has
 // just encoded.
 type recoverState struct {
@@ -835,40 +835,92 @@ func (rs *recoverState) dropTornBracket() {
 	}
 }
 
-// ReadAIDExports folds a node's WAL read-only and returns its hosted
-// AID snapshots — the last recAIDExport blob per AID, tombstones
-// elided. A ring successor calls it on a SIGKILLed owner's data
-// directory to adopt the corpse's shard (core's InstallExports with
-// onlyOwned=true). Damaged frames are skipped, not fatal: adoption wants
-// whatever snapshots survive, and a machine whose snapshot was lost is
-// lazily re-created Cold by the first retried adjudication.
-func ReadAIDExports(dir string) (map[ids.AID][]byte, error) {
-	rs, err := foldDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("durable: read aid exports: %w", err)
-	}
-	return rs.aidExports, nil
+// Extract is a node's WAL as read from the outside (ReadExtract): what
+// a survivor needs to take over a dead member — its AID shard, its
+// acknowledged-but-unconsumed frames, and its user processes.
+type Extract struct {
+	// AIDExports maps each AID the node hosted to its newest machine
+	// snapshot — the last recAIDExport blob per AID, tombstones elided.
+	// A ring successor adopts its slice (core's InstallExports with
+	// onlyOwned=true); a machine whose snapshot was lost is re-created
+	// Cold by the first retried adjudication.
+	AIDExports map[ids.AID][]byte
+	// Unconsumed holds the delivered-but-unconsumed inbound messages, in
+	// arrival order, SrcNode/SrcSeq stamped — the fold that feeds
+	// Recovered.Redeliver on a restart. The node acknowledged these
+	// frames (their recDelivered records are synced before the wire ack,
+	// see Store.SyncForAck) but never handed them to a consumer, so their
+	// senders pruned them and only the WAL copy remains. A ring successor
+	// feeds them through its routing retry queue (Engine.RequeueRouted);
+	// the new owner's applied set deduplicates survivors replaying the
+	// same corpse.
+	Unconsumed []*msg.Message
+	// Procs maps each of the node's user processes (by its PID there) to
+	// its replayable state — the fold that feeds Recovered.Restore on a
+	// self-restart. Terminated processes are included (flagged); adopters
+	// skip them. Poisoned processes are left out: their durable state is
+	// incomplete and rebirth from it would diverge.
+	Procs map[ids.PID]*core.Restored
+	// Resend holds journalled sends whose frames never reached the node's
+	// resend queue — replay treats the send as performed, so the adopter
+	// must re-send them.
+	Resend []*msg.Message
+	// ProcErr is set, and Procs and Resend are nil, when a surviving
+	// journal payload no longer decodes: replaying a journal with a hole
+	// would diverge, so no process is extracted. Everything else in the
+	// Extract stands.
+	ProcErr error
+	// Unacked holds the node's outbound Data messages still sitting
+	// unacknowledged in its resend queues. Its wire identity died with it,
+	// so nobody retransmits them; the adopter re-sends them as fresh
+	// messages. Delivery is at-least-once: a frame that did land just
+	// before the death arrives twice, absorbed the same way
+	// rollback-re-executed sends are (idempotent consumers, rpc CallID
+	// dedup).
+	Unacked []*msg.Message
+	// Orphans holds the unconsumed Data messages addressed to the node's
+	// own processes, in arrival order — the adopter re-injects the ones
+	// bound for processes it adopts.
+	Orphans []*msg.Message
 }
 
-// ReadOrphanFrames folds a node's WAL read-only and returns its
-// delivered-but-unconsumed inbound messages, in arrival order — the
-// same fold that feeds Recovered.Redeliver on a restart. These are the
-// frames the corpse acknowledged (their recDelivered records are
-// synced before the wire ack, see Store.SyncForAck) but never handed
-// to a consumer: the sender has already pruned them from its resend
-// queue, so nobody retransmits them. A ring successor feeds the
-// AID-bound ones through its own routing retry queue
-// (Engine.RequeueRouted) so an owner's death cannot swallow an
-// acknowledged adjudication; several survivors replaying the same
-// corpse are deduplicated by the new owner's applied set. Damaged
-// frames are skipped, not fatal, exactly like ReadAIDExports.
-func ReadOrphanFrames(dir string) ([]*msg.Message, error) {
-	rs, err := foldDir(dir, 0)
+// ReadExtract folds a node's WAL read-only, once, and returns everything
+// a survivor takes over from it (DESIGN.md §13). node is the WAL's wire
+// ID — the fold needs it for send/frame pairing exactly as a
+// self-recovery would. The files are never modified, so several
+// survivors can read one corpse concurrently, and a live node's WAL can
+// be read while it runs. Damaged frames are skipped, not fatal; an
+// undecodable journal payload fails process extraction only (ProcErr).
+func ReadExtract(dir string, node int) (*Extract, error) {
+	rs, err := foldDir(dir, node)
 	if err != nil {
-		return nil, fmt.Errorf("durable: read orphan frames: %w", err)
+		return nil, fmt.Errorf("durable: read extract: %w", err)
 	}
-	out, _ := rs.unconsumed()
-	return out, nil
+	ex := &Extract{AIDExports: rs.aidExports}
+	ex.Unconsumed, _ = rs.unconsumed()
+	if ex.Procs, ex.Resend, err = rs.restored(); err != nil {
+		ex.ProcErr = fmt.Errorf("durable: read processes: %w", err)
+	}
+	for _, p := range rs.peers {
+		for _, f := range p.frames {
+			// Non-Data loss is repaired by protocol re-fires.
+			if h, ok := wire.PeekHeader(f.Frame); !ok || h.Kind != msg.KindData || wire.NodeOf(h.From) != node {
+				continue
+			}
+			if m, err := wire.DecodeMessage(f.Frame); err == nil {
+				ex.Unacked = append(ex.Unacked, m)
+			}
+		}
+	}
+	for _, im := range rs.inbox {
+		if h, ok := wire.PeekHeader(im.frame); im.consumed || !ok || h.Kind != msg.KindData || wire.NodeOf(h.To) != node {
+			continue
+		}
+		if m, err := wire.DecodeMessage(im.frame); err == nil {
+			ex.Orphans = append(ex.Orphans, m)
+		}
+	}
+	return ex, nil
 }
 
 // unconsumed materialises the delivered-but-unconsumed inbox in arrival
@@ -887,75 +939,6 @@ func (rs *recoverState) unconsumed() (out []*msg.Message, skipped int) {
 		out = append(out, m)
 	}
 	return out, skipped
-}
-
-// ProcExtract is a dead node's user-process state as read from its WAL
-// by a survivor (ReadProcesses): everything a transplant needs to rebirth
-// the corpse's processes by deterministic replay.
-type ProcExtract struct {
-	// Procs maps each of the corpse's user processes (by its old PID) to
-	// its replayable state — the same fold that feeds Recovered.Restore
-	// on a self-restart. Terminated processes are included (flagged);
-	// adopters skip them.
-	Procs map[ids.PID]*core.Restored
-	// Resend holds journalled sends whose frames never reached the
-	// corpse's resend queue — replay treats the send as performed, so the
-	// adopter must re-send them.
-	Resend []*msg.Message
-	// Unacked holds the corpse's outbound Data messages still sitting
-	// unacknowledged in its resend queues. The corpse's wire identity
-	// died with it, so nobody retransmits them; the adopter re-sends them
-	// as fresh messages. Delivery is at-least-once: a frame that did land
-	// just before the death arrives twice, absorbed the same way
-	// rollback-re-executed sends are (idempotent consumers, rpc CallID
-	// dedup).
-	Unacked []*msg.Message
-	// Orphans holds Data messages delivered to the corpse but never
-	// consumed by any journal, in arrival order, addressed to the
-	// corpse's own processes — the adopter re-injects the ones bound for
-	// processes it adopts. (AID-bound orphans are the migration layer's
-	// job: ReadOrphanFrames + Engine.RequeueRouted.)
-	Orphans []*msg.Message
-}
-
-// ReadProcesses folds a dead node's WAL read-only and extracts its user
-// processes' replayable state for transplant (DESIGN.md §13). corpse is
-// the dead node's wire ID — the fold needs it for send/frame pairing
-// (which of the corpse's journalled sends still lack frames) exactly as
-// a self-recovery would. Each adopter filters Procs by its own ring
-// slice. Poisoned processes are skipped — their durable state is
-// incomplete and rebirth from it would diverge. A surviving record whose
-// payload no longer decodes is an error, never a silent skip: replaying
-// a journal with a hole would diverge.
-func ReadProcesses(dir string, corpse int) (*ProcExtract, error) {
-	rs, err := foldDir(dir, corpse)
-	if err != nil {
-		return nil, fmt.Errorf("durable: read processes: %w", err)
-	}
-	ex := &ProcExtract{}
-	if ex.Procs, ex.Resend, err = rs.restored(); err != nil {
-		return nil, fmt.Errorf("durable: read processes: %w", err)
-	}
-	for _, p := range rs.peers {
-		for _, f := range p.frames {
-			// Non-Data loss is repaired by protocol re-fires.
-			if h, ok := wire.PeekHeader(f.Frame); !ok || h.Kind != msg.KindData || wire.NodeOf(h.From) != corpse {
-				continue
-			}
-			if m, err := wire.DecodeMessage(f.Frame); err == nil {
-				ex.Unacked = append(ex.Unacked, m)
-			}
-		}
-	}
-	for _, im := range rs.inbox {
-		if h, ok := wire.PeekHeader(im.frame); im.consumed || !ok || h.Kind != msg.KindData || wire.NodeOf(h.To) != corpse {
-			continue
-		}
-		if m, err := wire.DecodeMessage(im.frame); err == nil {
-			ex.Orphans = append(ex.Orphans, m)
-		}
-	}
-	return ex, nil
 }
 
 // restored materialises every surviving process — not poisoned, with at

@@ -191,10 +191,12 @@ func appendUndecodable(t *testing.T, s *Store, pid ids.PID) {
 
 // TestUndecodablePayloadSurfacesAtOpen: the fold retains a payload it
 // cannot decode — the live shadow keeps checkpointing and re-emits it
-// verbatim — and the error comes from the OpenOptions / ReadProcesses
+// verbatim — and the error comes from the OpenOptions / ReadExtract
 // that must materialise it, naming the record's LSN and the process.
 // It is never a silent skip; a process that does not survive (poisoned)
-// takes its undecodable entries with it.
+// takes its undecodable entries with it. In ReadExtract the error fails
+// process extraction only: a survivor still adopts the node's AID shard
+// and requeues its unconsumed frames.
 func TestUndecodablePayloadSurfacesAtOpen(t *testing.T) {
 	for _, poisoned := range []bool{false, true} {
 		t.Run(fmt.Sprintf("poisoned=%v", poisoned), func(t *testing.T) {
@@ -204,6 +206,11 @@ func TestUndecodablePayloadSurfacesAtOpen(t *testing.T) {
 			s.IntervalOpen(pid, interval.NewRecord(ids.IntervalID{Proc: pid, Seq: 0, Epoch: 1}, interval.Root, 0))
 			s.JournalAppend(pid, &journal.Entry{Kind: journal.KindNote, Note: "fine"})
 			appendUndecodable(t, s, pid)
+			aid := ids.AID(remotePID(9))
+			s.AIDExport(aid, []byte("machine"))
+			if err := s.Delivered(1, 1, encode(t, msg.Data(remotePID(1), localPID(2), ids.IntervalID{}, nil, "frame"))); err != nil {
+				t.Fatal(err)
+			}
 			if poisoned {
 				s.poison(pid, "test")
 			}
@@ -218,7 +225,14 @@ func TestUndecodablePayloadSurfacesAtOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			_, exErr := ReadProcesses(dir, testSelf)
+			ex, err := ReadExtract(dir, testSelf)
+			if err != nil {
+				t.Fatalf("ReadExtract: %v", err)
+			}
+			if string(ex.AIDExports[aid]) != "machine" || len(ex.Unconsumed) != 1 || ex.Unconsumed[0].Payload != "frame" {
+				t.Fatalf("extract lost the shard or the frame: exports %v, unconsumed %v", ex.AIDExports, ex.Unconsumed)
+			}
+			exErr := ex.ProcErr
 			s2, _, openErr := OpenOptions(Options{Dir: dir, NodeID: testSelf, Policy: wal.SyncAlways})
 			if openErr == nil {
 				s2.Close()
@@ -229,7 +243,10 @@ func TestUndecodablePayloadSurfacesAtOpen(t *testing.T) {
 				}
 				return
 			}
-			for what, err := range map[string]error{"ReadProcesses": exErr, "OpenOptions": openErr} {
+			if ex.Procs != nil || ex.Resend != nil {
+				t.Fatalf("extract kept processes despite ProcErr: %v", ex.Procs)
+			}
+			for what, err := range map[string]error{"ReadExtract": exErr, "OpenOptions": openErr} {
 				if err == nil {
 					t.Fatalf("%s swallowed an undecodable journal entry", what)
 				}

@@ -194,7 +194,7 @@ func (s *Store) append(build func(b []byte) ([]byte, error)) error {
 // fail here: its bytes are retained and a checkpoint re-emits them
 // verbatim — exactly what a full replay of the log would have seen — and
 // the decode error surfaces where it always did, from the OpenOptions or
-// ReadProcesses that has to materialise the value.
+// ReadExtract that has to materialise the value.
 func (s *Store) foldShadowLocked(lsn uint64, payload []byte) {
 	if err := s.shadow.apply(lsn, payload); err != nil {
 		// What is left is a structurally malformed record, which only a
@@ -431,7 +431,7 @@ func (s *Store) AutoDenied(a ids.AID) {
 // adjudication with the machine's current export blob, and with an
 // empty blob as a tombstone when the machine is shipped to a new owner.
 // Recovery keeps the last record per AID, so a dead owner's successor
-// can adopt its shard by replaying this node's WAL (ReadAIDExports).
+// can adopt its shard by replaying this node's WAL (ReadExtract).
 // Engine-level, like AutoDenied.
 func (s *Store) AIDExport(a ids.AID, blob []byte) {
 	err := s.appendTagged(recAIDExport, func(b []byte) []byte {

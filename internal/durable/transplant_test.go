@@ -11,7 +11,7 @@ import (
 )
 
 // TestProcExtractMatchesRestartFold pins the transplant reader's core
-// contract: ReadProcesses folding a node's WAL from the outside must
+// contract: ReadExtract folding a node's WAL from the outside must
 // reconstruct exactly the per-process state the node's own restart
 // recovery would, and must do so read-only — a second forensic scan
 // sees the same thing, so several survivors can partition one corpse
@@ -41,9 +41,12 @@ func TestProcExtractMatchesRestartFold(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	ex, err := ReadProcesses(dir, testSelf)
+	ex, err := ReadExtract(dir, testSelf)
 	if err != nil {
-		t.Fatalf("ReadProcesses: %v", err)
+		t.Fatalf("ReadExtract: %v", err)
+	}
+	if ex.ProcErr != nil {
+		t.Fatalf("ReadExtract: %v", ex.ProcErr)
 	}
 	got := ex.Procs[pid]
 	if got == nil {
@@ -83,9 +86,9 @@ func TestProcExtractMatchesRestartFold(t *testing.T) {
 
 	// Read-only: the forensic scan changed nothing, so a second scan
 	// (another survivor adopting its own ring slice) sees the same state.
-	ex2, err := ReadProcesses(dir, testSelf)
+	ex2, err := ReadExtract(dir, testSelf)
 	if err != nil {
-		t.Fatalf("second ReadProcesses: %v", err)
+		t.Fatalf("second ReadExtract: %v", err)
 	}
 	if !reflect.DeepEqual(ex, ex2) {
 		t.Error("second forensic scan diverged — the reader is not read-only")
@@ -127,9 +130,12 @@ func TestTransplantRecordRoundTrip(t *testing.T) {
 		t.Fatalf("close corpse store: %v", err)
 	}
 
-	ex, err := ReadProcesses(dirA, testSelf)
+	ex, err := ReadExtract(dirA, testSelf)
 	if err != nil {
-		t.Fatalf("ReadProcesses: %v", err)
+		t.Fatalf("ReadExtract: %v", err)
+	}
+	if ex.ProcErr != nil {
+		t.Fatalf("ReadExtract: %v", ex.ProcErr)
 	}
 	snap := ex.Procs[old]
 	if snap == nil {

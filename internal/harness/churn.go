@@ -69,32 +69,24 @@ type ChurnConfig struct {
 	// once the corpse was evicted and the joiner absorbed.
 	Watermark bool
 
-	// Migrate runs every member with --route --migrate --data-root
-	// (ownership-routed adjudication plus WAL shard adoption) and routes
-	// the client's own adjudications through the members' announced
-	// views. The storm then also asserts migration semantics: every
-	// survivor adopts its slice of the corpse's shard (HOPED ADOPTED,
-	// with adopt-latency recorded), no surviving workload suffers a
-	// spurious denial (its page layout stays byte-for-byte the
-	// sequential one — a lease denial of a migrated-but-live assumption
-	// would insert an extra page break), and the WAL-visible hosted
-	// tables of the final members partition exactly by the final ring
-	// (oracle.CheckMigration).
-	Migrate bool
-
-	// Transplant runs every member with --transplant as well (implies
-	// Migrate): the SIGKILLed member's user processes — not just the
-	// assumption machines it hosted — must be reborn by deterministic
-	// replay on the ring-designated survivors (HOPED TRANSPLANTED, with
-	// adopt latency recorded). The storm then also asserts transplant
-	// semantics: every survivor announces its slice of the corpse's
-	// processes, the union of announcements rebirths each process
-	// exactly once at its ring owner (oracle.CheckTransplant — the
-	// at-most-one-incarnation fence), and the doomed workload COMPLETES
-	// against the reborn server instead of merely quiescing by denial:
-	// every client process reaches exactly one final outcome despite
-	// the host death.
-	Transplant bool
+	// Survive runs every member with --data-root (state survival:
+	// ownership-routed adjudication, WAL shard adoption and process
+	// transplant) and routes the client's own adjudications through the
+	// members' announced views. The storm then also asserts:
+	//   - every survivor adopts its slice of the corpse's shard (HOPED
+	//     ADOPTED) and of its user processes (HOPED TRANSPLANTED), with
+	//     adopt latencies recorded;
+	//   - the union of transplant announcements rebirths each corpse
+	//     process exactly once at its ring owner (oracle.CheckTransplant —
+	//     the at-most-one-incarnation fence);
+	//   - the doomed workload COMPLETES against the reborn server with
+	//     exactly one final outcome instead of quiescing by denial;
+	//   - no surviving workload suffers a spurious denial: its page layout
+	//     stays byte-for-byte the sequential one (a lease denial of a
+	//     migrated-but-live assumption would insert an extra page break);
+	//   - the WAL-visible hosted tables of the final members partition
+	//     exactly by the final ring (oracle.CheckMigration).
+	Survive bool
 
 	Tracer trace.Tracer // receives trace.Fault events (nil = discard)
 	Log    io.Writer    // storm narration (nil = discard)
@@ -103,12 +95,6 @@ type ChurnConfig struct {
 func (c *ChurnConfig) norm() error {
 	if c.HopedBin == "" {
 		return fmt.Errorf("churn: HopedBin is required")
-	}
-	if c.Transplant {
-		// Reborn processes re-register their assumptions through the ring
-		// owners, and the AID machines the corpse hosted must survive too
-		// or the replayed speculation would be denied on arrival.
-		c.Migrate = true
 	}
 	if c.Nodes == 0 {
 		c.Nodes = 3
@@ -165,13 +151,13 @@ type ChurnResult struct {
 	StableFrontier string
 	StableLag      time.Duration
 
-	// Migrate storms only: machines the survivors absorbed from the
+	// Survival storms only: machines the survivors absorbed from the
 	// corpse's WAL (summed over survivors — each takes only its ring
 	// slice), and kill → the first survivor's ADOPTED announcement.
 	Adopted      int
 	AdoptLatency time.Duration
 
-	// Transplant storms only: user processes reborn off the corpse
+	// Survival storms only: user processes reborn off the corpse
 	// (summed over survivors), and kill → the first survivor's
 	// TRANSPLANTED announcement — the process-adopt latency.
 	// TransplantOutcomes is the distinct definite outcomes the doomed
@@ -573,7 +559,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	// Client node 0 lives in-process and is NOT a cluster member: it
 	// drives workloads against every member over static peering, and its
 	// own detector + lease resolve whatever the killed member owned —
-	// the same layering a real external caller would run. In migrate
+	// the same layering a real external caller would run. In survival
 	// storms its adjudications additionally route by the ring the
 	// members announce (ownerRing), as a real external caller's would.
 	owners := &ownerRing{vnodes: cfg.VNodes}
@@ -589,22 +575,19 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 						// A transplanted process is not orphaned — its reborn
 						// incarnation answers for its assumptions, so denying
 						// them would race the adoption this deny backstops.
-						return wire.NodeOf(pid) == node && !(cfg.Transplant && eng.Transplanted(pid))
+						return wire.NodeOf(pid) == node && !eng.Transplanted(pid)
 					}, fmt.Sprintf("node %d declared dead", node))
 				}
 			},
 			OnDeadFrame: func(_ int, m *msg.Message) {
-				// An adjudication abandoned toward the corpse re-parks on
-				// the routing retry queue and reaches the ring successor
-				// once the views reassign the shard; in transplant storms
+				// In survival storms an adjudication abandoned toward the
+				// corpse re-parks on the routing retry queue and reaches
+				// the ring successor once the views reassign the shard;
 				// everything else (user traffic to the dead incarnation)
 				// parks on the transplant queue until a survivor's
-				// announcement installs the old→new mapping. No-op when
-				// routing is off (non-migrate storms).
-				if eng := engRef.Load(); eng != nil {
-					if !eng.RequeueRouted(m) && cfg.Transplant {
-						eng.RequeueTransplant(m)
-					}
+				// announcement installs the old→new mapping.
+				if eng := engRef.Load(); eng != nil && cfg.Survive && !eng.RequeueRouted(m) {
+					eng.RequeueTransplant(m)
 				}
 			},
 		},
@@ -655,13 +638,10 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 			// post-churn settling windows, not at hoped's default 250ms.
 			args = append(args, "--watermark", "--watermark-every", "50ms")
 		}
-		if cfg.Migrate {
+		if cfg.Survive {
 			// --data-root lets each member read its dead peers' WALs to
-			// adopt its ring slice of the corpse's shard.
-			args = append(args, "--route", "--migrate", "--data-root", dataRoot)
-		}
-		if cfg.Transplant {
-			args = append(args, "--transplant")
+			// adopt its ring slice of the corpse's shard and processes.
+			args = append(args, "--data-root", dataRoot)
 		}
 		if joinAddr == "" {
 			args = append(args, "--seed-node")
@@ -752,12 +732,12 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	// lands mid-speculation with assumptions owned across the ring.
 	// Routed adjudication adds two network hops to every client
 	// assumption, so a lease tuned for local adjudication misfires under
-	// migrate-mode load: spurious denials roll live work back and feed
-	// the rollback rate. Doubling the client's lease in migrate mode
+	// survival-mode load: spurious denials roll live work back and feed
+	// the rollback rate. Doubling the client's lease in survival mode
 	// keeps it a liveness backstop (the doomed workload still quiesces)
 	// without second-guessing the longer adjudication path.
 	clientLease := lease
-	if cfg.Migrate {
+	if cfg.Survive {
 		clientLease = 2 * lease
 	}
 	ecfg := core.Config{
@@ -771,7 +751,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 				}
 				h := client.HealthOf(node)
 				st := core.OwnerStatus{Remote: true, Dead: h.State == wire.PeerDead, LastHeard: h.LastHeard}
-				if st.Dead && cfg.Transplant {
+				if st.Dead {
 					// A machine whose owning process was transplanted moved
 					// with it; the adopter's health is the authoritative one,
 					// so the lease backstop does not misfire on the corpse.
@@ -789,7 +769,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 			},
 		},
 	}
-	if cfg.Migrate {
+	if cfg.Survive {
 		ecfg.Routing = &core.RoutingConfig{
 			Self: 0, NodeOf: wire.NodeOf, RouterPID: wire.RouterPID,
 			Owner: owners.owner,
@@ -837,32 +817,28 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	// themselves and re-own what the corpse held.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	victim := members[1+rng.Intn(cfg.Nodes)]
-	if cfg.Migrate {
+	if cfg.Survive {
 		// Hold the kill until the victim demonstrably hosts part of the
-		// shard: exports are tombstoned only when shipped on a view
-		// change, so once its WAL shows one the adoption count is ≥1 no
-		// matter how fast the workload adjudicates. The client frame
-		// gate above is satisfied by membership gossip alone and says
-		// nothing about routed machines.
+		// shard and its WAL can rebirth its root server: exports are
+		// tombstoned only when shipped on a view change, so once its WAL
+		// shows one the adoption count is ≥1 no matter how fast the
+		// workload adjudicates, and the transplant fence is exercised
+		// only if the journal extract includes the server. The client
+		// frame gate above is satisfied by membership gossip alone and
+		// says nothing about routed machines.
 		hostedBy := time.Now().Add(30 * time.Second)
 		for {
-			exports, err := durable.ReadAIDExports(victim.dataDir)
-			ready := err == nil && len(exports) > 0
-			if ready && cfg.Transplant {
-				// The transplant fence is only exercised if the corpse's WAL
-				// can rebirth its root server: hold the kill until the
-				// journal extract includes it.
-				ex, perr := durable.ReadProcesses(victim.dataDir, victim.id)
-				ready = perr == nil && ex.Procs[victim.pid] != nil
+			ex, err := durable.ReadExtract(victim.dataDir, victim.id)
+			if err == nil && ex.ProcErr != nil {
+				err = ex.ProcErr
 			}
-			if ready {
+			if err == nil && len(ex.AIDExports) > 0 && ex.Procs[victim.pid] != nil {
 				logf("%8v node %d hosts %d machine(s); killing it",
-					time.Since(start).Round(time.Millisecond), victim.id, len(exports))
+					time.Since(start).Round(time.Millisecond), victim.id, len(ex.AIDExports))
 				break
 			}
 			if time.Now().After(hostedBy) {
-				return res, fmt.Errorf("churn: node %d never hosted a machine (last read: %d exports, err=%v)",
-					victim.id, len(exports), err)
+				return res, fmt.Errorf("churn: node %d never hosted a machine and its server (last read: err=%v)", victim.id, err)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -906,28 +882,39 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		}
 	}
 
-	// Migrate storms: every survivor must adopt its ring slice of the
-	// corpse's WAL shard (count may be 0 for a survivor whose slice is
-	// empty, but the announcement itself is mandatory — it proves the
-	// adoption path ran). At least one machine must move in total, or
-	// the kill did not land mid-speculation and the storm proved
-	// nothing. AdoptLatency is kill → the earliest announcement.
-	if cfg.Migrate {
+	// Survival storms: every survivor must announce its ring slice of the
+	// corpse's WAL shard and of its user processes (either count may be 0
+	// for a survivor whose slice is empty, but both announcements are
+	// mandatory — they prove the adoption path ran). In total at least one
+	// machine must move, or the kill did not land mid-speculation and the
+	// storm proved nothing, and at least the victim's root server must be
+	// reborn. Each latency is kill → the earliest announcement: how long
+	// the corpse's shard and processes were dark.
+	announced := make(map[int][]core.TransplantPair)
+	if cfg.Survive {
 		adoptDeadline := time.Now().Add(30 * time.Second)
-		var earliest time.Time
+		var firstAdopt, firstTpl time.Time
 		for _, m := range survivors {
 			for {
-				if al, ok := m.watch.adoptedFrom(victim.id); ok {
+				al, adopted := m.watch.adoptedFrom(victim.id)
+				tl, transplanted := m.watch.transplantedFrom(victim.id)
+				if adopted && transplanted {
 					res.Adopted += al.count
-					if earliest.IsZero() || al.at.Before(earliest) {
-						earliest = al.at
+					res.Transplanted += tl.procs
+					announced[m.id] = tl.pairs
+					if firstAdopt.IsZero() || al.at.Before(firstAdopt) {
+						firstAdopt = al.at
 					}
-					logf("%8v node %d adopted %d machine(s) from node %d",
-						time.Since(start).Round(time.Millisecond), m.id, al.count, victim.id)
+					if firstTpl.IsZero() || tl.at.Before(firstTpl) {
+						firstTpl = tl.at
+					}
+					logf("%8v node %d adopted %d machine(s) and %d process(es) from node %d",
+						time.Since(start).Round(time.Millisecond), m.id, al.count, tl.procs, victim.id)
 					break
 				}
 				if time.Now().After(adoptDeadline) {
-					return res, fmt.Errorf("churn: node %d never announced adoption from node %d", m.id, victim.id)
+					return res, fmt.Errorf("churn: node %d never announced its adoption from node %d (ADOPTED %v, TRANSPLANTED %v)",
+						m.id, victim.id, adopted, transplanted)
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -935,88 +922,47 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		if res.Adopted < 1 {
 			return res, fmt.Errorf("churn: survivors adopted 0 machines from node %d — nothing was in flight at the kill", victim.id)
 		}
-		if res.AdoptLatency = earliest.Sub(tKill); res.AdoptLatency < 0 {
-			res.AdoptLatency = 0
-		}
-		logf("%8v adopted %d machine(s) total, latency %v",
-			time.Since(start).Round(time.Millisecond), res.Adopted, res.AdoptLatency.Round(time.Millisecond))
-	}
-
-	// Transplant storms: every survivor must also announce its ring slice
-	// of the corpse's user processes (procs may be 0 for a survivor whose
-	// slice is empty, but the announcement is mandatory — it proves the
-	// transplant path ran), and the union must rebirth at least the
-	// victim's root server. TransplantLatency is kill → the earliest
-	// announcement: how long the corpse's processes were dark.
-	announced := make(map[int][]core.TransplantPair)
-	if cfg.Transplant {
-		tplDeadline := time.Now().Add(30 * time.Second)
-		var earliest time.Time
-		for _, m := range survivors {
-			for {
-				if tl, ok := m.watch.transplantedFrom(victim.id); ok {
-					res.Transplanted += tl.procs
-					announced[m.id] = tl.pairs
-					if earliest.IsZero() || tl.at.Before(earliest) {
-						earliest = tl.at
-					}
-					logf("%8v node %d transplanted %d process(es) from node %d",
-						time.Since(start).Round(time.Millisecond), m.id, tl.procs, victim.id)
-					break
-				}
-				if time.Now().After(tplDeadline) {
-					return res, fmt.Errorf("churn: node %d never announced a transplant from node %d", m.id, victim.id)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
 		if res.Transplanted < 1 {
 			return res, fmt.Errorf("churn: survivors transplanted 0 processes from node %d — its WAL held none", victim.id)
 		}
-		if res.TransplantLatency = earliest.Sub(tKill); res.TransplantLatency < 0 {
-			res.TransplantLatency = 0
-		}
-		logf("%8v transplanted %d process(es) total, latency %v",
-			time.Since(start).Round(time.Millisecond), res.Transplanted, res.TransplantLatency.Round(time.Millisecond))
+		res.AdoptLatency = max(firstAdopt.Sub(tKill), 0)
+		res.TransplantLatency = max(firstTpl.Sub(tKill), 0)
+		logf("%8v adopted %d machine(s) and %d process(es) total, latency %v / %v",
+			time.Since(start).Round(time.Millisecond), res.Adopted, res.Transplanted,
+			res.AdoptLatency.Round(time.Millisecond), res.TransplantLatency.Round(time.Millisecond))
 	}
 
-	// Resolution: the doomed workload must quiesce — every assumption
-	// the victim owned denied (detector or lease) and dependents rolled
-	// back — and the survivors' workloads must complete fully definite.
+	// Resolution: the survivors' workloads must complete fully definite,
+	// and the doomed one too in survival storms. Otherwise it must
+	// quiesce — every assumption the victim owned denied (detector or
+	// lease) and dependents rolled back.
 	quiesce := time.Now().Add(90 * time.Second)
 	for _, w := range workloads {
 		doomed := w.member.id == victim.id
 		for {
 			st := w.worker.Snapshot()
-			if doomed {
-				if cfg.Transplant {
-					// The tentpole's claim: the doomed workload COMPLETES
-					// against the reborn server — fully definite, every
-					// report delivered — instead of merely quiescing by
-					// denial. That retained history is its one final outcome.
-					w.mu.Lock()
-					completed := w.done > 0
-					w.mu.Unlock()
-					if completed && st.Completed && st.AllDefinite && client.Inflight() == 0 {
-						res.Rollbacks += st.Restarts
-						res.Resolve = time.Since(tKill)
-						res.TransplantOutcomes = 1
-						break
-					}
-				} else if st.Completed && client.Inflight() == 0 &&
-					(st.AllDefinite || eng.AutoDenied() > 0) {
-					res.Rollbacks += st.Restarts
+			w.mu.Lock()
+			completed := w.done > 0
+			w.mu.Unlock()
+			settled := completed && st.Completed && st.AllDefinite && client.Inflight() == 0
+			if doomed && !cfg.Survive {
+				// Without survival the doomed workload only has to quiesce:
+				// its orphans denied, its dependents rolled back.
+				settled = st.Completed && client.Inflight() == 0 && (st.AllDefinite || eng.AutoDenied() > 0)
+			}
+			if settled {
+				res.Rollbacks += st.Restarts
+				if doomed {
 					res.Resolve = time.Since(tKill)
-					break
+					if cfg.Survive {
+						// The doomed workload COMPLETED against the reborn
+						// server — fully definite, every report delivered —
+						// instead of quiescing by denial. That retained
+						// history is its one final outcome.
+						res.TransplantOutcomes = 1
+					}
 				}
-			} else {
-				w.mu.Lock()
-				completed := w.done > 0
-				w.mu.Unlock()
-				if completed && st.Completed && st.AllDefinite && client.Inflight() == 0 {
-					res.Rollbacks += st.Restarts
-					break
-				}
+				break
 			}
 			if time.Now().After(quiesce) {
 				return res, fmt.Errorf("churn: no quiescence for node %d workload: worker completed=%v definite=%v restarts=%d deadAIDs=%d inflight=%d autodenied=%d routing=%+v",
@@ -1034,7 +980,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	// exactly once, at its ring owner — and the doomed workload must have
 	// reached exactly one final outcome. Checked before the join: adoption
 	// happened at death time, under the post-death ring.
-	if cfg.Transplant {
+	if cfg.Survive {
 		postDeath, err := awaitAgreement("post-death membership", survivors, survLive, 30*time.Second)
 		if err != nil {
 			return res, err
@@ -1096,25 +1042,25 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		return res, fmt.Errorf("churn: joiner node %d owns no share of the ring %v", joiner, ring)
 	}
 
-	// Migrate storms: the WAL-visible hosted tables of the final members
+	// Survival storms: the WAL-visible hosted tables of the final members
 	// must partition by the final ring — every live machine hosted by
 	// exactly one node, and that node its ring owner. The members are
 	// still running, so each table is read forensically mid-flight and
 	// polled: a snapshot torn across a transfer (source exported, target
 	// not yet landed) or a checkpoint rewrite heals on the next read.
-	if cfg.Migrate {
+	if cfg.Survive {
 		migrateDeadline := time.Now().Add(30 * time.Second)
 		for {
 			hosted := make(map[int][]uint64, len(finalMembers))
 			readable := true
 			for _, m := range finalMembers {
-				blobs, err := durable.ReadAIDExports(m.dataDir)
+				ex, err := durable.ReadExtract(m.dataDir, m.id)
 				if err != nil {
 					readable = false
 					break
 				}
 				keys := []uint64{}
-				for a := range blobs {
+				for a := range ex.AIDExports {
 					keys = append(keys, uint64(a))
 				}
 				hosted[m.id] = keys
@@ -1150,25 +1096,13 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		if err := oracle.CheckLiveness(name, w.worker.HistorySnapshot(), deadOwned); err != nil {
 			return res, err
 		}
-		if w.member.id == victim.id {
-			if !cfg.Transplant {
-				continue
-			}
-			// The doomed workload completed against the reborn server: its
-			// verdicts must agree like any survivor's and every report must
-			// have landed. Its page layout is exempt — rollbacks across the
-			// death legitimately insert extra page breaks.
-			if err := oracle.CheckWorker(name, w.worker.Snapshot()); err != nil {
-				return res, err
-			}
-			w.mu.Lock()
-			rep := w.rep
-			w.mu.Unlock()
-			if rep.Totals != cfg.Reports {
-				return res, fmt.Errorf("%s printed %d totals, want %d", name, rep.Totals, cfg.Reports)
-			}
+		doomed := w.member.id == victim.id
+		if doomed && !cfg.Survive {
 			continue
 		}
+		// In survival storms the doomed workload completed against the
+		// reborn server: its verdicts must agree like any survivor's and
+		// every report must have landed.
 		if err := oracle.CheckWorker(name, w.worker.Snapshot()); err != nil {
 			return res, err
 		}
@@ -1178,12 +1112,14 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		if rep.Totals != cfg.Reports {
 			return res, fmt.Errorf("%s printed %d totals, want %d", name, rep.Totals, cfg.Reports)
 		}
-		if cfg.Migrate {
+		if cfg.Survive && !doomed {
 			// Adopted, not denied: a spurious denial of a live migrated
 			// assumption would roll the worker back at a non-boundary
 			// report and insert an extra newpage, so the page layout
 			// diverging from the sequential one is the observable symptom
-			// of a lost or mis-adjudicated migration.
+			// of a lost or mis-adjudicated migration. The doomed workload
+			// is exempt — rollbacks across the death legitimately insert
+			// extra page breaks.
 			if want := expectPageBreaks(cfg.PageSize, cfg.Reports); rep.NewPageCalls != want {
 				return res, fmt.Errorf("%s made %d newpage calls, want %d (sequential layout)",
 					name, rep.NewPageCalls, want)

@@ -115,15 +115,6 @@ echo '== cycle-cut confirmation (gated, repeated under race)'
 # timed; three repetitions under the race detector.
 go test -race -count=3 -run 'TestCut|TestReviveClearsAffirmed' ./internal/core/
 
-echo '== shard migration churn smoke (pinned seed)'
-# The churn storm with --route --migrate: adjudication goes through the
-# ring owners, the SIGKILLed owner's hosted machines must be adopted
-# (not denied) by its ring successors from its WAL, the hosted tables
-# must partition by the final ring (oracle.CheckMigration), and every
-# survivor's page layout must match the no-churn control — a lost or
-# double-applied adjudication shows up as a divergent layout.
-go run ./cmd/hopebench chaos --churn --migrate --nodes 3 --seed 1 --reports 24
-
 echo '== transplant battery (pinned seeds, repeated under race)'
 # Process transplant (DESIGN.md §13): deterministic replay of a dead
 # node's user processes from its WAL, the adoption-time recProcIndex fold,
@@ -133,13 +124,19 @@ echo '== transplant battery (pinned seeds, repeated under race)'
 go test -race -count=3 -run 'TestTransplant|TestProcExtract|TestWatermarkMode|TestRetryQueue' \
     ./internal/core/ ./internal/durable/ ./internal/wire/
 
-echo '== process transplant churn smoke (pinned seed)'
-# The churn storm with --transplant on top of --migrate: the SIGKILLed
-# member's user processes must be reborn by deterministic replay on the
+echo '== survival churn smoke (pinned seed)'
+# The churn storm with every member on hoped --data-root (DESIGN.md §13):
+# adjudication goes through the ring owners; the SIGKILLed member's
+# hosted machines must be adopted (not denied) by its ring successors
+# from its WAL (at least one in total), and the hosted tables must
+# partition by the final ring (oracle.CheckMigration); its user
+# processes must be reborn by deterministic replay on the
 # ring-designated survivors (oracle.CheckTransplant — every corpse
-# process adopted exactly once, at its ring owner), and the doomed
-# workload must COMPLETE against the reborn server with exactly one
-# final outcome instead of quiescing by denial.
-go run ./cmd/hopebench chaos --churn --migrate --transplant --nodes 3 --seed 1 --reports 24
+# process adopted exactly once, at its ring owner); every survivor's
+# page layout must match the no-churn control — a lost or double-applied
+# adjudication shows up as a divergent layout; and the doomed workload
+# must COMPLETE against the reborn server with exactly one final
+# outcome instead of quiescing by denial.
+go run ./cmd/hopebench chaos --churn --survive --nodes 3 --seed 1 --reports 24
 
 echo 'check: OK'
