@@ -42,8 +42,8 @@
 // speculative after the lease (for example one whose confirming reply
 // died with a remote peer) is auto-denied too. Liveness decisions are
 // WAL-durable on a durable node — a restart does not resurrect them.
-// --stats-every prints wire counters and per-peer health to stderr
-// periodically.
+// --stats-every prints wire counters, per-peer health and the stability
+// agent's round counters to stderr periodically.
 //
 // With --watermark the node gates client-visible outputs on a
 // cluster-wide stability watermark: intervals still finalize locally by
@@ -209,9 +209,9 @@ func run(args []string) error {
 	suspectAfter := fs.Duration("suspect-after", 0, "mark a silent peer Suspect (and probe it) after this silence (0 = dead-after/4)")
 	deadAfter := fs.Duration("dead-after", 0, "declare a silent peer Dead after this silence: drop its queue, stop dialing, auto-deny what it owned (0 = failure detector off)")
 	lease := fs.Duration("lease", 0, "auto-deny any assumption still speculative after this long (0 = speculation leases off)")
-	statsEvery := fs.Duration("stats-every", 0, "print wire counters and per-peer health to stderr at this interval (0 = off)")
+	statsEvery := fs.Duration("stats-every", 0, "print wire counters, per-peer health and stability round counters to stderr at this interval (0 = off)")
 	watermark := fs.Bool("watermark", false, "gate client-visible outputs on the cluster-wide stability watermark (must match on every node; off = finalize externalizes immediately)")
-	watermarkEvery := fs.Duration("watermark-every", 0, "stability round cadence when this node initiates (0 = default 250ms)")
+	watermarkEvery := fs.Duration("watermark-every", 0, "fallback cadence of stability rounds when this node initiates; rounds start on demand whenever a member settles with uncovered work (0 = default 250ms)")
 	seedNode := fs.Bool("seed-node", false, "bootstrap a fresh cluster as its seed (enables dynamic membership)")
 	gossipEvery := fs.Duration("gossip-every", 0, "membership gossip period (0 = cluster default 150ms)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per member on the ownership ring (0 = default; must match cluster-wide)")
@@ -758,6 +758,9 @@ func run(args []string) error {
 					}
 					if mgr != nil {
 						fmt.Fprintf(&b, " cluster[%v]", mgr.Stats())
+					}
+					if a := agentRef.Load(); a != nil {
+						fmt.Fprintf(&b, " stability[%v]", a.Stats())
 					}
 					fmt.Fprintf(os.Stderr, "hoped: node %d stats: %v denied=%d%s\n",
 						*node, n.WireStats(), eng.AutoDenied(), b.String())

@@ -82,6 +82,17 @@ type Engine struct {
 	archive map[ids.AID]bool // collected assumptions → final verdict
 	closing bool
 
+	// Live work, so Quiet and FlushStable cost O(live work) rather than
+	// O(every process ever spawned): the machine's Pending counts frames
+	// put into user-process mailboxes and not yet handled by dispatch;
+	// active holds every process that is running or awaiting
+	// re-execution; holders every process withholding an Externalize
+	// output. Processes keep the two sets current under their own lock
+	// (Process.trackLocked), so lmu nests inside Process.mu.
+	lmu     sync.Mutex
+	active  map[*Process]struct{}
+	holders map[*Process]struct{}
+
 	runners sync.WaitGroup
 }
 
@@ -157,6 +168,8 @@ func NewEngine(cfg Config) *Engine {
 		restore: cfg.Restore,
 		procs:   make(map[ids.PID]*Process),
 		archive: make(map[ids.AID]bool),
+		active:  make(map[*Process]struct{}),
+		holders: make(map[*Process]struct{}),
 	}
 	// Every outbound message passes the transplant-translation chokepoint
 	// (one atomic load until a mapping is installed; see transplant.go).
@@ -266,9 +279,18 @@ func (e *Engine) spawn(body Body, birthIDO []ids.AID) (*Process, error) {
 		return nil, fmt.Errorf("spawn user process: %w", err)
 	}
 	p.bind(proc)
+	e.start(p)
+	return p, nil
+}
 
+// start registers a bound process and launches its runner. A spawn that
+// passed the closing check before Shutdown took its process snapshot
+// registers too late to be in it; that process is shut down here, or
+// Shutdown would wait for its runner forever.
+func (e *Engine) start(p *Process) {
 	e.mu.Lock()
 	e.procs[p.PID()] = p
+	closing := e.closing
 	e.mu.Unlock()
 
 	e.runners.Add(1)
@@ -276,7 +298,9 @@ func (e *Engine) spawn(body Body, birthIDO []ids.AID) (*Process, error) {
 		defer e.runners.Done()
 		p.run()
 	}()
-	return p, nil
+	if closing {
+		p.shutdown()
+	}
 }
 
 // Process returns the live process with the given PID, or nil.
@@ -355,15 +379,46 @@ func (e *Engine) Settle(timeout time.Duration) bool {
 	}
 }
 
-// quiet reports whether the AID table is idle and every process parked.
+// quiet reports whether the AID table is idle, no frame waits in or is
+// being handled from a user-process mailbox, and every process that can
+// still act on its own is parked. Completed and terminated processes are
+// never visited: only new frames (counted by the machine's Pending) can
+// wake them.
+//
+// The Pending count is read before the active set: a frame handled after
+// that read either left its process in the set (a rollback sets pending
+// before dispatch retires the frame) or changed nothing that can act.
 func (e *Engine) quiet() bool {
-	if e.router.busy() {
+	if e.router.busy() || e.machine.Pending() != 0 {
 		return false
 	}
-	for _, p := range e.Processes() {
+	for _, p := range e.snapshot(e.active) {
 		if !p.parked() {
 			return false
 		}
 	}
 	return true
+}
+
+// snapshot copies one of the live-work sets, so its members can be
+// visited without holding lmu (which nests inside Process.mu).
+func (e *Engine) snapshot(set map[*Process]struct{}) []*Process {
+	e.lmu.Lock()
+	defer e.lmu.Unlock()
+	out := make([]*Process, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	return out
+}
+
+// mark adds p to or removes it from one of the live-work sets.
+func (e *Engine) mark(set map[*Process]struct{}, p *Process, in bool) {
+	e.lmu.Lock()
+	if in {
+		set[p] = struct{}{}
+	} else {
+		delete(set, p)
+	}
+	e.lmu.Unlock()
 }

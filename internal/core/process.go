@@ -51,6 +51,10 @@ type Process struct {
 	restarts int
 	recving  bool // body parked inside Recv
 
+	// Membership of the engine's live-work sets, kept by trackLocked.
+	active  bool // running or awaiting re-execution
+	holding bool // withholding an Externalize output
+
 	// base is the latest compaction snapshot (see compact.go): the
 	// state a re-execution resumes from instead of replaying the
 	// process's whole life.
@@ -100,8 +104,24 @@ func (p *Process) bind(proc *vpm.Proc) {
 		root := p.newIntervalLocked(interval.Root, 0, p.birthIDO, ids.NilAID)
 		p.curIdx = p.history.Position(root.ID)
 	}
+	p.trackLocked()
 	p.mu.Unlock()
 	close(p.ready)
+}
+
+// trackLocked brings the engine's live-work sets in line with p's state:
+// p is active while it may still act on its own — running, or rolled
+// back and awaiting re-execution — and a holder while it withholds an
+// Externalize output. Called wherever that state changes.
+func (p *Process) trackLocked() {
+	if active := !p.term && (p.pending || !p.complete); active != p.active {
+		p.active = active
+		p.eng.mark(p.eng.active, p, active)
+	}
+	if holding := len(p.externs) > 0; holding != p.holding {
+		p.holding = holding
+		p.eng.mark(p.eng.holders, p, holding)
+	}
 }
 
 // PID returns the process identifier.
@@ -157,7 +177,10 @@ func (p *Process) send(m *msg.Message) {
 }
 
 // dispatch is the vpm body: the HOPElib message loop intercepting control
-// messages (paper Figure 3) and routing user data to the Recv queue.
+// messages (paper Figure 3) and routing user data to the Recv queue. Each
+// frame stays counted in the machine's Pending until its handler
+// returns, so Quiet never sees a frame that is neither queued nor acted
+// upon.
 func (p *Process) dispatch(proc *vpm.Proc) {
 	<-p.ready // wait for bind: proc handle and root interval installed
 	for {
@@ -187,6 +210,7 @@ func (p *Process) dispatch(proc *vpm.Proc) {
 			})
 			p.persistConsumed(m)
 		}
+		proc.Handled()
 	}
 }
 
@@ -524,6 +548,7 @@ func (p *Process) rollbackLocked(rec *interval.Record) {
 	p.dataQ.Requeue(requeue)
 
 	p.pending = true
+	p.trackLocked()
 	p.restarts++
 	p.eng.tracer.Emit(trace.Event{
 		Kind: trace.Rollback, PID: p.proc.PID(), Interval: rec.ID,
@@ -553,6 +578,7 @@ func (p *Process) terminateLocked() {
 		p.externs = nil
 	}
 	p.term = true
+	p.trackLocked()
 	p.dataQ.Interrupt()
 	p.stopOnce.Do(func() { close(p.stopCh) })
 }
@@ -578,6 +604,7 @@ func (p *Process) run() {
 		}
 		p.pending = false
 		p.complete = false
+		p.trackLocked()
 		// Drain any stale restart token from a rollback already covered
 		// by this re-execution.
 		select {
@@ -603,6 +630,7 @@ func (p *Process) run() {
 		p.mu.Lock()
 		p.complete = true
 		p.runErr = err
+		p.trackLocked()
 		p.mu.Unlock()
 
 		select {
@@ -636,7 +664,8 @@ func (p *Process) execute() (err error) {
 }
 
 // parked reports whether the process is currently at rest: terminated,
-// completed, or blocked in Recv with nothing queued.
+// completed, or blocked in Recv with nothing queued. Frames still in its
+// mailbox are the machine's Pending count, not this check.
 func (p *Process) parked() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -644,9 +673,6 @@ func (p *Process) parked() bool {
 		return true
 	}
 	if p.pending {
-		return false
-	}
-	if p.proc.Box().Len() > 0 {
 		return false
 	}
 	if p.complete {
@@ -658,7 +684,11 @@ func (p *Process) parked() bool {
 // Status is a consistent snapshot of a process's externally observable
 // state, used by tests and the experiment harness.
 type Status struct {
-	PID         ids.PID
+	PID ids.PID
+	// Completed: the body has returned and no re-execution is pending.
+	// A rollback of a completed process clears it at once, though the
+	// runner restarts the body a moment later: between the two, the
+	// truncated history can read all-definite.
 	Completed   bool
 	Terminated  bool
 	Err         error
@@ -674,7 +704,7 @@ func (p *Process) Snapshot() Status {
 	defer p.mu.Unlock()
 	return Status{
 		PID:         p.proc.PID(),
-		Completed:   p.complete,
+		Completed:   p.complete && !p.pending,
 		Terminated:  p.term,
 		Err:         p.runErr,
 		Restarts:    p.restarts,

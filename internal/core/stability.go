@@ -33,20 +33,22 @@ type Stability interface {
 }
 
 // Quiet reports whether the engine is locally quiescent: every mailbox
-// empty and every user process parked. The stability agent samples it
-// for sweep reports; unlike Settle it never waits.
+// frame handled and every user process parked. The stability agent
+// samples it for sweep reports; unlike Settle it never waits. Its cost
+// is O(live work): completed processes are not visited.
 func (e *Engine) Quiet() bool { return e.quiet() }
 
 // FlushStable runs every pending externalized output whose interval is
 // definite and covered by the stability frontier, in journal order per
 // process. The stability agent calls it after each frontier advance; it
-// is a no-op when the watermark is off.
+// is a no-op when the watermark is off. Only processes withholding an
+// output are visited.
 func (e *Engine) FlushStable() {
 	st := e.stability
 	if st == nil {
 		return
 	}
-	for _, p := range e.Processes() {
+	for _, p := range e.snapshot(e.holders) {
 		p.flushStable(st)
 	}
 }
@@ -77,6 +79,7 @@ func (p *Process) registerExternLocked(key externKey, epoch uint32, f func()) {
 		}
 	}
 	p.externs = append(p.externs, externRec{key: key, epoch: epoch, f: f})
+	p.trackLocked()
 }
 
 // flushStable releases every pending output whose interval is definite
@@ -86,6 +89,7 @@ func (p *Process) flushStable(st Stability) {
 	p.mu.Lock()
 	if p.term {
 		p.externs = nil
+		p.trackLocked()
 		p.mu.Unlock()
 		return
 	}
@@ -104,6 +108,7 @@ func (p *Process) flushStable(st Stability) {
 		}
 	}
 	p.externs = kept
+	p.trackLocked()
 	p.mu.Unlock()
 	for _, x := range run {
 		x.f()
@@ -131,4 +136,5 @@ func (p *Process) dropExternsLocked(fromIdx int) {
 		}
 	}
 	p.externs = kept
+	p.trackLocked()
 }

@@ -288,16 +288,7 @@ func (e *Engine) Transplant(pid ids.PID, body Body, r *Restored) (*Process, erro
 		return nil, fmt.Errorf("spawn transplant: %w", err)
 	}
 	p.bind(proc)
-
-	e.mu.Lock()
-	e.procs[p.PID()] = p
-	e.mu.Unlock()
-
-	e.runners.Add(1)
-	go func() {
-		defer e.runners.Done()
-		p.run()
-	}()
+	e.start(p)
 	return p, nil
 }
 

@@ -10,6 +10,7 @@ package mailbox
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hope-dist/hope/internal/msg"
 )
@@ -30,12 +31,25 @@ type Box struct {
 	items     []*msg.Message
 	closed    bool
 	interrupt bool
+	count     *atomic.Int64 // nil, or bumped once per Put (NewCounted)
 }
 
 // New returns an empty mailbox.
 func New() *Box {
 	b := &Box{}
 	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+// NewCounted returns an empty mailbox that adds one to c for every
+// message Put enqueues, before a receiver can see the message. The
+// receiver subtracts one when it has finished handling a message, so a
+// c shared by many boxes counts the messages queued or in hand across
+// all of them. Requeue and Purge do not count: a counted box is fed by
+// Put alone.
+func NewCounted(c *atomic.Int64) *Box {
+	b := New()
+	b.count = c
 	return b
 }
 
@@ -52,6 +66,9 @@ func (b *Box) Put(m *msg.Message) {
 	b.lazyInit()
 	if b.closed {
 		return
+	}
+	if b.count != nil {
+		b.count.Add(1)
 	}
 	b.items = append(b.items, m)
 	b.cond.Signal()

@@ -34,6 +34,7 @@ const (
 	pkSweep   = 1 // initiator -> member: report yourselves (round, sweep)
 	pkReport  = 2 // member -> initiator: Report
 	pkAdvance = 3 // initiator -> member: agreed frontier
+	pkWant    = 4 // member -> initiator: I am settled with uncovered work
 )
 
 func appendUv(b []byte, v uint64) []byte {
@@ -125,9 +126,12 @@ func EncodeAdvance(viewEpoch uint64, frontier map[int]uint32) []byte {
 	return b
 }
 
+// EncodeWant encodes a member's demand for a round: one byte.
+func EncodeWant() []byte { return []byte{pkWant} }
+
 // Payload is a decoded stability frame.
 type Payload struct {
-	Kind      int // pkSweep, pkReport, pkAdvance
+	Kind      int // pkSweep, pkReport, pkAdvance, pkWant
 	ViewEpoch uint64
 	Round     uint64
 	Sweep     uint8
@@ -217,6 +221,7 @@ func Decode(b []byte) (Payload, error) {
 			}
 			p.Frontier[int(n)] = uint32(e)
 		}
+	case pkWant:
 	default:
 		return p, fmt.Errorf("stability: unknown payload kind %d", p.Kind)
 	}

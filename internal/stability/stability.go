@@ -56,13 +56,32 @@ type Tracker struct {
 	maxEpoch  uint32
 	viewEpoch uint64
 	frontier  map[int]uint32
+	demand    chan struct{} // buffered 1: at most one pending signal
 
 	audit *Audit
 }
 
 // NewTracker constructs a tracker for the given node ID.
 func NewTracker(node int) *Tracker {
-	return &Tracker{node: node, frontier: make(map[int]uint32)}
+	return &Tracker{node: node, frontier: make(map[int]uint32), demand: make(chan struct{}, 1)}
+}
+
+// Demand is signalled whenever the node becomes settled — no unsettled
+// interval — while holding an interval epoch its own frontier entry
+// does not cover: a round could now advance the frontier. Signals
+// coalesce; the node's Agent reads them (DESIGN.md §12, rounds on
+// demand).
+func (t *Tracker) Demand() <-chan struct{} { return t.demand }
+
+// signalLocked raises Demand when settled work is uncovered. The send
+// never blocks: Settled and Issued run under a process lock.
+func (t *Tracker) signalLocked() {
+	if t.unsettled == 0 && t.maxEpoch > t.frontier[t.node] {
+		select {
+		case t.demand <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Node returns the owning node ID.
@@ -96,6 +115,7 @@ func (t *Tracker) Issued(epoch uint32) {
 	if epoch > t.maxEpoch {
 		t.maxEpoch = epoch
 	}
+	t.signalLocked()
 	t.mu.Unlock()
 }
 
@@ -105,6 +125,7 @@ func (t *Tracker) Settled(epoch uint32) {
 	t.mu.Lock()
 	t.events++
 	t.unsettled--
+	t.signalLocked()
 	t.mu.Unlock()
 }
 

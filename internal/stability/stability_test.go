@@ -88,6 +88,13 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("advance round-trip: %+v", p)
 	}
 
+	if w := EncodeWant(); len(w) != 1 {
+		t.Fatalf("want frame is %d bytes, want 1", len(w))
+	}
+	if p, err = Decode(EncodeWant()); err != nil || p.Kind != pkWant {
+		t.Fatalf("want round-trip: %+v, %v", p, err)
+	}
+
 	for _, bad := range [][]byte{nil, {}, {pkSweep}, {pkReport, 1, 0x80}, {99, 1, 2}} {
 		if _, err := Decode(bad); err == nil {
 			t.Fatalf("Decode(%v) accepted", bad)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hope-dist/hope/internal/ids"
 	"github.com/hope-dist/hope/internal/mailbox"
@@ -39,6 +40,11 @@ type Machine struct {
 	taken  map[ids.PID]bool // every PID ever spawned; AllocPID skips these
 	closed bool
 
+	// pending counts the messages queued in any process mailbox or in
+	// its body's hand: every mailbox adds one per message it enqueues
+	// (mailbox.NewCounted) and Proc.Handled subtracts one.
+	pending atomic.Int64
+
 	wg sync.WaitGroup
 }
 
@@ -53,6 +59,12 @@ func New(net transport.Transport) *Machine {
 		taken: make(map[ids.PID]bool),
 	}
 }
+
+// Pending returns the number of messages put into any process mailbox
+// of this machine for which the receiving body has not yet called
+// Handled. It is exact only if every body calls Handled once per
+// message it receives.
+func (m *Machine) Pending() int64 { return m.pending.Load() }
 
 // Net returns the machine's transport (for statistics and draining).
 func (m *Machine) Net() transport.Transport { return m.net }
@@ -132,7 +144,7 @@ func (m *Machine) spawn(pid ids.PID, body Body) (*Proc, error) {
 	m.taken[pid] = true
 	p := &Proc{
 		pid:     pid,
-		box:     mailbox.New(),
+		box:     mailbox.NewCounted(&m.pending),
 		machine: m,
 		done:    make(chan struct{}),
 	}
@@ -203,9 +215,9 @@ func (m *Machine) Shutdown() {
 // PID returns the process identifier.
 func (p *Proc) PID() ids.PID { return p.pid }
 
-// Box returns the process mailbox. The HOPE library layers its own
-// dispatcher on top of it.
-func (p *Proc) Box() *mailbox.Box { return p.box }
+// Handled tells the machine the body has finished handling one message
+// it received, so Machine.Pending stops counting it.
+func (p *Proc) Handled() { p.machine.pending.Add(-1) }
 
 // Done is closed when the process body has exited.
 func (p *Proc) Done() <-chan struct{} { return p.done }

@@ -37,6 +37,18 @@ echo '== premature-commit window regression (pinned seeds, repeated under race)'
 # load, three repetitions under the race detector (DESIGN.md §12).
 go test -race -count=3 -run TestPrematureCommitWindow ./internal/stability/
 
+echo '== rounds on demand + exact quiescence (repeated under race)'
+# Rounds start when a member settles with uncovered work (pkWant from a
+# non-initiator), a non-quiet sweep one ends the round with no sweep-two
+# frame, a busy node starts at most one round per signal or tick (also
+# under a closed loop of gated jobs between two engines), and a
+# report reads Delivered before Quiet before Sent (DESIGN.md §12).
+# Engine.Quiet must see a frame at a completed process, a rolled-back
+# process awaiting re-execution and data queued for a Recv-blocked
+# process, without visiting completed processes.
+go test -race -count=3 -run 'TestReportOrderHole|TestRoundsOnDemand|TestSweepOneEndsRound|TestBusyNodeDoesNotSpin|TestDemandRoundsUnderLoad|TestCodecRoundTrip|TestQuiet' \
+    ./internal/stability/ ./internal/core/
+
 echo '== wire + wal + cluster + durable + interval fuzz corpus replay'
 # Replays the seed corpora plus any regression inputs under testdata/fuzz
 # without fuzzing (no -fuzz flag): cheap, deterministic, catches codec,
