@@ -222,6 +222,15 @@ func TestErrTerminatedSurface(t *testing.T) {
 	if !sys.Settle(10 * time.Second) {
 		t.Fatal("no settle before deny")
 	}
+	// Take the handle while the child is parked: once terminated it is
+	// reaped, and only a held *Process still reads its status.
+	mu.Lock()
+	pid := childPID
+	mu.Unlock()
+	child := sys.Process(pid)
+	if child == nil {
+		t.Fatal("child not found")
+	}
 	if _, err := sys.Spawn(func(ctx *hope.Ctx) error {
 		ctx.Deny(x)
 		return nil
@@ -230,13 +239,6 @@ func TestErrTerminatedSurface(t *testing.T) {
 	}
 	if !sys.Settle(10 * time.Second) {
 		t.Fatal("no settle")
-	}
-	mu.Lock()
-	pid := childPID
-	mu.Unlock()
-	child := sys.Process(pid)
-	if child == nil {
-		t.Fatal("child not found")
 	}
 	st := child.Snapshot()
 	if !st.Terminated {

@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +33,7 @@ import (
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/faultwire"
 	"github.com/hope-dist/hope/internal/oracle"
+	"github.com/hope-dist/hope/internal/trace"
 )
 
 // chaosSeeds resolves the seed list: HOPE_CHAOS_SEEDS, or 100..105.
@@ -49,12 +51,15 @@ func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
+	var terminated atomic.Int64
+	defer requireTerminations(t, &terminated)
 	for _, seed := range chaosSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sys := hope.New(hope.WithJitterLatency(0, 500*time.Microsecond, seed))
+			term := &terminations{}
+			sys := term.attach(hope.New(hope.WithJitterLatency(0, 500*time.Microsecond, seed), hope.WithTracer(term)))
 			defer sys.Shutdown()
-			chaosRun(t, seed, sys)
+			terminated.Add(int64(chaosRun(t, seed, sys, term)))
 		})
 	}
 }
@@ -70,6 +75,8 @@ func TestChaosSoakFaultNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
+	var terminated atomic.Int64
+	defer requireTerminations(t, &terminated)
 	for _, seed := range chaosSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -87,9 +94,10 @@ func TestChaosSoakFaultNet(t *testing.T) {
 				SiteOf:     faultwire.SplitSites(3),
 				Partitions: faultwire.GenWindows(seed, 3, 2, span),
 			})
-			sys := hope.New(hope.WithTransport(fw))
+			term := &terminations{}
+			sys := term.attach(hope.New(hope.WithTransport(fw), hope.WithTracer(term)))
 			defer sys.Shutdown()
-			chaosRun(t, seed, sys)
+			terminated.Add(int64(chaosRun(t, seed, sys, term)))
 			// Let the whole window schedule play out before reading the
 			// counters; a window can open after the workload settles, and
 			// its timers can fire late when the test host is loaded, so
@@ -118,9 +126,52 @@ func TestChaosSoakFaultNet(t *testing.T) {
 	}
 }
 
+// terminations is a tracer that keeps the handle of every process the
+// runtime terminates. A terminated process is reaped and leaves
+// Processes(), so the handle is taken when the Terminate event is
+// emitted: the process is still live then, and its Snapshot stays
+// readable after it is reaped.
+type terminations struct {
+	sys    atomic.Pointer[hope.System]
+	mu     sync.Mutex
+	procs  []*hope.Process
+	missed []hope.PID
+}
+
+// attach binds the tracer to the system it was installed in.
+func (w *terminations) attach(sys *hope.System) *hope.System {
+	w.sys.Store(sys)
+	return sys
+}
+
+// Emit implements hope.Tracer.
+func (w *terminations) Emit(ev trace.Event) {
+	if ev.Kind != trace.Terminate {
+		return
+	}
+	p := w.sys.Load().Process(ev.PID)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if p == nil {
+		w.missed = append(w.missed, ev.PID)
+		return
+	}
+	w.procs = append(w.procs, p)
+}
+
+// requireTerminations fails a soak in which no process was terminated:
+// the termination invariant would then have been checked on nothing.
+func requireTerminations(t *testing.T, n *atomic.Int64) {
+	t.Helper()
+	if !t.Failed() && n.Load() == 0 {
+		t.Fatal("no process was terminated across the soak's seeds")
+	}
+}
+
 // chaosRun drives the randomized workload derived from seed against an
-// already-constructed system and checks the shared invariants.
-func chaosRun(t *testing.T, seed int64, sys *hope.System) {
+// already-constructed system whose tracer is term, checks the shared
+// invariants, and returns how many processes were terminated.
+func chaosRun(t *testing.T, seed int64, sys *hope.System, term *terminations) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -256,8 +307,23 @@ func chaosRun(t *testing.T, seed int64, sys *hope.System) {
 	}
 
 	// Terminated processes must all be speculative children (the echo
-	// service, deciders, and workers are definite roots).
-	snaps := make([]core.Status, 0, len(sys.Processes()))
+	// service, deciders, and workers are definite roots), and each must
+	// carry its error. A terminated process is reaped, so the check reads
+	// the handles the tracer took at termination, beside the live ones.
+	term.mu.Lock()
+	dead, missed := term.procs, term.missed
+	term.mu.Unlock()
+	if len(missed) > 0 {
+		t.Fatalf("terminated processes %v had left the engine before their Terminate event", missed)
+	}
+	snaps := make([]core.Status, 0, len(dead)+len(sys.Processes()))
+	for _, p := range dead {
+		st := p.Snapshot()
+		if !st.Terminated {
+			t.Fatalf("process %v traced as terminated but is not: %+v", p.PID(), st)
+		}
+		snaps = append(snaps, st)
+	}
 	for _, p := range sys.Processes() {
 		snaps = append(snaps, p.Snapshot())
 	}
@@ -277,4 +343,5 @@ func chaosRun(t *testing.T, seed int64, sys *hope.System) {
 	if n < nAIDs {
 		t.Fatalf("collected %d assumptions, want at least %d", n, nAIDs)
 	}
+	return len(dead)
 }

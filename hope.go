@@ -189,12 +189,16 @@ func (s *System) NewAID() (AID, error) {
 	return s.eng.NewAID()
 }
 
-// Process returns the live process with the given PID, or nil.
+// Process returns the live process with the given PID, or nil. A
+// process that completed with every interval definite is reaped and no
+// longer live; a caller that kept its *Process can still read its
+// Snapshot.
 func (s *System) Process(pid PID) *Process {
 	return s.eng.Process(pid)
 }
 
-// Processes returns a snapshot of every user process in the system.
+// Processes returns a snapshot of every live user process: reaped ones —
+// finished and beyond revocation — are not included.
 func (s *System) Processes() []*Process {
 	return s.eng.Processes()
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	hope "github.com/hope-dist/hope"
+	"github.com/hope-dist/hope/internal/trace"
 )
 
 const settleTimeout = 5 * time.Second
@@ -341,7 +342,8 @@ func TestSpeculativeAffirmDeniedBase(t *testing.T) {
 // TestSpawnTermination: a child spawned from a rolled-back speculative
 // interval is terminated, and the re-execution's child survives.
 func TestSpawnTermination(t *testing.T) {
-	sys := hope.New()
+	rec := trace.NewRecorder()
+	sys := hope.New(hope.WithTracer(rec))
 	defer sys.Shutdown()
 
 	x, _ := sys.NewAID()
@@ -357,6 +359,7 @@ func TestSpawnTermination(t *testing.T) {
 		} else {
 			child := ctx.Spawn(func(c *hope.Ctx) error {
 				col.appendTo("children", "definite-child")
+				col.set("definite-child-done", c.PID())
 				return nil
 			})
 			col.set("definite-child-pid", child)
@@ -384,29 +387,39 @@ func TestSpawnTermination(t *testing.T) {
 	if pst.Restarts == 0 {
 		t.Fatalf("parent never rolled back: %+v", pst)
 	}
-	// The speculative child must be terminated.
-	if pidv := col.get("speculative-child-pid"); pidv != nil {
-		child := sys.Process(pidv.(hope.PID))
-		if child != nil {
-			cst := child.Snapshot()
-			if !cst.Terminated {
-				t.Fatalf("speculative child not terminated: %+v", cst)
+	terminated := func(pid hope.PID) bool {
+		for _, ev := range rec.Filter(trace.Terminate) {
+			if ev.PID == pid {
+				return true
 			}
+		}
+		return false
+	}
+	// The speculative child must be terminated (and is then reaped).
+	if pidv := col.get("speculative-child-pid"); pidv != nil {
+		if pid := pidv.(hope.PID); !terminated(pid) || sys.Process(pid) != nil {
+			t.Fatalf("speculative child %v not terminated", pid)
 		}
 	} else {
 		t.Fatal("speculative child never spawned")
 	}
-	// The definite child must have completed.
+	// The definite child must have completed and not been terminated. A
+	// finished process is reaped, so read that from what outlives it: its
+	// body returned, the trace holds no Terminate for it, and it left the
+	// engine, which only completion or termination lets a process do.
 	pidv := col.get("definite-child-pid")
 	if pidv == nil {
 		t.Fatal("definite child never spawned")
 	}
-	child := sys.Process(pidv.(hope.PID))
-	if child == nil {
-		t.Fatal("definite child not found")
+	pid := pidv.(hope.PID)
+	if col.get("definite-child-done") != pid {
+		t.Fatal("definite child's body never returned")
 	}
-	if cst := child.Snapshot(); !cst.Completed || cst.Terminated {
-		t.Fatalf("definite child state: %+v", cst)
+	if terminated(pid) {
+		t.Fatal("definite child terminated")
+	}
+	if sys.Process(pid) != nil {
+		t.Fatal("definite child still live after settling")
 	}
 }
 

@@ -380,7 +380,8 @@ func TestFreeOfNotDependent(t *testing.T) {
 // TestNestedSpawnSpeculation: speculation propagates through a chain of
 // spawns, and denial terminates the whole speculative subtree.
 func TestNestedSpawnSpeculation(t *testing.T) {
-	eng := newTestEngine(t, Config{})
+	rec := trace.NewRecorder()
+	eng := newTestEngine(t, Config{Tracer: rec})
 	x, _ := eng.NewAID()
 
 	var mu sync.Mutex
@@ -423,16 +424,14 @@ func TestNestedSpawnSpeculation(t *testing.T) {
 		t.Fatalf("parent never rolled back: %+v", st)
 	}
 	// Both descendants ran speculatively and were terminated; the
-	// re-execution takes the false branch and spawns nothing.
-	terminated := 0
-	for _, proc := range eng.Processes() {
-		st := proc.Snapshot()
-		if st.Terminated {
-			terminated++
-		}
+	// re-execution takes the false branch and spawns nothing. Terminated
+	// processes are reaped, so count them from the trace.
+	terminated := make(map[ids.PID]bool)
+	for _, ev := range rec.Filter(trace.Terminate) {
+		terminated[ev.PID] = true
 	}
-	if terminated != 2 {
-		t.Fatalf("terminated %d processes, want 2 (child+grandchild)", terminated)
+	if len(terminated) != 2 {
+		t.Fatalf("terminated %d processes, want 2 (child+grandchild)", len(terminated))
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -395,7 +395,7 @@ func (c *Ctx) postRecv(m *msg.Message, rerr error) (*msg.Message, bool) {
 		return nil, false // spurious interrupt, already handled
 	}
 	if p.dead.Intersects(m.Tag) || p.eng.archiveInvalidates(m.Tag) {
-		p.persistConsumed(m)
+		p.eng.persistConsumed(m)
 		return nil, false // invalidated while queued
 	}
 
@@ -457,7 +457,7 @@ func (c *Ctx) TryRecv() (payload any, from ids.PID, ok bool) {
 			return nil, ids.NilPID, false
 		}
 		if p.dead.Intersects(got.Tag) || p.eng.archiveInvalidates(got.Tag) {
-			p.persistConsumed(got)
+			p.eng.persistConsumed(got)
 			continue // invalidated while queued; try the next one
 		}
 		m = got

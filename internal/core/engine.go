@@ -87,11 +87,21 @@ type Engine struct {
 	// put into user-process mailboxes and not yet handled by dispatch;
 	// active holds every process that is running or awaiting
 	// re-execution; holders every process withholding an Externalize
-	// output. Processes keep the two sets current under their own lock
-	// (Process.trackLocked), so lmu nests inside Process.mu.
-	lmu     sync.Mutex
-	active  map[*Process]struct{}
-	holders map[*Process]struct{}
+	// output; uncovered every finished process the stability frontier
+	// does not yet cover. Processes keep the sets current under their own
+	// lock (Process.trackLocked), so lmu nests inside Process.mu.
+	lmu       sync.Mutex
+	active    map[*Process]struct{}
+	holders   map[*Process]struct{}
+	uncovered map[*Process]struct{}
+
+	// Tombstones of reaped processes (reap.go): tombHandler answers every
+	// reaped PID, tombs locates each one's surviving interval epochs in
+	// tombEpochs. tmu is a leaf lock.
+	tmu         sync.RWMutex
+	tombHandler transport.Handler
+	tombs       map[ids.PID]tombRef
+	tombEpochs  []uint32
 
 	runners sync.WaitGroup
 }
@@ -163,14 +173,17 @@ func NewEngine(cfg Config) *Engine {
 	}
 	e := &Engine{
 		// Without the watermark True is absorbing (DESIGN.md §4.9).
-		ctl:     interval.Control{Alg: alg, TrueFinal: cfg.Stability == nil},
-		persist: cfg.Persist,
-		restore: cfg.Restore,
-		procs:   make(map[ids.PID]*Process),
-		archive: make(map[ids.AID]bool),
-		active:  make(map[*Process]struct{}),
-		holders: make(map[*Process]struct{}),
+		ctl:       interval.Control{Alg: alg, TrueFinal: cfg.Stability == nil},
+		persist:   cfg.Persist,
+		restore:   cfg.Restore,
+		procs:     make(map[ids.PID]*Process),
+		archive:   make(map[ids.AID]bool),
+		active:    make(map[*Process]struct{}),
+		holders:   make(map[*Process]struct{}),
+		uncovered: make(map[*Process]struct{}),
+		tombs:     make(map[ids.PID]tombRef),
 	}
+	e.tombHandler = e.tombstone
 	// Every outbound message passes the transplant-translation chokepoint
 	// (one atomic load until a mapping is installed; see transplant.go).
 	e.machine = vpm.New(&xlateTransport{Transport: net, eng: e})
@@ -286,12 +299,17 @@ func (e *Engine) spawn(body Body, birthIDO []ids.AID) (*Process, error) {
 // start registers a bound process and launches its runner. A spawn that
 // passed the closing check before Shutdown took its process snapshot
 // registers too late to be in it; that process is shut down here, or
-// Shutdown would wait for its runner forever.
+// Shutdown would wait for its runner forever. From here on the process
+// may be reaped; one restored already terminated is reaped at once.
 func (e *Engine) start(p *Process) {
 	e.mu.Lock()
 	e.procs[p.PID()] = p
 	closing := e.closing
 	e.mu.Unlock()
+	p.mu.Lock()
+	p.started = true
+	p.trackLocked()
+	p.mu.Unlock()
 
 	e.runners.Add(1)
 	go func() {
@@ -303,15 +321,17 @@ func (e *Engine) start(p *Process) {
 	}
 }
 
-// Process returns the live process with the given PID, or nil.
+// Process returns the live process with the given PID, or nil. A
+// reaped process — finished, and beyond revocation — is not live; a
+// caller that kept its *Process can still read its Snapshot.
 func (e *Engine) Process(pid ids.PID) *Process {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.procs[pid]
 }
 
-// Processes returns a snapshot of all user processes ever spawned and
-// still tracked.
+// Processes returns a snapshot of the live user processes: every one
+// spawned and not yet reaped.
 func (e *Engine) Processes() []*Process {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -202,6 +202,7 @@ func (e *Engine) fanoutDenied(a ids.AID) {
 
 // speculativeAIDs returns the union of every assumption some local
 // non-definite interval currently depends on (IDO or unconfirmed Cut).
+// Walking the live processes is exact: a reaped one depends on nothing.
 func (e *Engine) speculativeAIDs() map[ids.AID]struct{} {
 	out := make(map[ids.AID]struct{})
 	for _, p := range e.Processes() {

@@ -179,8 +179,8 @@ func (p *Process) persistDeadAID(a ids.AID) {
 
 // persistConsumed marks a remote-origin message as consumed-without-
 // journal. Local messages (SrcSeq == 0) have no WAL identity to retire.
-func (p *Process) persistConsumed(m *msg.Message) {
-	if per := p.eng.persist; per != nil && m.SrcSeq != 0 {
+func (e *Engine) persistConsumed(m *msg.Message) {
+	if per := e.persist; per != nil && m.SrcSeq != 0 {
 		per.MessageConsumed(m)
 	}
 }

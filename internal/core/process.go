@@ -52,8 +52,11 @@ type Process struct {
 	recving  bool // body parked inside Recv
 
 	// Membership of the engine's live-work sets, kept by trackLocked.
-	active  bool // running or awaiting re-execution
-	holding bool // withholding an Externalize output
+	active    bool // running or awaiting re-execution
+	holding   bool // withholding an Externalize output
+	uncovered bool // finished, waiting for the frontier to cover it
+	started   bool // registered by Engine.start: reaping may drop it
+	reaped    bool // dropped from the engine (reap.go)
 
 	// base is the latest compaction snapshot (see compact.go): the
 	// state a re-execution resumes from instead of replaying the
@@ -112,8 +115,13 @@ func (p *Process) bind(proc *vpm.Proc) {
 // trackLocked brings the engine's live-work sets in line with p's state:
 // p is active while it may still act on its own — running, or rolled
 // back and awaiting re-execution — and a holder while it withholds an
-// Externalize output. Called wherever that state changes.
+// Externalize output. A finished process is reaped, or, with the
+// watermark, waits in the uncovered set until the frontier covers it
+// (see reap.go). Called wherever that state changes.
 func (p *Process) trackLocked() {
+	if p.reaped {
+		return
+	}
 	if active := !p.term && (p.pending || !p.complete); active != p.active {
 		p.active = active
 		p.eng.mark(p.eng.active, p, active)
@@ -121,6 +129,15 @@ func (p *Process) trackLocked() {
 	if holding := len(p.externs) > 0; holding != p.holding {
 		p.holding = holding
 		p.eng.mark(p.eng.holders, p, holding)
+	}
+	settled, covered := p.settledLocked()
+	if settled && covered && p.started {
+		p.reapLocked()
+		return
+	}
+	if uncovered := settled && !covered; uncovered != p.uncovered {
+		p.uncovered = uncovered
+		p.eng.mark(p.eng.uncovered, p, uncovered)
 	}
 }
 
@@ -193,22 +210,22 @@ func (p *Process) dispatch(proc *vpm.Proc) {
 			p.handleData(m)
 		case msg.KindReplace:
 			p.handleReplace(m)
-			p.persistConsumed(m)
+			p.eng.persistConsumed(m)
 		case msg.KindRollback:
 			p.handleRollback(m)
-			p.persistConsumed(m)
+			p.eng.persistConsumed(m)
 		case msg.KindRevive:
 			p.handleRevive(m)
-			p.persistConsumed(m)
+			p.eng.persistConsumed(m)
 		case msg.KindCutAck:
 			p.handleCutAck(m)
-			p.persistConsumed(m)
+			p.eng.persistConsumed(m)
 		default:
 			p.eng.tracer.Emit(trace.Event{
 				Kind: trace.Violation, PID: proc.PID(),
 				Detail: "user process received " + m.Kind.String(),
 			})
-			p.persistConsumed(m)
+			p.eng.persistConsumed(m)
 		}
 		proc.Handled()
 	}
@@ -220,8 +237,8 @@ func (p *Process) dispatch(proc *vpm.Proc) {
 func (p *Process) handleData(m *msg.Message) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.term {
-		p.persistConsumed(m)
+	if p.term || p.reaped {
+		p.eng.persistConsumed(m)
 		return
 	}
 	if p.dead.Intersects(m.Tag) || p.eng.archiveInvalidates(m.Tag) {
@@ -229,7 +246,7 @@ func (p *Process) handleData(m *msg.Message) {
 			Kind: trace.Info, PID: p.proc.PID(),
 			Detail: fmt.Sprintf("dropped data message from %s with denied tag %v payload=%v", m.From, m.Tag, m.Payload),
 		})
-		p.persistConsumed(m)
+		p.eng.persistConsumed(m)
 		return
 	}
 	p.dataQ.Put(m)
@@ -328,6 +345,7 @@ func (p *Process) finalizeLocked(rec *interval.Record) {
 	for _, y := range rec.IHD.Slice() {
 		p.send(msg.Deny(p.proc.PID(), rec.ID, y))
 	}
+	p.trackLocked()
 }
 
 // handleRevive re-establishes a direct dependency on an AID whose
@@ -522,7 +540,7 @@ func (p *Process) rollbackLocked(rec *interval.Record) {
 					Kind: trace.Info, PID: p.proc.PID(),
 					Detail: fmt.Sprintf("requeue-dropped message from %s with denied tag %v payload=%v", e.Msg.From, e.Msg.Tag, e.Msg.Payload),
 				})
-				p.persistConsumed(e.Msg)
+				p.eng.persistConsumed(e.Msg)
 				continue
 			}
 			requeue = append(requeue, e.Msg)
@@ -540,7 +558,7 @@ func (p *Process) rollbackLocked(rec *interval.Record) {
 	// are re-received in their original order.
 	p.dataQ.Purge(func(m *msg.Message) bool {
 		if p.dead.Intersects(m.Tag) {
-			p.persistConsumed(m)
+			p.eng.persistConsumed(m)
 			return true
 		}
 		return false

@@ -27,15 +27,27 @@ func waitQuiet(t *testing.T, e *Engine) {
 // TestQuietSeesFrameInCompletedMailbox: a completed process is never
 // visited by Quiet, so a frame for it must be seen through the machine's
 // Pending count — queued, or in dispatch's hand — until it is handled.
+// The process holds an unresolved guess, so it is not reaped and keeps
+// its mailbox.
 func TestQuietSeesFrameInCompletedMailbox(t *testing.T) {
 	eng := newTestEngine(t, Config{})
-	p, err := eng.SpawnRoot(func(ctx *Ctx) error { return nil })
+	x, err := eng.NewAID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := eng.SpawnRoot(func(ctx *Ctx) error {
+		ctx.Guess(x)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitQuiet(t, eng)
 	if got := len(eng.snapshot(eng.active)); got != 0 {
 		t.Fatalf("completed process still active (%d active)", got)
+	}
+	if eng.Process(p.PID()) != p {
+		t.Fatal("completed speculative process was reaped")
 	}
 
 	// Hold the process lock: dispatch takes the first frame and blocks
@@ -173,6 +185,32 @@ func BenchmarkQuiet(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if !eng.Quiet() {
 					b.Fatal("not quiet")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpeculativeAIDs measures the liveness layer's speculation
+// scan (the one DenyOwned, fanoutDenied and the lease sweeper share)
+// against the number of completed processes: they are reaped, so it
+// must not grow with them.
+func BenchmarkSpeculativeAIDs(b *testing.B) {
+	for _, n := range []int{10, 10000} {
+		b.Run(fmt.Sprintf("completed=%d", n), func(b *testing.B) {
+			eng := benchEngine(b)
+			for i := 0; i < n; i++ {
+				if _, err := eng.SpawnRoot(func(ctx *Ctx) error { return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !eng.Settle(settleTimeout) {
+				b.Fatal("no settle")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := eng.SpeculativeAIDs(); len(got) != 0 {
+					b.Fatalf("%d speculative AIDs", len(got))
 				}
 			}
 		})

@@ -27,6 +27,8 @@ type Stability interface {
 	// Revoked records the un-finalize of a definite interval.
 	Revoked(epoch uint32)
 	// Covered reports whether the agreed frontier covers a local epoch.
+	// Coverage is monotone: once an epoch is covered, it and every lower
+	// epoch stay covered.
 	Covered(epoch uint32) bool
 	// Emitted records the release of a gated output of the given epoch.
 	Emitted(epoch uint32)
@@ -40,9 +42,10 @@ func (e *Engine) Quiet() bool { return e.quiet() }
 
 // FlushStable runs every pending externalized output whose interval is
 // definite and covered by the stability frontier, in journal order per
-// process. The stability agent calls it after each frontier advance; it
-// is a no-op when the watermark is off. Only processes withholding an
-// output are visited.
+// process, and reaps every finished process the frontier now covers. The
+// stability agent calls it after each frontier advance; it is a no-op
+// when the watermark is off. Only processes withholding an output or
+// waiting for coverage are visited.
 func (e *Engine) FlushStable() {
 	st := e.stability
 	if st == nil {
@@ -50,6 +53,11 @@ func (e *Engine) FlushStable() {
 	}
 	for _, p := range e.snapshot(e.holders) {
 		p.flushStable(st)
+	}
+	for _, p := range e.snapshot(e.uncovered) {
+		p.mu.Lock()
+		p.trackLocked()
+		p.mu.Unlock()
 	}
 }
 

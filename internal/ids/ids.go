@@ -92,6 +92,12 @@ func (a *PIDAllocator) Next() PID {
 	return PID(a.next.Add(1))
 }
 
+// Passed returns the allocator's position: every PID it will still issue
+// is greater than this one.
+func (a *PIDAllocator) Passed() PID {
+	return PID(a.next.Load())
+}
+
 // Skip advances the allocator so every subsequently issued PID is greater
 // than base. It never moves the allocator backwards; concurrent Skip and
 // Next calls are safe. Distributed deployments use disjoint bases per

@@ -60,18 +60,23 @@ func (b *Box) lazyInit() {
 }
 
 // Put appends m to the queue. Messages put after Close are dropped.
-func (b *Box) Put(m *msg.Message) {
+func (b *Box) Put(m *msg.Message) { b.Offer(m) }
+
+// Offer is Put reporting whether m was enqueued: false once the box is
+// closed, in which case the caller still owns m.
+func (b *Box) Offer(m *msg.Message) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lazyInit()
 	if b.closed {
-		return
+		return false
 	}
 	if b.count != nil {
 		b.count.Add(1)
 	}
 	b.items = append(b.items, m)
 	b.cond.Signal()
+	return true
 }
 
 // Requeue pushes msgs to the *front* of the queue, preserving their slice

@@ -35,9 +35,12 @@ type Machine struct {
 	// exiting process; the rest of the machine keeps running.
 	OnPanic func(pid ids.PID, recovered any, stack []byte)
 
-	mu     sync.Mutex
-	procs  map[ids.PID]*Proc
-	taken  map[ids.PID]bool // every PID ever spawned; AllocPID skips these
+	mu    sync.Mutex
+	procs map[ids.PID]*Proc
+	// taken holds the SpawnAt and Attach PIDs the allocator has not yet
+	// passed; AllocPID skips each one and forgets it. PIDs at or below
+	// the allocator's position need no entry: it never issues them again.
+	taken  map[ids.PID]bool
 	closed bool
 
 	// pending counts the messages queued in any process mailbox or in
@@ -73,7 +76,16 @@ func (m *Machine) Net() transport.Transport { return m.net }
 // greater than base. Distributed deployments give each node a disjoint
 // PID namespace this way (see internal/wire), so a PID identifies its
 // owning node.
-func (m *Machine) SkipPIDs(base ids.PID) { m.alloc.Skip(base) }
+func (m *Machine) SkipPIDs(base ids.PID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.alloc.Skip(base)
+	for pid := range m.taken {
+		if pid <= base {
+			delete(m.taken, pid)
+		}
+	}
+}
 
 // Proc is a process handle: a PID plus its mailbox.
 type Proc struct {
@@ -81,6 +93,7 @@ type Proc struct {
 	box     *mailbox.Box
 	machine *Machine
 	done    chan struct{}
+	retired transport.Handler // set by Retire, under machine.mu
 }
 
 // Spawn creates a process running body and returns its handle. The body
@@ -101,18 +114,27 @@ func (m *Machine) SpawnAt(pid ids.PID, body Body) (*Proc, error) {
 // AllocPID issues a fresh PID from the machine's allocator without
 // spawning a process for it. Ownership routing uses this to mint AID
 // identities whose state machines are hosted on the ring owner rather
-// than as local processes. PIDs already spawned (including SpawnAt
-// targets such as adopted transplants, whose PIDs sit mid-range) are
-// skipped, so the allocator never re-issues a live or once-live PID.
+// than as local processes. PIDs already spawned at or attached ahead of
+// the allocator (SpawnAt targets such as adopted transplants, whose PIDs
+// sit mid-range) are skipped, so the allocator never re-issues a live or
+// once-live PID: PIDs are monotone, which is what lets a reaped process's
+// PID keep answering for it.
 func (m *Machine) AllocPID() ids.PID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
 		pid := m.alloc.Next()
-		m.mu.Lock()
-		used := m.taken[pid]
-		m.mu.Unlock()
-		if !used {
+		if !m.taken[pid] {
 			return pid
 		}
+		delete(m.taken, pid)
+	}
+}
+
+// reserveLocked records pid as used, if the allocator has yet to pass it.
+func (m *Machine) reserveLocked(pid ids.PID) {
+	if pid > m.alloc.Passed() {
+		m.taken[pid] = true
 	}
 }
 
@@ -122,7 +144,7 @@ func (m *Machine) AllocPID() ids.PID {
 // registration but keeps the reservation (PIDs are never reused).
 func (m *Machine) Attach(pid ids.PID, h transport.Handler) {
 	m.mu.Lock()
-	m.taken[pid] = true
+	m.reserveLocked(pid)
 	m.mu.Unlock()
 	m.net.Register(pid, h)
 }
@@ -141,7 +163,7 @@ func (m *Machine) spawn(pid ids.PID, body Body) (*Proc, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("vpm: spawn at %s: pid already live", pid)
 	}
-	m.taken[pid] = true
+	m.reserveLocked(pid)
 	p := &Proc{
 		pid:     pid,
 		box:     mailbox.NewCounted(&m.pending),
@@ -152,7 +174,7 @@ func (m *Machine) spawn(pid ids.PID, body Body) (*Proc, error) {
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	m.net.Register(p.pid, p.box.Put)
+	m.net.Register(p.pid, p.deliver)
 
 	go func() {
 		defer func() {
@@ -164,11 +186,13 @@ func (m *Machine) spawn(pid ids.PID, body Body) (*Proc, error) {
 					fmt.Fprintf(os.Stderr, "vpm: process %s body panicked: %v\n%s", p.pid, r, stack)
 				}
 			}
-			m.net.Unregister(p.pid)
-			p.box.Close()
 			m.mu.Lock()
+			if p.retired == nil {
+				m.net.Unregister(p.pid)
+			}
 			delete(m.procs, p.pid)
 			m.mu.Unlock()
+			p.box.Close()
 			close(p.done)
 			m.wg.Done()
 		}()
@@ -214,6 +238,31 @@ func (m *Machine) Shutdown() {
 
 // PID returns the process identifier.
 func (p *Proc) PID() ids.PID { return p.pid }
+
+// deliver is the process's transport handler: it queues m, or, once
+// Retire has closed the mailbox, hands it to the retired handler — a
+// delivery that looked the mailbox up just before Retire replaced it
+// still reaches the handler that answers for the process now.
+func (p *Proc) deliver(m *msg.Message) {
+	if !p.box.Offer(m) && p.retired != nil {
+		p.retired(m)
+	}
+}
+
+// Retire hands pid's deliveries to h for good: h replaces the mailbox as
+// pid's transport handler, the process leaves the machine, and the
+// mailbox closes, so the body drains what is already queued, sees
+// mailbox.ErrClosed and exits. pid stays registered to h after the body
+// exits. h, like any handler, must not block.
+func (p *Proc) Retire(h transport.Handler) {
+	m := p.machine
+	m.mu.Lock()
+	p.retired = h // written before Close: deliver reads it after a refused Offer
+	m.net.Register(p.pid, h)
+	delete(m.procs, p.pid)
+	m.mu.Unlock()
+	p.box.Close()
+}
 
 // Handled tells the machine the body has finished handling one message
 // it received, so Machine.Pending stops counting it.

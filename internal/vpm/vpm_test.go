@@ -2,6 +2,7 @@ package vpm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/hope-dist/hope/internal/mailbox"
 	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/netsim"
+	"github.com/hope-dist/hope/internal/transport"
 )
 
 func newMachine() *Machine {
@@ -225,5 +227,102 @@ func TestBodyPanicIsolated(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("machine dead after sibling panic")
+	}
+}
+
+// TestAllocPIDNeverReissues: the allocator skips every PID spawned,
+// attached or placed with SpawnAt (a transplant's mid-range PID), and
+// forgets a reservation once it has passed it.
+func TestAllocPIDNeverReissues(t *testing.T) {
+	m := newMachine()
+	defer m.Shutdown()
+	used := make(map[ids.PID]bool)
+	for i := 0; i < 3; i++ {
+		p, err := m.Spawn(func(p *Proc) { _, _ = p.Recv() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		used[p.PID()] = true
+	}
+	first := m.AllocPID()
+	used[first] = true
+	m.Attach(first, func(*msg.Message) {}) // already passed: no reservation
+	transplant, err := m.SpawnAt(first+2, func(p *Proc) { _, _ = p.Recv() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	used[transplant.PID()] = true
+	m.Attach(first+4, func(*msg.Message) {})
+	used[first+4] = true
+	for i := 0; i < 10; i++ {
+		pid := m.AllocPID()
+		if used[pid] {
+			t.Fatalf("AllocPID re-issued %v", pid)
+		}
+		used[pid] = true
+	}
+	m.mu.Lock()
+	left := len(m.taken)
+	m.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d reservations kept after the allocator passed them", left)
+	}
+}
+
+// TestRetireHandsEveryFrameOn: after Retire, the body drains what was
+// queued and exits, the PID stays answered by the retired handler, and
+// every frame sent reaches exactly one of the two — including frames
+// racing the close.
+func TestRetireHandsEveryFrameOn(t *testing.T) {
+	m := New(transport.NewLocal())
+	defer m.Shutdown()
+	var drained, handed atomic.Int64
+	p, err := m.Spawn(func(p *Proc) {
+		for {
+			if _, err := p.Recv(); err != nil {
+				return
+			}
+			drained.Add(1)
+			p.Handled()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				m.Net().Send(&msg.Message{Kind: msg.KindData, From: 1, To: p.PID()})
+			}
+		}()
+	}
+	time.Sleep(time.Millisecond)
+	p.Retire(func(*msg.Message) { handed.Add(1) })
+	wg.Wait()
+	select {
+	case <-p.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("retired body never exited")
+	}
+	if m.Lookup(p.PID()) != nil {
+		t.Fatal("retired process still in the machine")
+	}
+	m.Net().Send(&msg.Message{Kind: msg.KindData, From: 1, To: p.PID()})
+	// A delivery that looked the mailbox handler up before Retire
+	// replaced it lands after the close: it must still be handed on.
+	p.deliver(&msg.Message{Kind: msg.KindData, From: 1, To: p.PID()})
+	if got := drained.Load() + handed.Load(); got != 4*n+2 {
+		t.Fatalf("%d frames accounted for (%d drained, %d handed), want %d",
+			got, drained.Load(), handed.Load(), 4*n+2)
+	}
+	if st := m.Net().Stats(); st.Dead != 0 {
+		t.Fatalf("%d dead letters to a retired PID", st.Dead)
+	}
+	if m.Pending() != 0 {
+		t.Fatalf("pending = %d after drain", m.Pending())
 	}
 }

@@ -136,6 +136,16 @@ echo '== transplant battery (pinned seeds, repeated under race)'
 go test -race -count=3 -run 'TestTransplant|TestProcExtract|TestWatermarkMode|TestRetryQueue' \
     ./internal/core/ ./internal/durable/ ./internal/wire/
 
+echo '== process reaping (repeated under race)'
+# A finished process leaves the engine (DESIGN.md §4 item 11): later
+# frames to its PID get the live verdicts from the tombstone, with the
+# watermark it stays until the frontier covers it, its goroutines exit,
+# every frame racing the mailbox close reaches the tombstone, and the
+# PID allocator never re-issues a PID. Three repetitions under the race
+# detector.
+go test -race -count=3 -run 'TestReap|TestRetireHandsEveryFrameOn|TestAllocPIDNeverReissues' \
+    ./internal/core/ ./internal/vpm/
+
 echo '== survival churn smoke (pinned seed)'
 # The churn storm with every member on hoped --data-root (DESIGN.md §13):
 # adjudication goes through the ring owners; the SIGKILLed member's
