@@ -77,6 +77,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			"--data-root needs --data-dir /d/node1"},
 		{"data-root without printserver", []string{"--node", "1", "--seed-node", "--data-dir", "/d/node1", "--data-root", "/d", "--serve", "none"},
 			"--data-root needs --serve printserver"},
+		// Settings the node would otherwise ignore: the detector's
+		// suspicion threshold without the detector, one past the death
+		// threshold (the detector would quietly use dead-after/4), and the
+		// WAL knobs on a volatile node, even at their default values.
+		{"suspect-after without dead-after", []string{"--node", "1", "--suspect-after", "1s"},
+			"--suspect-after needs --dead-after"},
+		{"suspect-after exceeds dead-after", []string{"--node", "1", "--suspect-after", "2s", "--dead-after", "1s"},
+			"--suspect-after 2s exceeds --dead-after 1s"},
+		{"fsync without data-dir", []string{"--node", "1", "--fsync", "interval"},
+			"--fsync/--checkpoint-every need --data-dir"},
+		{"checkpoint-every without data-dir", []string{"--node", "1", "--checkpoint-every", "4096"},
+			"--fsync/--checkpoint-every need --data-dir"},
 	}
 	// Retired tuning knobs: the transport has one write path and the
 	// default queue bounds; the WAL batches what piles up. Routing,

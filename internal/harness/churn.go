@@ -30,14 +30,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hope-dist/hope/internal/cluster"
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/durable"
 	"github.com/hope-dist/hope/internal/ids"
-	"github.com/hope-dist/hope/internal/msg"
+	"github.com/hope-dist/hope/internal/node"
 	"github.com/hope-dist/hope/internal/oracle"
 	"github.com/hope-dist/hope/internal/rpc"
 	"github.com/hope-dist/hope/internal/trace"
@@ -562,54 +561,20 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	// the same layering a real external caller would run. In survival
 	// storms its adjudications additionally route by the ring the
 	// members announce (ownerRing), as a real external caller's would.
+	// Routed adjudication adds two network hops to every client
+	// assumption, so survival mode doubles the client's lease: still a
+	// liveness backstop, without spurious denials of live routed work.
 	owners := &ownerRing{vnodes: cfg.VNodes}
-	var engRef atomic.Pointer[core.Engine]
-	client, err := wire.NewNode(wire.NodeConfig{
-		ID: 0, Listen: "127.0.0.1:0", Tracer: cfg.Tracer,
-		Health: wire.HealthConfig{
-			SuspectAfter: suspect,
-			DeadAfter:    dead,
-			OnPeerDead: func(node int) {
-				if eng := engRef.Load(); eng != nil {
-					eng.DenyOwned(func(pid ids.PID) bool {
-						// A transplanted process is not orphaned — its reborn
-						// incarnation answers for its assumptions, so denying
-						// them would race the adoption this deny backstops.
-						return wire.NodeOf(pid) == node && !eng.Transplanted(pid)
-					}, fmt.Sprintf("node %d declared dead", node))
-				}
-			},
-			OnDeadFrame: func(_ int, m *msg.Message) {
-				// In survival storms an adjudication abandoned toward the
-				// corpse re-parks on the routing retry queue and reaches
-				// the ring successor once the views reassign the shard;
-				// everything else (user traffic to the dead incarnation)
-				// parks on the transplant queue until a survivor's
-				// announcement installs the old→new mapping.
-				if eng := engRef.Load(); eng != nil && cfg.Survive && !eng.RequeueRouted(m) {
-					eng.RequeueTransplant(m)
-				}
-			},
-		},
-		Transplant: wire.TransplantConfig{
-			OnPayload: func(from int, payload []byte) {
-				// A survivor announced adoptions: install the old→new map so
-				// parked and future frames reach the reborn incarnations.
-				pairs, err := core.DecodeTransplantAnnouncement(payload)
-				if err != nil {
-					return
-				}
-				if eng := engRef.Load(); eng != nil {
-					eng.InstallTransplantMap(pairs)
-				}
-			},
-		},
-	})
+	ncfg := node.Config{Tracer: cfg.Tracer, SuspectAfter: suspect, DeadAfter: dead, Lease: lease}
+	if cfg.Survive {
+		ncfg.Lease, ncfg.Ring = 2*lease, owners.owner
+	}
+	cn, tap, err := startClient(ncfg)
 	if err != nil {
 		return res, err
 	}
-	defer client.Close()
-	tap := oracle.NewFIFOTap(client)
+	defer cn.Close(0)
+	client, eng := cn.Wire(), cn.Engine()
 
 	members := make(map[int]*member)
 	defer func() {
@@ -730,56 +695,6 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 
 	// One streamed pagination workload per initial member, so the kill
 	// lands mid-speculation with assumptions owned across the ring.
-	// Routed adjudication adds two network hops to every client
-	// assumption, so a lease tuned for local adjudication misfires under
-	// survival-mode load: spurious denials roll live work back and feed
-	// the rollback rate. Doubling the client's lease in survival mode
-	// keeps it a liveness backstop (the doomed workload still quiesces)
-	// without second-guessing the longer adjudication path.
-	clientLease := lease
-	if cfg.Survive {
-		clientLease = 2 * lease
-	}
-	ecfg := core.Config{
-		Transport: tap, PIDBase: wire.PIDBase(0), Tracer: cfg.Tracer,
-		Liveness: &core.LivenessConfig{
-			Lease: clientLease,
-			Owner: func(a ids.AID) core.OwnerStatus {
-				node := wire.NodeOf(a.PID())
-				if node == 0 {
-					return core.OwnerStatus{}
-				}
-				h := client.HealthOf(node)
-				st := core.OwnerStatus{Remote: true, Dead: h.State == wire.PeerDead, LastHeard: h.LastHeard}
-				if st.Dead {
-					// A machine whose owning process was transplanted moved
-					// with it; the adopter's health is the authoritative one,
-					// so the lease backstop does not misfire on the corpse.
-					if eng := engRef.Load(); eng != nil && eng.Transplanted(a.PID()) {
-						for _, pr := range eng.TransplantMap() {
-							if pr.Old == a.PID() {
-								ah := client.HealthOf(wire.NodeOf(pr.New))
-								st = core.OwnerStatus{Remote: true, Dead: ah.State == wire.PeerDead, LastHeard: ah.LastHeard}
-								break
-							}
-						}
-					}
-				}
-				return st
-			},
-		},
-	}
-	if cfg.Survive {
-		ecfg.Routing = &core.RoutingConfig{
-			Self: 0, NodeOf: wire.NodeOf, RouterPID: wire.RouterPID,
-			Owner: owners.owner,
-			Ship:  func(to int, payload []byte) bool { return client.Transfer(to, payload) },
-		}
-	}
-	eng := core.NewEngine(ecfg)
-	engRef.Store(eng)
-	defer eng.Shutdown()
-
 	type workload struct {
 		member *member
 		worker *core.Process

@@ -45,15 +45,16 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/faultwire"
 	"github.com/hope-dist/hope/internal/ids"
+	"github.com/hope-dist/hope/internal/node"
 	"github.com/hope-dist/hope/internal/oracle"
 	"github.com/hope-dist/hope/internal/rpc"
 	"github.com/hope-dist/hope/internal/trace"
+	"github.com/hope-dist/hope/internal/transport"
 	"github.com/hope-dist/hope/internal/wire"
 )
 
@@ -232,6 +233,21 @@ func LivenessTimings(span time.Duration) (suspect, dead, lease time.Duration) {
 	return suspect, dead, lease
 }
 
+// startClient starts a storm's in-process client, node 0: no root
+// service, no cluster membership, and a transport audited by the FIFO
+// tap, so a duplicate sneaking past the dedup watermark is caught at the
+// exact boundary it would corrupt.
+func startClient(cfg node.Config) (*node.Node, *oracle.FIFOTap, error) {
+	var tap *oracle.FIFOTap
+	cfg.Listen = "127.0.0.1:0"
+	cfg.WrapTransport = func(w *wire.Node) transport.Transport {
+		tap = oracle.NewFIFOTap(w)
+		return tap
+	}
+	n, err := node.Start(cfg)
+	return n, tap, err
+}
+
 // server is one hoped child with its two proxies: in carries client →
 // server dials, out carries server → client dials. Faults against a node
 // hit both, so a partition cuts the link in both directions.
@@ -273,34 +289,20 @@ func Run(cfg Config) (Result, error) {
 		dataRoot = dir
 	}
 
-	// Client node 0 lives in-process; its transport is audited by the
-	// FIFO tap so a duplicate sneaking past the dedup watermark is
-	// caught at the exact boundary it would corrupt. When the plan kills
-	// a node for good, the client also runs the liveness layer: the wire
-	// failure detector declares the silent peer dead and the engine
-	// auto-denies whatever the corpse owned. engRef breaks the
-	// construction cycle — the detector callback needs the engine, which
-	// needs the transport, which needs the node.
-	var engRef atomic.Pointer[core.Engine]
-	wcfg := wire.NodeConfig{ID: 0, Listen: "127.0.0.1:0", Tracer: cfg.Tracer}
+	// Client node 0 lives in-process. When the plan kills a node for
+	// good, it also runs the liveness layer: the wire failure detector
+	// declares the silent peer dead and the engine auto-denies whatever
+	// the corpse owned.
+	ncfg := node.Config{Tracer: cfg.Tracer}
 	if cfg.PermKill {
-		wcfg.Health = wire.HealthConfig{
-			SuspectAfter: suspect,
-			DeadAfter:    dead,
-			OnPeerDead: func(node int) {
-				if eng := engRef.Load(); eng != nil {
-					eng.DenyOwned(func(pid ids.PID) bool { return wire.NodeOf(pid) == node },
-						fmt.Sprintf("node %d declared dead", node))
-				}
-			},
-		}
+		ncfg.SuspectAfter, ncfg.DeadAfter, ncfg.Lease = suspect, dead, lease
 	}
-	client, err := wire.NewNode(wcfg)
+	cn, tap, err := startClient(ncfg)
 	if err != nil {
 		return res, err
 	}
-	defer client.Close()
-	tap := oracle.NewFIFOTap(client)
+	defer cn.Close(0)
+	client, eng := cn.Wire(), cn.Engine()
 
 	servers := make([]*server, 0, cfg.Nodes)
 	defer func() {
@@ -371,24 +373,6 @@ func Run(cfg Config) (Result, error) {
 		logf("node %d up: addr=%s pid=%v proxies in=%s out=%s",
 			id, s.addr, s.pid, s.in.Addr(), s.out.Addr())
 	}
-
-	ecfg := core.Config{Transport: tap, PIDBase: wire.PIDBase(0), Tracer: cfg.Tracer}
-	if cfg.PermKill {
-		ecfg.Liveness = &core.LivenessConfig{
-			Lease: lease,
-			Owner: func(a ids.AID) core.OwnerStatus {
-				node := wire.NodeOf(a.PID())
-				if node == 0 {
-					return core.OwnerStatus{} // client-local: plain lease from first sighting
-				}
-				h := client.HealthOf(node)
-				return core.OwnerStatus{Remote: true, Dead: h.State == wire.PeerDead, LastHeard: h.LastHeard}
-			},
-		}
-	}
-	eng := core.NewEngine(ecfg)
-	engRef.Store(eng)
-	defer eng.Shutdown()
 
 	// One streamed pagination workload per server, all running through
 	// the storm concurrently.

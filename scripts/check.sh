@@ -161,4 +161,11 @@ echo '== survival churn smoke (pinned seed)'
 # outcome instead of quiescing by denial.
 go run ./cmd/hopebench chaos --churn --survive --nodes 3 --seed 1 --reports 24
 
+echo '== survival + watermark churn smoke (pinned seed)'
+# The same survival storm with every member also on --watermark
+# (DESIGN.md §12, §13): adoption and transplant run under gated
+# outputs, and on top of the survival assertions every final member
+# must announce an agreed HOPED STABLE frontier at the final view epoch.
+go run ./cmd/hopebench chaos --churn --survive --watermark --nodes 3 --seed 1 --reports 24
+
 echo 'check: OK'
