@@ -235,11 +235,14 @@ func Loop[S any](cfg LoopConfig[S]) Body {
 	return core.Loop(cfg)
 }
 
-// Collect reclaims the AID-table entries of assumptions that have
-// reached a final verdict, archiving the verdicts so later guesses are
-// answered locally (the paper's §5.2 garbage-collection remark). It
-// sends no message. Call it only at a quiescent point — after a
-// successful Settle. It returns the number of assumptions reclaimed.
+// Collect archives the verdicts of assumptions that have reached a final
+// verdict, so later guesses are answered locally (the paper's §5.2
+// garbage-collection remark). The AID table already drops most decided
+// machines as it serves and keeps their verdicts; Collect moves those
+// verdicts, and any final machine still hosted, into the archive and
+// releases the assumptions' identities. It sends no message. Call it only
+// at a quiescent point — after a successful Settle. It returns the number
+// of assumptions archived.
 func (s *System) Collect() (int, error) {
 	return s.eng.Collect()
 }

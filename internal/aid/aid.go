@@ -84,6 +84,9 @@ type Machine struct {
 	// version counts the changes Export would see: every state transition
 	// and every new DOM member.
 	version uint64
+
+	// violated records that the machine has traced a violation.
+	violated bool
 }
 
 // NewMachine returns a Cold machine for assumption self.
@@ -115,6 +118,12 @@ func (a *Machine) State() State { return a.state }
 // state changes, so a host can skip re-exporting a Step that changed
 // nothing (a repeated Guess, a CutProbe answered from True).
 func (a *Machine) Version() uint64 { return a.version }
+
+// Violated reports whether the machine has traced a violation: in the
+// engine's table, a conflicting Affirm or Deny (the paper's §3 user
+// error). A host that drops repeated adjudications keeps such a machine,
+// so that a repeat stays a duplicate instead of being traced again.
+func (a *Machine) Violated() bool { return a.violated }
 
 // DOM returns a copy of the Depends-On-Me interval set.
 func (a *Machine) DOM() []ids.IntervalID { return a.dom.Slice() }
@@ -327,6 +336,7 @@ func (a *Machine) setState(s State, why string) {
 }
 
 func (a *Machine) violation(format string, args ...any) {
+	a.violated = true
 	a.tracer.Emit(trace.Event{
 		Kind:   trace.Violation,
 		PID:    a.self.PID(),

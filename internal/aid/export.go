@@ -42,13 +42,18 @@ func (a *Machine) Export() Export {
 
 // FromExport reconstructs a machine from a snapshot.
 func FromExport(e Export, tracer trace.Tracer) *Machine {
-	m := NewMachine(e.AID, tracer)
-	m.state = e.State
-	m.affirmer = e.Affirmer
-	m.revocable = e.Revocable
-	m.dom = sets.NewIntervalSet(e.DOM...)
-	m.aido = sets.NewAIDSet(e.AIDO...)
-	return m
+	if tracer == nil {
+		tracer = trace.Nop
+	}
+	return &Machine{
+		self:      e.AID,
+		state:     e.State,
+		dom:       sets.NewIntervalSet(e.DOM...),
+		aido:      sets.NewAIDSet(e.AIDO...),
+		tracer:    tracer,
+		affirmer:  e.Affirmer,
+		revocable: e.Revocable,
+	}
 }
 
 // stateRank orders states by how much adjudication they embody, so a

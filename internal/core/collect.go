@@ -6,21 +6,21 @@ import "github.com/hope-dist/hope/internal/ids"
 // remark that "reference counting can garbage collect old AID processes".
 //
 // Instead of reference counts (which would require tracking every AID
-// value held by user code), collection archives: at a quiescent point,
-// every machine in the engine's AID table whose assumption has reached a
-// final state is dropped and its verdict recorded in the engine. Future
-// guesses of an archived assumption are answered locally — True behaves
-// like the Replace-with-null its machine would have sent, False like its
-// Rollback — so archiving is observationally equivalent while the table
-// entry is reclaimed. The table is read directly: collection sends
-// nothing.
+// value held by user code), reclamation goes by verdict. The AID table
+// drops most decided machines as it serves and keeps their verdicts
+// (route.go; DESIGN.md §4 item 10). Collection archives: at a quiescent
+// point, those verdicts and every final machine still hosted move into
+// the engine. Future guesses of an archived assumption are answered
+// locally — True behaves like the Replace-with-null its machine would
+// have sent, False like its Rollback — so archiving is observationally
+// equivalent. The table is read directly: collection sends nothing.
 
-// Collect reclaims the table entries of assumptions that have reached a
-// final state, archiving their verdicts. Call it at a quiescent point
-// (after a successful Settle): collecting while control traffic is in
-// flight could strand a registration mid-protocol.
+// Collect archives the verdicts of assumptions that have reached a final
+// state, reclaimed or still hosted, and detaches their PIDs. Call it at a
+// quiescent point (after a successful Settle): collecting while control
+// traffic is in flight could strand a registration mid-protocol.
 //
-// It returns the number of assumptions reclaimed; the error is always nil.
+// It returns the number of assumptions archived; the error is always nil.
 func (e *Engine) Collect() (int, error) {
 	return e.router.collect(), nil
 }

@@ -35,6 +35,14 @@ import (
 // from the corpse's WAL (InstallExports). Both install paths merge rather
 // than overwrite, so a transfer racing the receiver's lazy Cold-create
 // converges.
+//
+// Without a ring the table also reclaims decided assumptions as it serves
+// (DESIGN.md §4 item 10): once a drain has sent a machine's final fan-out
+// and exported it, a machine whose verdict no later message can change is
+// dropped and only the verdict kept. A late frame for it is stepped on a
+// machine rebuilt from that verdict, which answers it as the dropped one
+// would have. The AID's PID stays attached. The verdicts are the table's
+// own: they never feed the engine's archive until Collect moves them there.
 
 // RoutingConfig parameterizes ownership routing. Nil (the default
 // Config.Routing) means no ring: every AID is adjudicated by the engine
@@ -97,6 +105,7 @@ type RoutingStats struct {
 	Moved      uint64 // hosted AIDs shipped to a new owner
 	Adopted    uint64 // AIDs absorbed from a transfer or a WAL
 	Batched    uint64 // retried adjudications that rode a coalesced Batch frame
+	Reclaimed  uint64 // decided machines dropped to their verdict (no ring only)
 }
 
 // appliedKey identifies one state-changing adjudication (Affirm, Deny,
@@ -123,9 +132,9 @@ func keyOf(m *msg.Message) appliedKey {
 // the bookkeeping that makes application exactly-once.
 type hostState struct {
 	m       *aid.Machine
-	applied map[appliedKey]bool
-	moved   bool // shipped to a new owner; kept as a tombstone
-	dirty   bool // changed since its last export (listed in router.dirty)
+	applied map[appliedKey]bool // nil until the first Affirm, Deny or Retract
+	moved   bool                // shipped to a new owner; kept as a tombstone
+	dirty   bool                // changed since its last export (listed in router.dirty)
 }
 
 // router is the engine's AID table: one goroutine stepping hosted
@@ -148,9 +157,14 @@ type router struct {
 	dirty      []ids.AID // hosts changed since the last export flush
 	retry      []*msg.Message
 	grantEpoch map[ids.AID]uint64 // view epoch at first routed Guess (lease grant)
+	// verdicts holds the reclaimed assumptions: AID → True. A machine
+	// rebuilt from one for a late frame shadows it in hosts until the
+	// drain ends.
+	verdicts map[ids.AID]bool
+	finals   []ids.AID // hosts stepped to a reclaimable verdict in this drain
 
 	stats struct {
-		applied, nacked, retries, duplicates, moved, adopted, batched uint64
+		applied, nacked, retries, duplicates, moved, adopted, batched, reclaimed uint64
 	}
 
 	stop chan struct{}
@@ -168,6 +182,7 @@ func newRouter(e *Engine, ring *RoutingConfig) *router {
 		stepped:    make(chan struct{}),
 		hosts:      make(map[ids.AID]*hostState),
 		grantEpoch: make(map[ids.AID]uint64),
+		verdicts:   make(map[ids.AID]bool),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -202,7 +217,9 @@ const maxDrain = 64
 // consumed in the WAL: a crash in between costs an idempotent replay of
 // frames whose effect the last export may lack, never a lost one. Under
 // load a drain holds many adjudications of the same few assumptions, so
-// one export covers all of them.
+// one export covers all of them. Machines the drain decided are reclaimed
+// after the export, when both their fan-out and their final snapshot are
+// out.
 func (rt *router) run() {
 	defer close(rt.stepped)
 	batch := make([]*msg.Message, 0, maxDrain)
@@ -223,6 +240,7 @@ func (rt *router) run() {
 			rt.handle(m)
 		}
 		rt.flushExports()
+		rt.reclaim()
 		for i, m := range batch {
 			rt.consumed(m)
 			batch[i] = nil
@@ -347,19 +365,30 @@ func (rt *router) adjudicate(m *msg.Message) {
 }
 
 // apply steps the hosted machine for m.AID with m, creating it Cold on
-// first contact and applying each state-changing adjudication once. It
-// returns the machine's outputs. A conflicting Affirm or Deny at a final
-// state is stepped like any other message: the machine traces it as the
-// paper's §3 user error, whichever node hosts it. Two conflicts are not
-// the user's and are dropped: an Affirm overtaken by its own interval's
-// Retract, and the engine's own lease Deny reaching an assumption that
-// was affirmed meanwhile.
+// first contact (or rebuilding it from a reclaimed verdict) and applying
+// each state-changing adjudication once. It returns the machine's
+// outputs. A conflicting Affirm or Deny at a final state is stepped like
+// any other message: the machine traces it as the paper's §3 user error,
+// whichever node hosts it. Two conflicts are not the user's and are
+// dropped: an Affirm overtaken by its own interval's Retract, and the
+// engine's own lease Deny reaching an assumption that was affirmed
+// meanwhile.
 func (rt *router) apply(m *msg.Message) []*msg.Message {
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	h := rt.hostLocked(m.AID)
 	// Ownership came back (a leave was undone, or a transfer bounced):
 	// the tombstone is live state again.
 	h.moved = false
+	outs := rt.stepLocked(h, m)
+	if rt.reclaimable(h) {
+		rt.finals = append(rt.finals, m.AID)
+	}
+	return outs
+}
+
+// stepLocked applies m to h once. Called with rt.mu held.
+func (rt *router) stepLocked(h *hostState, m *msg.Message) []*msg.Message {
 	// Guess and CutProbe are questions: the machine absorbs a repeat
 	// idempotently and a repeat deserves its answer (a Revive re-asks the
 	// same Guess). Affirm, Deny and Retract act for one interval and must
@@ -374,16 +403,17 @@ func (rt *router) apply(m *msg.Message) []*msg.Message {
 		retracted := appliedKey{kind: msg.KindRetract, from: m.From, iid: m.IID}
 		if h.applied[key] || m.Kind == msg.KindAffirm && h.applied[retracted] {
 			rt.stats.duplicates++
-			rt.mu.Unlock()
 			return nil
 		}
 		if rt.leaseDenyLost(m, h.m) {
-			rt.mu.Unlock()
 			rt.eng.tracer.Emit(trace.Event{
 				Kind: trace.Info, AID: m.AID,
 				Detail: "AID table dropped a lease deny of an affirmed assumption",
 			})
 			return nil
+		}
+		if h.applied == nil {
+			h.applied = make(map[appliedKey]bool)
 		}
 		h.applied[key] = true
 	}
@@ -394,7 +424,6 @@ func (rt *router) apply(m *msg.Message) []*msg.Message {
 		h.dirty = true
 		rt.dirty = append(rt.dirty, m.AID)
 	}
-	rt.mu.Unlock()
 	return outs
 }
 
@@ -409,18 +438,80 @@ func (rt *router) leaseDenyLost(m *msg.Message, mach *aid.Machine) bool {
 }
 
 // hostLocked returns a's hosted state, creating a Cold machine on first
-// contact. Called with rt.mu held.
+// contact, or rebuilding a reclaimed one from its verdict. Called with
+// rt.mu held.
 func (rt *router) hostLocked(a ids.AID) *hostState {
-	h := rt.hosts[a]
-	if h == nil {
-		m := aid.NewMachine(a, rt.eng.tracer)
+	if h := rt.hosts[a]; h != nil {
+		return h
+	}
+	var m *aid.Machine
+	if verdict, ok := rt.verdicts[a]; ok {
+		m = aid.FromExport(aid.Export{
+			AID: a, State: verdictState(verdict), Revocable: rt.eng.stability != nil,
+		}, rt.eng.tracer)
+	} else {
+		m = aid.NewMachine(a, rt.eng.tracer)
 		if rt.eng.stability != nil {
 			m.EnableRevocable()
 		}
-		h = &hostState{m: m, applied: make(map[appliedKey]bool)}
-		rt.hosts[a] = h
 	}
+	h := &hostState{m: m}
+	rt.hosts[a] = h
 	return h
+}
+
+func verdictState(verdict bool) aid.State {
+	if verdict {
+		return aid.True
+	}
+	return aid.False
+}
+
+// reclaimable reports whether h's machine may be dropped for its verdict:
+// whether a machine rebuilt from the verdict alone answers every later
+// message as h would (DESIGN.md §4 item 10). That holds for False, and
+// for True when no Stability makes it revocable, with two exceptions.
+// With a ring, h's applied set must stay to void a NACK-retried Affirm
+// overtaken by its own interval's Retract. A machine that traced a
+// violation keeps its applied set too, so a repeat of the conflicting
+// adjudication stays a duplicate.
+func (rt *router) reclaimable(h *hostState) bool {
+	if rt.ring != nil || h.m.Violated() {
+		return false
+	}
+	switch h.m.State() {
+	case aid.False:
+		return true
+	case aid.True:
+		return rt.eng.stability == nil
+	}
+	return false
+}
+
+// reclaim drops the machines this drain decided. run calls it after
+// handle has sent their fan-out and flushExports has written their final
+// snapshot, DOM included.
+func (rt *router) reclaim() {
+	rt.mu.Lock()
+	for _, a := range rt.finals {
+		rt.reclaimLocked(a)
+	}
+	rt.finals = rt.finals[:0]
+	rt.mu.Unlock()
+}
+
+// reclaimLocked drops a's machine for its verdict if it is reclaimable.
+// Called with rt.mu held.
+func (rt *router) reclaimLocked(a ids.AID) {
+	h := rt.hosts[a]
+	if h == nil || !rt.reclaimable(h) {
+		return
+	}
+	delete(rt.hosts, a)
+	if _, rebuilt := rt.verdicts[a]; !rebuilt {
+		rt.verdicts[a] = h.m.State() == aid.True
+		rt.stats.reclaimed++
+	}
 }
 
 // mint hosts a freshly allocated assumption. Without a ring its PID is
@@ -456,7 +547,8 @@ func (rt *router) reaches(m *msg.Message) bool {
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
 		h := rt.hosts[m.AID]
-		return h != nil && !h.moved
+		_, decided := rt.verdicts[m.AID] // a reclaimed verdict still answers
+		return h != nil && !h.moved || decided
 	}
 	return !rt.redirect(m)
 }
@@ -695,11 +787,13 @@ func (e *Engine) InstallExports(blobs map[ids.AID][]byte, onlyOwned bool) (int, 
 // previous owner may have died with the fan-out still in its outbound
 // queue, and no later Step repeats it (stepAffirm on True is a no-op).
 // Replace and Rollback carry the stale-target guard at intervals, so a
-// fan-out that did survive makes these duplicates, not conflicts.
+// fan-out that did survive makes these duplicates, not conflicts. Once
+// announced and persisted, a reclaimable one is reclaimed.
 func (rt *router) install(exports []aid.Export, onlyOwned bool) int {
 	installed := 0
 	var snaps []aid.Export
 	var announce []*msg.Message
+	var decided []ids.AID
 	rt.mu.Lock()
 	for _, exp := range exports {
 		if onlyOwned {
@@ -724,10 +818,12 @@ func (rt *router) install(exports []aid.Export, onlyOwned bool) int {
 			for _, b := range h.m.DOM() {
 				announce = append(announce, msg.Replace(exp.AID, b, nil))
 			}
+			decided = append(decided, exp.AID)
 		case aid.False:
 			for _, b := range h.m.DOM() {
 				announce = append(announce, msg.Rollback(exp.AID, b))
 			}
+			decided = append(decided, exp.AID)
 		}
 	}
 	rt.mu.Unlock()
@@ -737,6 +833,11 @@ func (rt *router) install(exports []aid.Export, onlyOwned bool) int {
 	for _, m := range announce {
 		rt.eng.machine.Net().Send(m)
 	}
+	rt.mu.Lock()
+	for _, a := range decided {
+		rt.reclaimLocked(a)
+	}
+	rt.mu.Unlock()
 	return installed
 }
 
@@ -773,11 +874,13 @@ func (e *Engine) RoutingStats() RoutingStats {
 		Moved:      rt.stats.moved,
 		Adopted:    rt.stats.adopted,
 		Batched:    rt.stats.batched,
+		Reclaimed:  rt.stats.reclaimed,
 	}
 }
 
 // HostedExports snapshots every live (non-moved) hosted machine, for
-// the migration oracle and tests.
+// the migration oracle and tests. A reclaimed verdict is not a machine
+// and is not listed.
 func (e *Engine) HostedExports() []aid.Export {
 	rt := e.router
 	rt.mu.Lock()
@@ -792,25 +895,31 @@ func (e *Engine) HostedExports() []aid.Export {
 	return out
 }
 
-// HostedState returns the hosted machine state for a, and whether this
-// node currently hosts it live. Tests use it to assert exactly-one-host.
+// HostedState returns the state of a on this node, and whether this node
+// currently adjudicates it: it hosts a live machine for a, or a's
+// reclaimed verdict. Tests use it to assert exactly-one-host.
 func (e *Engine) HostedState(a ids.AID) (aid.State, bool) {
 	rt := e.router
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	h := rt.hosts[a]
-	if h == nil || h.moved {
-		return 0, false
+	if h := rt.hosts[a]; h != nil {
+		if h.moved {
+			return 0, false
+		}
+		return h.m.State(), true
 	}
-	return h.m.State(), true
+	if verdict, ok := rt.verdicts[a]; ok {
+		return verdictState(verdict), true
+	}
+	return 0, false
 }
 
-// collect archives the verdict of every final hosted machine, drops it
-// from the table, and, without a ring, detaches its PID (a later frame to
-// it is a dead letter; guesses are answered from the archive before any
-// is sent). It
-// reads the table directly, so it sends nothing. Moved tombstones are
-// dropped too. It returns how many final machines were archived.
+// collect archives the verdict of every final hosted machine and of
+// every reclaimed assumption, drops them from the table, and, without a
+// ring, detaches their PIDs (a later frame to one is a dead letter;
+// guesses are answered from the archive before any is sent). It reads the
+// table directly, so it sends nothing. Moved tombstones are dropped too.
+// It returns how many assumptions were archived.
 func (rt *router) collect() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -824,16 +933,28 @@ func (rt *router) collect() int {
 		if !st.Final() {
 			continue
 		}
-		rt.eng.mu.Lock()
-		rt.eng.archive[a] = st == aid.True
-		rt.eng.mu.Unlock()
 		delete(rt.hosts, a)
-		if rt.ring == nil {
-			rt.eng.machine.Detach(a.PID())
-		}
+		delete(rt.verdicts, a) // a rebuilt machine shadowed it
+		rt.archiveLocked(a, st == aid.True)
 		collected++
 	}
+	for a, verdict := range rt.verdicts {
+		rt.archiveLocked(a, verdict)
+		collected++
+	}
+	rt.verdicts = make(map[ids.AID]bool)
 	return collected
+}
+
+// archiveLocked hands a's verdict to the engine's archive and, without a
+// ring, detaches its PID. Called with rt.mu held.
+func (rt *router) archiveLocked(a ids.AID, verdict bool) {
+	rt.eng.mu.Lock()
+	rt.eng.archive[a] = verdict
+	rt.eng.mu.Unlock()
+	if rt.ring == nil {
+		rt.eng.machine.Detach(a.PID())
+	}
 }
 
 // stopRetries stops the retry pacer.

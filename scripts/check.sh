@@ -119,6 +119,17 @@ echo '== AID table (repeated under race)'
 # detector.
 go test -race -count=3 -run 'TestAIDsCostNoGoroutine|TestCollect|TestGuessAfterCollect|TestViolations|TestRestartRestoresMintedAIDs|TestRetriedAffirm|TestLeaseDeny' . ./internal/core/
 
+echo '== serving-path AID reclamation (gated, repeated under race)'
+# Without a ring the AID table drops a machine once its verdict is final
+# and its fan-out and export are out, and answers late traffic from the
+# verdict (DESIGN.md §4 item 10): every (verdict, message) pair answers as
+# the live machine, late Guess/CutProbe frames get Replace/CutAck/Rollback
+# with no dead letter, a lease deny of a reclaimed True goes to the table
+# and is dropped, a revocable True stays hosted, and a durable restart
+# re-announces then reclaims. Three repetitions under the race detector.
+go test -race -count=3 -run 'TestReclaimedVerdictAnswersAsLiveMachine|TestLateFramesMeetReclaimedVerdicts|TestAutoDenyOfReclaimedTrueIsDropped|TestRevocableTrueStaysHosted|TestRestartReclaimsDecidedAIDs' \
+    . ./internal/core/
+
 echo '== cycle-cut confirmation (gated, repeated under race)'
 # When a UDO hit costs a CutProbe round trip (DESIGN.md §4.9): none when
 # the interval saw the member affirmed and True is absorbing; one with the
