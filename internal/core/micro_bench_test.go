@@ -18,6 +18,18 @@ func benchEngine(b *testing.B) *Engine {
 	return eng
 }
 
+// BenchmarkNewAID measures minting one assumption: a PID attached to
+// the AID table and a Cold machine entered in it.
+func BenchmarkNewAID(b *testing.B) {
+	eng := benchEngine(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.NewAID(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGuessAffirmed measures a full guess lifecycle: one guess plus
 // its eventual resolution, amortized over a batch per process.
 func BenchmarkGuessAffirmed(b *testing.B) {

@@ -11,6 +11,7 @@ import (
 	"github.com/hope-dist/hope/internal/mailbox"
 	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/trace"
+	"github.com/hope-dist/hope/internal/transport"
 )
 
 // This file implements the engine's AID table: the one host of the
@@ -148,7 +149,8 @@ type router struct {
 	self int            // ring.Self; 0 without a ring
 
 	box      *mailbox.Box
-	pending  atomic.Int64 // frames delivered to box and not yet handled
+	handler  transport.Handler // deliver, made once: every attached PID shares it
+	pending  atomic.Int64      // frames delivered to box and not yet handled
 	stepped  chan struct{}
 	exporter AIDExporter // the engine's Persister, when it keeps exports
 
@@ -186,6 +188,7 @@ func newRouter(e *Engine, ring *RoutingConfig) *router {
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
+	rt.handler = rt.deliver
 	if ring != nil {
 		rt.self = ring.Self
 	}
@@ -195,7 +198,7 @@ func newRouter(e *Engine, ring *RoutingConfig) *router {
 		close(rt.done)
 		return rt
 	}
-	e.machine.Attach(ring.RouterPID(rt.self), rt.deliver)
+	e.machine.Attach(ring.RouterPID(rt.self), rt.handler)
 	go rt.retryLoop()
 	return rt
 }
@@ -524,7 +527,7 @@ func (rt *router) mint(a ids.AID) {
 	if rt.ring != nil {
 		return
 	}
-	rt.eng.machine.Attach(a.PID(), rt.deliver)
+	rt.eng.machine.Attach(a.PID(), rt.handler)
 	rt.mu.Lock()
 	h := rt.hostLocked(a)
 	var snap aid.Export
@@ -803,7 +806,7 @@ func (rt *router) install(exports []aid.Export, onlyOwned bool) int {
 			}
 		}
 		if rt.ring == nil {
-			rt.eng.machine.Attach(exp.AID.PID(), rt.deliver)
+			rt.eng.machine.Attach(exp.AID.PID(), rt.handler)
 		}
 		h := rt.hostLocked(exp.AID)
 		h.moved = false

@@ -257,7 +257,7 @@ func Start(cfg Config) (_ *Node, err error) {
 	if routed {
 		// A peer's adoption announcement: forward frames addressed to the
 		// dead incarnations. First mapping wins, so replays are harmless.
-		wcfg.Transplant = wire.TransplantConfig{
+		wcfg.Transplant = wire.Channel{
 			OnPayload: func(from int, payload []byte) {
 				pairs, err := core.DecodeTransplantAnnouncement(payload)
 				if eng := n.eng.Load(); err != nil {
@@ -269,7 +269,7 @@ func Start(cfg Config) (_ *Node, err error) {
 		}
 	}
 	if cfg.clustered() {
-		wcfg.Gossip = wire.GossipConfig{
+		wcfg.Gossip = wire.Channel{
 			OnPayload: func(from int, payload []byte) {
 				if m := n.mgr.Load(); m != nil {
 					m.HandleGossip(from, payload)
@@ -285,7 +285,7 @@ func Start(cfg Config) (_ *Node, err error) {
 		if n.survive {
 			// Shard handoff rides the out-of-band transfer frame; the
 			// shipper re-offers a dropped batch on its next view change.
-			wcfg.Transfer = wire.TransferConfig{
+			wcfg.Transfer = wire.Channel{
 				OnPayload: func(from int, payload []byte) {
 					if eng := n.eng.Load(); eng != nil {
 						if _, err := eng.InstallTransfer(payload); err != nil {
@@ -312,7 +312,7 @@ func Start(cfg Config) (_ *Node, err error) {
 		if n.store != nil {
 			stab.SetFrontier(recov.FrontierView, recov.Frontier)
 		}
-		wcfg.Stability = wire.StabilityConfig{
+		wcfg.Stability = wire.Channel{
 			OnPayload: func(from int, payload []byte) {
 				if a := n.agent.Load(); a != nil {
 					a.HandlePayload(from, payload)

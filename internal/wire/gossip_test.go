@@ -61,7 +61,7 @@ func (s *gossipSink) last(from int) []byte {
 // exchange stays out of band: no inflight frames, nothing to drain.
 func TestGossipPushPull(t *testing.T) {
 	sa, sb := newGossipSink(), newGossipSink()
-	a, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0", Gossip: GossipConfig{
+	a, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0", Gossip: Channel{
 		OnPayload: sa.onPayload,
 		Reply:     func(from int) []byte { return []byte("view-of-a") },
 	}})
@@ -69,7 +69,7 @@ func TestGossipPushPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewNode(NodeConfig{ID: 1, Listen: "127.0.0.1:0", Gossip: GossipConfig{
+	b, err := NewNode(NodeConfig{ID: 1, Listen: "127.0.0.1:0", Gossip: Channel{
 		OnPayload: sb.onPayload,
 		Reply:     func(from int) []byte { return []byte("view-of-b") },
 	}})
@@ -94,7 +94,7 @@ func TestGossipPushPull(t *testing.T) {
 		t.Fatalf("gossip counted as inflight: %d", n)
 	}
 	ws := a.WireStats()
-	if ws.GossipSent == 0 || ws.GossipRecv == 0 {
+	if c := ws.Channels[chanGossip]; c.Sent == 0 || c.Recv == 0 {
 		t.Fatalf("gossip counters not advanced: %v", ws)
 	}
 	// Self- and empty-payload pushes are refused.
@@ -113,7 +113,7 @@ func TestGossipCoexistsWithMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewNode(NodeConfig{ID: 1, Listen: "127.0.0.1:0", Gossip: GossipConfig{OnPayload: sb.onPayload}})
+	b, err := NewNode(NodeConfig{ID: 1, Listen: "127.0.0.1:0", Gossip: Channel{OnPayload: sb.onPayload}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,7 +287,7 @@ func (n *Node) declareDead(h *peerHealth, silence time.Duration) {
 		p.queue = nil
 		p.queueBytes = 0
 		p.cursor = 0
-		p.gossip = nil
+		p.oob = [nChan][][]byte{}
 		if p.conn != nil {
 			p.conn.Close()
 			p.conn = nil

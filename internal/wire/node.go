@@ -55,33 +55,38 @@ const (
 	frameTransplant = 9 // either direction: opaque transplant-announcement payload, out of band
 )
 
-// maxPendingGossip bounds each peer's pending gossip payloads. Gossip
-// is anti-entropy — each payload supersedes the last — so when a slow
-// link falls behind, the oldest pending payload is dropped, never the
-// newest.
-const maxPendingGossip = 4
+// The out-of-band channels, in frame-type order: channel ch travels as
+// frame type frameGossip+ch (see Channel).
+const (
+	chanGossip = iota
+	chanStability
+	chanTransfer
+	chanTransplant
+	nChan
+)
 
-// maxPendingStability bounds each peer's pending stability payloads.
-// Rounds are periodic and self-correcting — a dropped sweep or report
-// only delays the next frontier advance — so when a slow link falls
-// behind, the oldest pending payload is dropped, never the newest.
-const maxPendingStability = 8
+// chanNames labels each channel in WireStats.String.
+var chanNames = [nChan]string{"gossip", "stab", "xfer", "tpl"}
 
-// maxPendingTransfer bounds each peer's pending shard-transfer
-// payloads. Transfers are repaired end to end — a dropped batch is
-// re-exported on the next view change, the receiver lazily re-creates
-// missing machines Cold, and a dead owner's WAL is the fallback — so
-// when a slow link falls behind, the oldest pending payload is dropped,
-// never the newest.
-const maxPendingTransfer = 16
+// chanBound bounds each peer's pending payloads per channel. Every
+// channel's loss is repaired above the wire, so when a slow link falls
+// behind the oldest pending payload is dropped, never the newest:
+//   - gossip is anti-entropy: each payload supersedes the last;
+//   - stability rounds are self-correcting: a dropped sweep or report
+//     only delays the next frontier advance;
+//   - a dropped transfer batch is re-exported on the next view change,
+//     the receiver lazily re-creates missing machines Cold, and a dead
+//     owner's WAL is the fallback;
+//   - a dropped transplant announcement is re-announced on demand, and
+//     frames bound for a dead incarnation park on the would-be sender
+//     until a mapping arrives.
+var chanBound = [nChan]int{chanGossip: 4, chanStability: 8, chanTransfer: 16, chanTransplant: 16}
 
-// maxPendingTransplant bounds each peer's pending transplant
-// announcements. Announcements are repaired end to end — the adopter
-// re-announces its full mapping on demand, and frames bound for a dead
-// incarnation park on the would-be sender until a mapping arrives — so
-// when a slow link falls behind, the oldest pending payload is dropped,
-// never the newest.
-const maxPendingTransplant = 16
+// chanOf maps an out-of-band frame type to its channel.
+func chanOf(ftype byte) (int, bool) {
+	ch := int(ftype) - frameGossip
+	return ch, ch >= 0 && ch < nChan
+}
 
 // maxFrame bounds a frame read so a corrupt length prefix cannot force a
 // huge allocation.
@@ -144,19 +149,11 @@ type NodeConfig struct {
 	// OnPeerDead fired. The zero value disables the detector (health is
 	// still tracked passively; see Node.PeerHealth).
 	Health HealthConfig
-	// Gossip, when wired, lets a membership layer piggyback opaque
-	// payloads on the node's connections (see GossipConfig).
-	Gossip GossipConfig
-	// Stability, when wired, lets the commit-watermark layer piggyback
-	// its round payloads on the node's connections (see StabilityConfig).
-	Stability StabilityConfig
-	// Transfer, when wired, lets the ownership-migration layer ship AID
-	// machine exports on the node's connections (see TransferConfig).
-	Transfer TransferConfig
-	// Transplant, when wired, lets the process-transplant layer broadcast
-	// old→new incarnation mappings on the node's connections (see
-	// TransplantConfig).
-	Transplant TransplantConfig
+	// The out-of-band channels (see Channel). Gossip carries membership
+	// views push-pull (its Reply answers each push); Stability carries
+	// commit-watermark rounds; Transfer ships AID machine exports to a
+	// new owner; Transplant broadcasts old→new incarnation mappings.
+	Gossip, Stability, Transfer, Transplant Channel
 	// Watermark advertises this node's commit-watermark mode in the
 	// connection handshake. A definite mismatch (both sides advertise,
 	// differently) is refused at connection time with a clear error
@@ -177,65 +174,29 @@ type NodeConfig struct {
 	HoldInbound bool
 }
 
-// GossipConfig hooks a membership layer into the transport. Gossip
-// frames are out of band with respect to the message stream: not
-// sequenced, not acked, not resent, not written to the WAL, and not
-// counted in Inflight — losing one costs nothing, because gossip is
-// idempotent anti-entropy and the next round carries the same state.
-// They do count as liveness evidence for the failure detector, exactly
-// like message and ack frames.
-//
-// Flow is push-pull: Node.Gossip pushes a payload out on the dialed
-// connection; the acceptor hands it to OnPayload and answers with its
-// own Reply payload on the same connection, which the dialer hands to
-// its OnPayload. Only the acceptor replies, so one push costs exactly
-// one round trip and loops cannot form.
-type GossipConfig struct {
-	// OnPayload receives each inbound gossip payload (a fresh copy; the
-	// callback may retain it). Called synchronously from the connection's
-	// read loop — keep it quick, and never call back into a blocking
-	// Node method from it.
+// Channel hooks one layer into the transport's out-of-band plane
+// (DESIGN.md §7, "Out-of-band channels"). Its frames are not sequenced,
+// acked, resent or written to the WAL, and not counted in Inflight or
+// MsgSeqs: each layer repairs its own losses, and a stability round
+// must observe "every sequenced frame is drained" without its own
+// traffic perturbing that condition. They do count as liveness evidence
+// for the failure detector, like message and ack frames.
+type Channel struct {
+	// OnPayload receives each inbound payload (a fresh copy; the
+	// callback may retain it). Called synchronously from the
+	// connection's read loop — keep it quick, and never call back into a
+	// blocking Node method from it.
 	OnPayload func(from int, payload []byte)
 	// Reply, when non-nil, produces the payload the acceptor sends back
-	// for each gossip frame it receives (nil = no reply).
+	// on the same connection for each frame it receives (nil or empty =
+	// no reply). Only the acceptor replies, so one push costs at most
+	// one round trip and loops cannot form.
 	Reply func(from int) []byte
 }
 
-// StabilityConfig hooks the commit-watermark round agent (see
-// internal/stability) into the transport. Stability frames share the
-// gossip frames' out-of-band discipline: not sequenced, not acked, not
-// resent, not written to the WAL, and not counted in Inflight — which
-// is essential, not merely cheap: a stability round must be able to
-// observe "every sequenced frame is drained" without its own traffic
-// perturbing that very condition. Like gossip, they count as liveness
-// evidence for the failure detector. Unlike gossip there is no built-in
-// reply; the agent's sweep/report/advance exchange is its own protocol
-// on top of one-way payloads (Node.Stability).
-type StabilityConfig struct {
-	// OnPayload receives each inbound stability payload (a fresh copy;
-	// the callback may retain it). Called synchronously from the
-	// connection's read loop — keep it quick, and never call back into a
-	// blocking Node method from it.
-	OnPayload func(from int, payload []byte)
-}
-
-// TransferConfig hooks the shard-migration layer (core's ownership
-// routing; see DESIGN.md §13) into the transport. Transfer frames share
-// the gossip frames' out-of-band discipline: not sequenced, not acked,
-// not resent, not written to the WAL, and not counted in Inflight. The
-// migration protocol tolerates loss by construction — the new owner
-// lazily re-creates any machine it never received in the Cold state,
-// the old owner re-exports on the next view change, and a dead owner's
-// WAL export records are the durable fallback — so a transfer batch
-// rides best-effort like a gossip round. Like gossip, transfer frames
-// count as liveness evidence for the failure detector.
-type TransferConfig struct {
-	// OnPayload receives each inbound transfer payload (a fresh copy;
-	// the callback may retain it). Called synchronously from the
-	// connection's read loop — keep it quick, and never call back into a
-	// blocking Node method from it.
-	OnPayload func(from int, payload []byte)
-}
+// StabilityConfig is the stability channel's former type name, kept
+// only for callers that still spell it; ROADMAP item 6(c) deletes it.
+type StabilityConfig = Channel
 
 // WatermarkMode is a node's commit-watermark stance, advertised in the
 // wire handshake so mismatched deployments fail at connection time
@@ -264,23 +225,6 @@ func (m WatermarkMode) String() string {
 	}
 }
 
-// TransplantConfig hooks the process-transplant layer (core's adoption
-// of a dead node's user processes; see DESIGN.md §13) into the
-// transport. Transplant frames share the gossip frames' out-of-band
-// discipline: not sequenced, not acked, not resent, not written to the
-// WAL, and not counted in Inflight. Loss is tolerated by construction —
-// the adopter's mapping is durable in its own WAL and re-announced on
-// restart, and frames addressed to a dead incarnation park on the
-// sender until some announcement lands. Like gossip, transplant frames
-// count as liveness evidence for the failure detector.
-type TransplantConfig struct {
-	// OnPayload receives each inbound transplant announcement (a fresh
-	// copy; the callback may retain it). Called synchronously from the
-	// connection's read loop — keep it quick, and never call back into a
-	// blocking Node method from it.
-	OnPayload func(from int, payload []byte)
-}
-
 // Node is a TCP transport endpoint implementing transport.Transport.
 // Messages to PIDs registered locally are delivered synchronously;
 // messages to PIDs owned by other nodes are sequenced, framed, and
@@ -296,10 +240,7 @@ type Node struct {
 	queue  transport.QueueLimits // normalized per-peer bounds
 	dur    DurableHooks          // nil = no durability
 	health HealthConfig          // normalized failure-detector config
-	gossip GossipConfig          // membership piggyback hooks (zero = none)
-	stab   StabilityConfig       // commit-watermark piggyback hooks (zero = none)
-	xfer   TransferConfig        // shard-migration piggyback hooks (zero = none)
-	tpl    TransplantConfig      // process-transplant piggyback hooks (zero = none)
+	chans  [nChan]Channel        // out-of-band hooks by channel (zero = none)
 	wmMode WatermarkMode         // advertised in the handshake; mismatches are refused
 
 	mu       sync.Mutex
@@ -332,19 +273,9 @@ type Node struct {
 	probesSent            atomic.Uint64
 	probesRecv            atomic.Uint64
 	deadDrops             atomic.Uint64
-	gossipSent            atomic.Uint64
-	gossipRecv            atomic.Uint64
-	gossipDrops           atomic.Uint64
-	stabSent              atomic.Uint64
-	stabRecv              atomic.Uint64
-	stabDrops             atomic.Uint64
-	xferSent              atomic.Uint64
-	xferRecv              atomic.Uint64
-	xferDrops             atomic.Uint64
-	tplSent               atomic.Uint64
-	tplRecv               atomic.Uint64
-	tplDrops              atomic.Uint64
 	modeRejects           atomic.Uint64
+	oobSent, oobRecv      [nChan]atomic.Uint64
+	oobDrops              [nChan]atomic.Uint64
 }
 
 var _ transport.Transport = (*Node)(nil)
@@ -369,26 +300,24 @@ type WireStats struct {
 	ProbesSent          uint64 // liveness ping frames written
 	ProbesRecv          uint64 // liveness ping frames received (each forces an ack)
 	DeadDrops           uint64 // frames dropped because their peer was declared dead
-	GossipSent          uint64 // gossip frames written (pushes and replies)
-	GossipRecv          uint64 // gossip frames received
-	GossipDrops         uint64 // pending gossip payloads superseded before the write
-	StabSent            uint64 // stability frames written
-	StabRecv            uint64 // stability frames received
-	StabDrops           uint64 // pending stability payloads superseded before the write
-	XferSent            uint64 // shard-transfer frames written
-	XferRecv            uint64 // shard-transfer frames received
-	XferDrops           uint64 // pending transfer payloads superseded before the write
-	TplSent             uint64 // transplant-announcement frames written
-	TplRecv             uint64 // transplant-announcement frames received
-	TplDrops            uint64 // pending transplant payloads superseded before the write
 	ModeRejects         uint64 // connections refused for a watermark-mode mismatch
 	PeersSuspect        int    // gauge: peers currently in Suspect
 	PeersDead           int    // gauge: peers declared Dead (terminal)
+	// Channels counts each out-of-band channel's frames, indexed gossip,
+	// stability, transfer, transplant (NodeConfig's order).
+	Channels [nChan]ChannelStats
 
 	// Durable reports whether the node runs with a WAL; WAL holds that
 	// log's counters when it does.
 	Durable bool
 	WAL     DurableStats
+}
+
+// ChannelStats counts one out-of-band channel's frames.
+type ChannelStats struct {
+	Sent  uint64 // frames written (pushes and replies)
+	Recv  uint64 // frames received
+	Drops uint64 // pending payloads superseded before the write
 }
 
 // String implements fmt.Stringer.
@@ -401,17 +330,10 @@ func (s WireStats) String() string {
 		base += fmt.Sprintf(" probes=%d/%d suspect=%d dead=%d deaddrop=%d",
 			s.ProbesSent, s.ProbesRecv, s.PeersSuspect, s.PeersDead, s.DeadDrops)
 	}
-	if s.GossipSent != 0 || s.GossipRecv != 0 {
-		base += fmt.Sprintf(" gossip=%d/%d gdrop=%d", s.GossipSent, s.GossipRecv, s.GossipDrops)
-	}
-	if s.StabSent != 0 || s.StabRecv != 0 {
-		base += fmt.Sprintf(" stab=%d/%d sdrop=%d", s.StabSent, s.StabRecv, s.StabDrops)
-	}
-	if s.XferSent != 0 || s.XferRecv != 0 {
-		base += fmt.Sprintf(" xfer=%d/%d xdrop=%d", s.XferSent, s.XferRecv, s.XferDrops)
-	}
-	if s.TplSent != 0 || s.TplRecv != 0 {
-		base += fmt.Sprintf(" tpl=%d/%d tdrop=%d", s.TplSent, s.TplRecv, s.TplDrops)
+	for ch, c := range s.Channels {
+		if c.Sent != 0 || c.Recv != 0 {
+			base += fmt.Sprintf(" %s=%d/%d drop=%d", chanNames[ch], c.Sent, c.Recv, c.Drops)
+		}
 	}
 	if s.ModeRejects != 0 {
 		base += fmt.Sprintf(" moderej=%d", s.ModeRejects)
@@ -455,14 +377,11 @@ type peer struct {
 	conn       net.Conn
 	gen        uint64 // connection generation, guards stale readers
 	closed     bool
-	dead       bool          // peer declared Dead: no dialing, no queueing, ever again
-	probe      bool          // monitor requested a ping frame on the live connection
-	gossip     [][]byte      // pending out-of-band gossip payloads (bounded; oldest dropped)
-	stability  [][]byte      // pending out-of-band stability payloads (bounded; oldest dropped)
-	transfer   [][]byte      // pending out-of-band shard-transfer payloads (bounded; oldest dropped)
-	transplant [][]byte      // pending out-of-band transplant announcements (bounded; oldest dropped)
-	full       bool          // inside a queue-overflow episode (one trace event each)
-	backoffCur time.Duration // last reconnect backoff used (observable for tests)
+	dead       bool            // peer declared Dead: no dialing, no queueing, ever again
+	probe      bool            // monitor requested a ping frame on the live connection
+	oob        [nChan][][]byte // pending out-of-band payloads by channel (bounded by chanBound; oldest dropped)
+	full       bool            // inside a queue-overflow episode (one trace event each)
+	backoffCur time.Duration   // last reconnect backoff used (observable for tests)
 	health     *peerHealth
 
 	// pinLo..pinHi (inclusive, 0 = none) is the seq range the pump is
@@ -506,10 +425,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		queue:      cfg.Queue.Norm(),
 		dur:        cfg.Durable,
 		health:     cfg.Health.norm(),
-		gossip:     cfg.Gossip,
-		stab:       cfg.Stability,
-		xfer:       cfg.Transfer,
-		tpl:        cfg.Transplant,
+		chans:      [nChan]Channel{cfg.Gossip, cfg.Stability, cfg.Transfer, cfg.Transplant},
 		wmMode:     cfg.Watermark,
 		handlers:   make(map[ids.PID]transport.Handler),
 		peers:      make(map[int]*peer),
@@ -608,106 +524,25 @@ func (n *Node) SetPeer(id int, addr string) {
 	p.mu.Unlock()
 }
 
-// Gossip queues one opaque membership payload toward a peer,
-// best-effort (see GossipConfig). It reports whether the payload was
-// accepted for writing — false when the peer is dead, the node closed,
-// or the target is self. The payload is copied; the caller keeps the
-// buffer. At most maxPendingGossip payloads wait per peer; beyond
-// that, the oldest pending payload is superseded.
-func (n *Node) Gossip(to int, payload []byte) bool {
-	if to == n.id || len(payload) == 0 {
-		return false
-	}
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return false
-	}
-	p := n.peer(to)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || p.dead {
-		return false
-	}
-	if len(p.gossip) >= maxPendingGossip {
-		p.gossip = p.gossip[1:]
-		n.gossipDrops.Add(1)
-	}
-	p.gossip = append(p.gossip, append([]byte(nil), payload...))
-	p.cond.Broadcast()
-	return true
-}
+// Gossip queues a membership payload toward a peer (see send).
+func (n *Node) Gossip(to int, payload []byte) bool { return n.send(chanGossip, to, payload) }
 
-// Stability queues one opaque commit-watermark payload toward a peer,
-// best-effort (see StabilityConfig). It reports whether the payload was
-// accepted for writing — false when the peer is dead, the node closed,
-// or the target is self. The payload is copied; the caller keeps the
-// buffer. At most maxPendingStability payloads wait per peer; beyond
-// that, the oldest pending payload is superseded.
-func (n *Node) Stability(to int, payload []byte) bool {
-	if to == n.id || len(payload) == 0 {
-		return false
-	}
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return false
-	}
-	p := n.peer(to)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || p.dead {
-		return false
-	}
-	if len(p.stability) >= maxPendingStability {
-		p.stability = p.stability[1:]
-		n.stabDrops.Add(1)
-	}
-	p.stability = append(p.stability, append([]byte(nil), payload...))
-	p.cond.Broadcast()
-	return true
-}
+// Stability queues a commit-watermark round payload toward a peer.
+func (n *Node) Stability(to int, payload []byte) bool { return n.send(chanStability, to, payload) }
 
-// Transfer queues one opaque shard-migration payload toward a peer,
-// best-effort (see TransferConfig). It reports whether the payload was
-// accepted for writing — false when the peer is dead, the node closed,
-// or the target is self. The payload is copied; the caller keeps the
-// buffer. At most maxPendingTransfer payloads wait per peer; beyond
-// that, the oldest pending payload is superseded.
-func (n *Node) Transfer(to int, payload []byte) bool {
-	if to == n.id || len(payload) == 0 {
-		return false
-	}
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return false
-	}
-	p := n.peer(to)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || p.dead {
-		return false
-	}
-	if len(p.transfer) >= maxPendingTransfer {
-		p.transfer = p.transfer[1:]
-		n.xferDrops.Add(1)
-	}
-	p.transfer = append(p.transfer, append([]byte(nil), payload...))
-	p.cond.Broadcast()
-	return true
-}
+// Transfer queues a shard-migration payload toward a peer.
+func (n *Node) Transfer(to int, payload []byte) bool { return n.send(chanTransfer, to, payload) }
 
-// Transplant queues one opaque transplant-announcement payload toward a
-// peer, best-effort (see TransplantConfig). It reports whether the
-// payload was accepted for writing — false when the peer is dead, the
-// node closed, or the target is self. The payload is copied; the caller
-// keeps the buffer. At most maxPendingTransplant payloads wait per
-// peer; beyond that, the oldest pending payload is superseded.
-func (n *Node) Transplant(to int, payload []byte) bool {
+// Transplant queues a transplant announcement toward a peer.
+func (n *Node) Transplant(to int, payload []byte) bool { return n.send(chanTransplant, to, payload) }
+
+// send queues one payload on channel ch toward a peer, best-effort. It
+// reports whether the payload was accepted for writing — false when the
+// peer is dead, the node closed, the target is self or the payload
+// empty. The payload is copied; the caller keeps the buffer. At most
+// chanBound[ch] payloads wait per peer on ch; beyond that, the oldest
+// pending payload is superseded.
+func (n *Node) send(ch, to int, payload []byte) bool {
 	if to == n.id || len(payload) == 0 {
 		return false
 	}
@@ -723,11 +558,12 @@ func (n *Node) Transplant(to int, payload []byte) bool {
 	if p.closed || p.dead {
 		return false
 	}
-	if len(p.transplant) >= maxPendingTransplant {
-		p.transplant = p.transplant[1:]
-		n.tplDrops.Add(1)
+	q := p.oob[ch]
+	if len(q) >= chanBound[ch] {
+		q = q[1:]
+		n.oobDrops[ch].Add(1)
 	}
-	p.transplant = append(p.transplant, append([]byte(nil), payload...))
+	p.oob[ch] = append(q, append([]byte(nil), payload...))
 	p.cond.Broadcast()
 	return true
 }
@@ -989,10 +825,7 @@ func (n *Node) Close() {
 		p.queue = nil
 		p.queueBytes = 0
 		p.cursor = 0
-		p.gossip = nil
-		p.stability = nil
-		p.transfer = nil
-		p.transplant = nil
+		p.oob = [nChan][][]byte{}
 		if p.conn != nil {
 			p.conn.Close()
 			p.conn = nil
@@ -1042,19 +875,10 @@ func (n *Node) WireStats() WireStats {
 		DialFailures: n.dialFails.Load(),
 		QueueFull:    n.queueFull.Load(), Flushes: n.flushes.Load(),
 		ProbesSent: n.probesSent.Load(), ProbesRecv: n.probesRecv.Load(),
-		DeadDrops:  n.deadDrops.Load(),
-		GossipSent: n.gossipSent.Load(), GossipRecv: n.gossipRecv.Load(),
-		GossipDrops: n.gossipDrops.Load(),
-		StabSent:    n.stabSent.Load(),
-		StabRecv:    n.stabRecv.Load(),
-		StabDrops:   n.stabDrops.Load(),
-		XferSent:    n.xferSent.Load(),
-		XferRecv:    n.xferRecv.Load(),
-		XferDrops:   n.xferDrops.Load(),
-		TplSent:     n.tplSent.Load(),
-		TplRecv:     n.tplRecv.Load(),
-		TplDrops:    n.tplDrops.Load(),
-		ModeRejects: n.modeRejects.Load(),
+		DeadDrops: n.deadDrops.Load(), ModeRejects: n.modeRejects.Load(),
+	}
+	for ch := range s.Channels {
+		s.Channels[ch] = ChannelStats{Sent: n.oobSent[ch].Load(), Recv: n.oobRecv[ch].Load(), Drops: n.oobDrops[ch].Load()}
 	}
 	for _, h := range n.healthSnapshot() {
 		switch PeerState(h.state.Load()) {
@@ -1384,6 +1208,16 @@ func (n *Node) serveConn(c net.Conn) {
 		}
 	}
 
+	// reply writes an out-of-band channel's answer (see Channel.Reply).
+	reply := func(ch int, payload []byte) {
+		wmu.Lock()
+		werr := n.writeFrame(c, byte(frameGossip+ch), payload)
+		wmu.Unlock()
+		if werr == nil {
+			n.oobSent[ch].Add(1)
+		}
+	}
+
 	// Teardown flush: whatever was delivered but not yet acked when the
 	// connection dies (or the node shuts down) gets one best-effort
 	// final ack, so a graceful close does not strand a tail of frames in
@@ -1431,55 +1265,8 @@ func (n *Node) serveConn(c net.Conn) {
 			sendAck(true)
 			continue
 		}
-		if ftype == frameGossip {
-			// Out-of-band membership payload: hand it up, answer with our
-			// own view on the same connection (push-pull; only the
-			// acceptor replies, so no loop forms). body aliases the read
-			// scratch buffer — the callback gets a copy.
-			n.gossipRecv.Add(1)
-			if cb := n.gossip.OnPayload; cb != nil {
-				cb(from, append([]byte(nil), body...))
-			}
-			if rp := n.gossip.Reply; rp != nil {
-				if payload := rp(from); len(payload) > 0 {
-					wmu.Lock()
-					werr := n.writeFrame(c, frameGossip, payload)
-					wmu.Unlock()
-					if werr == nil {
-						n.gossipSent.Add(1)
-					}
-				}
-			}
-			continue
-		}
-		if ftype == frameStability {
-			// Out-of-band commit-watermark payload: hand it up; the agent's
-			// own protocol decides whether and what to send back. body
-			// aliases the read scratch buffer — the callback gets a copy.
-			n.stabRecv.Add(1)
-			if cb := n.stab.OnPayload; cb != nil {
-				cb(from, append([]byte(nil), body...))
-			}
-			continue
-		}
-		if ftype == frameTransfer {
-			// Out-of-band shard-migration payload: hand it up; the routing
-			// layer installs what it owns and ignores the rest. body
-			// aliases the read scratch buffer — the callback gets a copy.
-			n.xferRecv.Add(1)
-			if cb := n.xfer.OnPayload; cb != nil {
-				cb(from, append([]byte(nil), body...))
-			}
-			continue
-		}
-		if ftype == frameTransplant {
-			// Out-of-band transplant announcement: hand it up; the engine
-			// installs the mappings first-wins and forwards parked frames.
-			// body aliases the read scratch buffer — the callback gets a copy.
-			n.tplRecv.Add(1)
-			if cb := n.tpl.OnPayload; cb != nil {
-				cb(from, append([]byte(nil), body...))
-			}
+		if ch, ok := chanOf(ftype); ok {
+			n.receive(ch, from, body, reply)
 			continue
 		}
 		if ftype != frameMsg {
@@ -1545,6 +1332,24 @@ func (n *Node) serveConn(c net.Conn) {
 		in.mu.Unlock()
 		if pending >= ackEvery {
 			sendAck(false)
+		}
+	}
+}
+
+// receive hands one inbound out-of-band payload on channel ch to its
+// hook. body aliases the reader's scratch buffer, so the hook gets a
+// copy. serveConn passes reply, so the acceptor answers through
+// Channel.Reply; readAcks passes nil, since the dialer never answers
+// an answer.
+func (n *Node) receive(ch, from int, body []byte, reply func(ch int, payload []byte)) {
+	n.oobRecv[ch].Add(1)
+	c := &n.chans[ch]
+	if c.OnPayload != nil {
+		c.OnPayload(from, append([]byte(nil), body...))
+	}
+	if reply != nil && c.Reply != nil {
+		if payload := c.Reply(from); len(payload) > 0 {
+			reply(ch, payload)
 		}
 	}
 }
@@ -1738,7 +1543,8 @@ func (p *peer) pruneLocked(acked uint64) int {
 }
 
 // readAcks consumes ack frames on a dialed connection, pruning the
-// resend queue. When the connection dies it detaches it so the pump
+// resend queue, and hands the acceptor's out-of-band replies to their
+// channels. When the connection dies it detaches it so the pump
 // reconnects.
 func (p *peer) readAcks(conn net.Conn, gen uint64) {
 	br := bufio.NewReader(conn)
@@ -1764,34 +1570,13 @@ loop:
 				p.n.dur.AckAdvanced(p.id, acked)
 			}
 			p.n.retire(retired)
-		case frameGossip:
-			// The acceptor's push-pull reply to a gossip push we wrote.
-			// The dialer never replies to a reply (loops; see GossipConfig).
-			p.n.gossipRecv.Add(1)
-			p.n.heard(p.health)
-			if cb := p.n.gossip.OnPayload; cb != nil {
-				cb(p.id, append([]byte(nil), body...))
-			}
-		case frameStability:
-			p.n.stabRecv.Add(1)
-			p.n.heard(p.health)
-			if cb := p.n.stab.OnPayload; cb != nil {
-				cb(p.id, append([]byte(nil), body...))
-			}
-		case frameTransfer:
-			p.n.xferRecv.Add(1)
-			p.n.heard(p.health)
-			if cb := p.n.xfer.OnPayload; cb != nil {
-				cb(p.id, append([]byte(nil), body...))
-			}
-		case frameTransplant:
-			p.n.tplRecv.Add(1)
-			p.n.heard(p.health)
-			if cb := p.n.tpl.OnPayload; cb != nil {
-				cb(p.id, append([]byte(nil), body...))
-			}
 		default:
-			break loop
+			ch, ok := chanOf(ftype)
+			if !ok {
+				break loop
+			}
+			p.n.heard(p.health)
+			p.n.receive(ch, p.id, body, nil)
 		}
 	}
 	conn.Close()
@@ -1813,7 +1598,7 @@ func (p *peer) pump(conn net.Conn) {
 	for {
 		p.mu.Lock()
 		p.pinLo, p.pinHi = 0, 0
-		for p.cursor >= len(p.queue) && len(p.gossip) == 0 && len(p.stability) == 0 && len(p.transfer) == 0 && len(p.transplant) == 0 && !p.probe && !p.closed && !p.dead && p.conn == conn {
+		for p.cursor >= len(p.queue) && !p.oobPending() && !p.probe && !p.closed && !p.dead && p.conn == conn {
 			p.cond.Wait()
 		}
 		if p.closed || p.dead || p.conn != conn {
@@ -1821,10 +1606,10 @@ func (p *peer) pump(conn net.Conn) {
 			return
 		}
 		if p.probe {
-			// Pending frames — gossip included — are themselves a
-			// heartbeat; a ping frame is only worth a syscall when the
+			// Pending frames — out-of-band ones included — are themselves
+			// a heartbeat; a ping frame is only worth a syscall when the
 			// queue has nothing to say.
-			probeOnly := p.cursor >= len(p.queue) && len(p.gossip) == 0 && len(p.stability) == 0 && len(p.transfer) == 0 && len(p.transplant) == 0
+			probeOnly := p.cursor >= len(p.queue) && !p.oobPending()
 			p.probe = false
 			if probeOnly {
 				p.mu.Unlock()
@@ -1843,11 +1628,8 @@ func (p *peer) pump(conn net.Conn) {
 		// Copy the pending window and pin its seq range: acks may retire
 		// these frames while we write outside the lock, and a retired
 		// buffer must not be recycled mid-write (see releaseLocked).
-		var gossip, stab, xfer, tpl [][]byte
-		gossip, p.gossip = p.gossip, nil
-		stab, p.stability = p.stability, nil
-		xfer, p.transfer = p.transfer, nil
-		tpl, p.transplant = p.transplant, nil
+		oob := p.oob
+		p.oob = [nChan][][]byte{}
 		batch = append(batch[:0], p.queue[p.cursor:]...)
 		p.cursor = len(p.queue)
 		if len(batch) > 0 {
@@ -1855,41 +1637,16 @@ func (p *peer) pump(conn net.Conn) {
 		}
 		p.mu.Unlock()
 
-		// Gossip frames ride the same buffered write as the batch but
-		// skip its durability barrier: they are out of band (GossipConfig).
-		for _, g := range gossip {
-			if err := p.n.writeFrame(bw, frameGossip, g); err != nil {
-				p.detach(conn)
-				return
+		// Out-of-band frames ride the same buffered write as the batch
+		// but skip its durability barrier (see Channel).
+		for ch := range oob {
+			for _, b := range oob[ch] {
+				if err := p.n.writeFrame(bw, byte(frameGossip+ch), b); err != nil {
+					p.detach(conn)
+					return
+				}
+				p.n.oobSent[ch].Add(1)
 			}
-			p.n.gossipSent.Add(1)
-		}
-		// Stability frames share gossip's out-of-band ride (no durability
-		// barrier, no seq): see StabilityConfig.
-		for _, s := range stab {
-			if err := p.n.writeFrame(bw, frameStability, s); err != nil {
-				p.detach(conn)
-				return
-			}
-			p.n.stabSent.Add(1)
-		}
-		// Transfer frames share the same out-of-band ride (no durability
-		// barrier, no seq): see TransferConfig.
-		for _, x := range xfer {
-			if err := p.n.writeFrame(bw, frameTransfer, x); err != nil {
-				p.detach(conn)
-				return
-			}
-			p.n.xferSent.Add(1)
-		}
-		// Transplant announcements share the same out-of-band ride (no
-		// durability barrier, no seq): see TransplantConfig.
-		for _, t := range tpl {
-			if err := p.n.writeFrame(bw, frameTransplant, t); err != nil {
-				p.detach(conn)
-				return
-			}
-			p.n.tplSent.Add(1)
 		}
 		if len(batch) > 0 && p.n.dur != nil {
 			// A written frame's seq is burned: make its FrameQueued record
@@ -1918,6 +1675,17 @@ func (p *peer) pump(conn net.Conn) {
 		}
 		p.n.flushes.Add(1)
 	}
+}
+
+// oobPending reports whether any out-of-band payload waits. Callers
+// hold p.mu.
+func (p *peer) oobPending() bool {
+	for ch := range p.oob {
+		if len(p.oob[ch]) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // moreQueued reports whether unwritten frames are waiting and conn is

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -89,57 +88,5 @@ func TestWatermarkModeAgreementAndCompat(t *testing.T) {
 				t.Fatalf("compatible modes counted %d rejects", r)
 			}
 		})
-	}
-}
-
-// TestTransplantFrameOutOfBand pins the announcement channel's wire
-// contract: a transplant frame reaches the peer's OnPayload hook, rides
-// outside the sequenced stream (no inflight, nothing to drain), and is
-// refused toward self, with an empty payload, or toward a dead peer —
-// an announcement for a dead node's benefit is meaningless.
-func TestTransplantFrameOutOfBand(t *testing.T) {
-	sink := newGossipSink()
-	a, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewNode(NodeConfig{ID: 1, Listen: "127.0.0.1:0",
-		Transplant: TransplantConfig{OnPayload: sink.onPayload}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.SetPeer(1, b.Addr())
-
-	payload := []byte("old->new announcement")
-	if !a.Transplant(1, payload) {
-		t.Fatal("transplant frame refused toward a live peer")
-	}
-	waitFor(t, 10*time.Second, "the announcement to reach the peer hook", func() bool {
-		return sink.count(0) >= 1
-	})
-	if got := sink.last(0); !bytes.Equal(got, payload) {
-		t.Fatalf("peer hook received %q, want %q", got, payload)
-	}
-	if n := a.Inflight(); n != 0 {
-		t.Fatalf("announcement counted as inflight: %d", n)
-	}
-	if ws := a.WireStats(); ws.TplSent == 0 {
-		t.Fatalf("TplSent not advanced: %v", ws)
-	}
-	if ws := b.WireStats(); ws.TplRecv == 0 {
-		t.Fatalf("TplRecv not advanced: %v", ws)
-	}
-
-	if a.Transplant(0, payload) {
-		t.Fatal("accepted a self-addressed announcement")
-	}
-	if a.Transplant(1, nil) {
-		t.Fatal("accepted an empty announcement")
-	}
-	a.DeclarePeerDead(1)
-	if a.Transplant(1, payload) {
-		t.Fatal("accepted an announcement toward a dead peer")
 	}
 }

@@ -6,6 +6,14 @@ set -eu
 echo '== go vet ./...'
 go vet ./...
 
+echo '== gofmt -l .'
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "check: files not gofmt-clean:"
+    printf '%s\n' "$unformatted"
+    exit 1
+fi
+
 echo '== go build ./...'
 go build ./...
 
@@ -141,10 +149,11 @@ go test -race -count=3 -run 'TestCut|TestReviveClearsAffirmed' ./internal/core/
 echo '== transplant battery (pinned seeds, repeated under race)'
 # Process transplant (DESIGN.md §13): deterministic replay of a dead
 # node's user processes from its WAL, the adoption-time recProcIndex fold,
-# the first-mapping-wins twin fence, parked-frame translation, and the
-# wire handshake's watermark-mode rejection. Three repetitions under the
-# race detector.
-go test -race -count=3 -run 'TestTransplant|TestProcExtract|TestWatermarkMode|TestRetryQueue' \
+# the first-mapping-wins twin fence, parked-frame translation, the
+# out-of-band channel contract the announcements ride (one row per
+# channel, drop-oldest included), and the wire handshake's
+# watermark-mode rejection. Three repetitions under the race detector.
+go test -race -count=3 -run 'TestTransplant|TestProcExtract|TestOutOfBandChannels|TestWatermarkMode|TestRetryQueue' \
     ./internal/core/ ./internal/durable/ ./internal/wire/
 
 echo '== process reaping (repeated under race)'
