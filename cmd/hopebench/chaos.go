@@ -31,10 +31,10 @@ func chaosExperiment(args []string) error {
 	nodes := fs.Int("nodes", 3, "hoped server processes")
 	seed := fs.Int64("seed", 0, "single seed (overrides --seeds)")
 	seeds := fs.String("seeds", "", "comma-separated seeds (default $HOPE_CHAOS_SEEDS, then 1)")
-	span := fs.Duration("span", 2*time.Second, "storm duration")
-	kill := fs.Bool("kill", true, "SIGKILL+restart one durable node mid-storm")
-	permKill := fs.Bool("perm-kill", false, "SIGKILL one node permanently — no restart; the liveness layer must resolve its orphans (overrides --kill)")
-	churn := fs.Bool("churn", false, "membership churn storm instead of a fault storm: a dynamic cluster loses one member to SIGKILL mid-speculation and absorbs a replacement, with sharded-ownership invariants (overrides --kill/--perm-kill)")
+	span := fs.Duration("span", 2*time.Second, "fault storm: storm duration")
+	kill := fs.Bool("kill", true, "fault storm: SIGKILL+restart one durable node mid-storm")
+	permKill := fs.Bool("perm-kill", false, "fault storm: SIGKILL one node permanently — no restart; the liveness layer must resolve its orphans (overrides --kill)")
+	churn := fs.Bool("churn", false, "membership churn storm instead of a fault storm: a dynamic cluster loses one member to SIGKILL mid-speculation and absorbs a replacement, with sharded-ownership invariants")
 	fsync := fs.String("fsync", "interval", "WAL fsync policy for durable nodes (always|interval|none)")
 	hopedPath := fs.String("hoped", "", "path to the hoped binary (default: $PATH, then `go build`)")
 	pageSize := fs.Int("pagesize", 3, "page size (smaller ⇒ more mispredictions)")
@@ -44,22 +44,35 @@ func chaosExperiment(args []string) error {
 	watermark := fs.Bool("watermark", false, "churn: run every member with the stability watermark (fast rounds) and assert the frontier resumes advancing after the churn")
 	survive := fs.Bool("survive", false, "churn: run every member with hoped --data-root (state survival) — the killed member's AID shard must be adopted (not denied) and its user processes reborn by deterministic replay on the ring-designated survivors, the WAL-hosted tables must partition by the final ring, and the doomed workload must complete with exactly one final outcome")
 	jsonOut := fs.String("json", "", "churn: also write the results as JSON to this file")
-	planOnly := fs.Bool("plan", false, "print each seed's fault plan and exit (no processes spawned)")
+	planOnly := fs.Bool("plan", false, "fault storm: print each seed's fault plan and exit (no processes spawned)")
 	verbose := fs.Bool("v", false, "narrate the storm as it runs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
+	// A flag counts as given even when set to its default value, so that
+	// neither storm silently ignores a flag only the other one reads.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	for _, f := range []struct {
+		name  string
+		churn bool
+	}{
+		{"plan", false}, {"span", false}, {"kill", false}, {"perm-kill", false},
+		{"vnodes", true}, {"dead-after", true}, {"json", true}, {"watermark", true}, {"survive", true},
+	} {
+		switch {
+		case given[f.name] && f.churn && !*churn:
+			return fmt.Errorf("--%s needs --churn: only the membership-churn storm runs a cluster", f.name)
+		case given[f.name] && !f.churn && *churn:
+			return fmt.Errorf("--%s is a fault-storm flag: --churn does not use it", f.name)
+		}
+	}
+
 	// --seed wins when given explicitly (0 is a legal seed, so test
 	// set-ness rather than the value).
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
 	var seedList []int64
-	if seedSet {
+	if given["seed"] {
 		seedList = []int64{*seed}
 	} else {
 		spec := *seeds
@@ -70,17 +83,6 @@ func chaosExperiment(args []string) error {
 		if seedList, err = oracle.ParseSeeds(spec, []int64{1}); err != nil {
 			return fmt.Errorf("chaos seeds: %w", err)
 		}
-	}
-
-	if *churn {
-		return churnStorms(seedList, *nodes, *vnodes, *deadAfter, *fsync, *hopedPath,
-			*pageSize, *reports, *watermark, *survive, *jsonOut, *verbose)
-	}
-	if *watermark {
-		return fmt.Errorf("--watermark needs --churn: the fault storm's children are not clustered, so no member would ever lead a stability round")
-	}
-	if *survive {
-		return fmt.Errorf("--survive needs --churn: state survival is a membership-churn behavior, and the fault storm's children are not clustered")
 	}
 
 	if *planOnly {
@@ -102,30 +104,36 @@ func chaosExperiment(args []string) error {
 		return nil
 	}
 
-	fmt.Println("CHAOS — multi-node fault storm over loopback TCP proxies")
-	fmt.Printf("workload: %d reports × %d servers, pageSize %d, span %v, kill=%v, perm-kill=%v, fsync=%s\n",
-		*reports, *nodes, *pageSize, *span, *kill, *permKill, *fsync)
-
 	bin, cleanup, err := resolveHoped(*hopedPath)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
+	setup := harness.Setup{Nodes: *nodes, HopedBin: bin, Fsync: *fsync, PageSize: *pageSize, Reports: *reports}
+	if *verbose {
+		setup.Log = os.Stderr
+	}
+	if *churn {
+		return churnStorms(harness.ChurnConfig{
+			Setup: setup, VNodes: *vnodes, DeadAfter: *deadAfter, Watermark: *watermark, Survive: *survive,
+		}, seedList, *jsonOut)
+	}
+	return faultStorms(harness.Config{Setup: setup, Span: *span, Kill: *kill, PermKill: *permKill}, seedList)
+}
 
+// faultStorms runs one fault storm per seed.
+func faultStorms(cfg harness.Config, seedList []int64) error {
+	fmt.Println("CHAOS — multi-node fault storm over loopback TCP proxies")
+	fmt.Printf("workload: %d reports × %d servers, pageSize %d, span %v, kill=%v, perm-kill=%v, fsync=%s\n",
+		cfg.Reports, cfg.Nodes, cfg.PageSize, cfg.Span, cfg.Kill, cfg.PermKill, cfg.Fsync)
 	fmt.Printf("%-12s %10s %10s %10s %10s %10s %10s\n",
 		"seed", "elapsed", "rollbacks", "reconnects", "resends", "crc-errs", "refused")
 	for _, s := range seedList {
-		cfg := harness.Config{
-			Seed: s, Nodes: *nodes, Span: *span, Kill: *kill, PermKill: *permKill, Fsync: *fsync,
-			HopedBin: bin, PageSize: *pageSize, Reports: *reports,
-		}
-		if *verbose {
-			cfg.Log = os.Stderr
-		}
+		cfg.Seed = s
 		res, err := harness.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos seed %d FAILED: %v\nreplay: hopebench chaos --nodes %d --span %v --kill=%v --perm-kill=%v --seed %d\n%s",
-				s, err, *nodes, *span, *kill, *permKill, s, res.Plan)
+				s, err, cfg.Nodes, cfg.Span, cfg.Kill, cfg.PermKill, s, res.Plan)
 			return fmt.Errorf("seed %d: %w", s, err)
 		}
 		var refused uint64
@@ -143,7 +151,7 @@ func chaosExperiment(args []string) error {
 				res.PermKilled, res.AutoDenied, res.Wire)
 		}
 	}
-	if *permKill {
+	if cfg.PermKill {
 		fmt.Println("all invariants held: quiescence, verdict agreement, sequential layouts, per-pair FIFO, liveness (no dead-owned speculation)")
 	} else {
 		fmt.Println("all invariants held: quiescence, verdict agreement, sequential layouts, per-pair FIFO")
@@ -190,16 +198,11 @@ type churnReport struct {
 // churnStorms runs one membership-churn storm per seed: dynamic
 // cluster from one seed node, SIGKILL of a member mid-speculation,
 // replacement join, ownership invariants over the final views.
-func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
-	fsync, hopedPath string, pageSize, reports int, watermark, survive bool, jsonOut string, verbose bool) error {
+func churnStorms(cfg harness.ChurnConfig, seedList []int64, jsonOut string) error {
+	nodes, reports := cfg.Nodes, cfg.Reports
 	fmt.Println("CHAOS --churn — membership churn over a dynamic hoped cluster")
 	fmt.Printf("workload: %d reports × %d members, pageSize %d, fsync=%s; SIGKILL one member mid-speculation, join a replacement\n",
-		reports, nodes, pageSize, fsync)
-	bin, cleanup, err := resolveHoped(hopedPath)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
+		reports, nodes, cfg.PageSize, cfg.Fsync)
 
 	report := churnReport{
 		Benchmark: "Cluster churn: ownership handoff latency + rollback cost, cmd/hopebench chaos --churn",
@@ -213,18 +216,11 @@ func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
 	fmt.Printf("%-12s %10s %12s %12s %12s %10s %10s %8s %8s\n",
 		"seed", "elapsed", "detect-p50", "detect-p99", "resolve", "join-lag", "share", "rollbk", "denied")
 	for _, s := range seedList {
-		cfg := harness.ChurnConfig{
-			Seed: s, Nodes: nodes, HopedBin: bin, Fsync: fsync,
-			PageSize: pageSize, Reports: reports, VNodes: vnodes, DeadAfter: deadAfter,
-			Watermark: watermark, Survive: survive,
-		}
-		if verbose {
-			cfg.Log = os.Stderr
-		}
+		cfg.Seed = s
 		res, err := harness.RunChurn(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "churn seed %d FAILED: %v\nreplay: hopebench chaos --churn --nodes %d --seed %d --reports %d --watermark=%v --survive=%v\n",
-				s, err, nodes, s, reports, watermark, survive)
+				s, err, nodes, s, reports, cfg.Watermark, cfg.Survive)
 			return fmt.Errorf("seed %d: %w", s, err)
 		}
 		// Rollback rate: worker restarts per report across every
@@ -236,8 +232,8 @@ func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
 			ResolveNS: res.Resolve.Nanoseconds(), JoinLagNS: res.JoinLag.Nanoseconds(),
 			JoinShare: res.JoinShare, Rollbacks: res.Rollbacks, RollbackPct: rate,
 			AutoDenied: res.AutoDenied, FinalEpoch: res.FinalEpoch,
-			Watermark: watermark, StableFront: res.StableFrontier, StableLagNS: res.StableLag.Nanoseconds(),
-			Survive: survive, Adopted: res.Adopted, AdoptNS: res.AdoptLatency.Nanoseconds(),
+			Watermark: cfg.Watermark, StableFront: res.StableFrontier, StableLagNS: res.StableLag.Nanoseconds(),
+			Survive: cfg.Survive, Adopted: res.Adopted, AdoptNS: res.AdoptLatency.Nanoseconds(),
 			TplProcs: res.Transplanted,
 			TplNS:    res.TransplantLatency.Nanoseconds(), TplOutcomes: res.TransplantOutcomes,
 			ElapsedNS: res.Elapsed.Nanoseconds(),
@@ -249,11 +245,11 @@ func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
 			100*res.JoinShare, res.Rollbacks, res.AutoDenied)
 		fmt.Printf("  killed node %d, joined node %d, final epoch %d live %v, rollback rate %.1f%%\n",
 			res.Killed, res.Joined, res.FinalEpoch, res.FinalLive, rate)
-		if watermark {
+		if cfg.Watermark {
 			fmt.Printf("  watermark survived churn: frontier %s at e%d, resumed %v after join agreement\n",
 				res.StableFrontier, res.FinalEpoch, res.StableLag.Round(time.Millisecond))
 		}
-		if survive {
+		if cfg.Survive {
 			fmt.Printf("  shard migrated: %d machine(s) adopted from node %d's WAL, adopt latency %v\n",
 				res.Adopted, res.Killed, res.AdoptLatency.Round(time.Millisecond))
 			fmt.Printf("  processes transplanted: %d reborn off node %d, adopt latency %v, doomed workload reached %d final outcome(s)\n",
@@ -262,7 +258,7 @@ func churnStorms(seedList []int64, nodes, vnodes int, deadAfter time.Duration,
 	}
 	fmt.Println("all invariants held: view agreement, sharded ownership (agreed ring, live owners),")
 	fmt.Println("liveness (no dead-owned speculation), verdict agreement, sequential layouts, per-pair FIFO")
-	if survive {
+	if cfg.Survive {
 		fmt.Println("migration: every survivor adopted its ring slice, hosted tables partition by the final ring, sequential page layouts held")
 		fmt.Println("transplant: every corpse process reborn exactly once at its ring owner, doomed workload completed with one final outcome")
 	}

@@ -5,11 +5,12 @@
 // Usage:
 //
 //	hopebench [e1|e3|e5|e6|e7|e8|e9|e10|e11|ablation]...
-//	hopebench chaos [--nodes N] [--seed S|--seeds S,S,…] [--span D] [--kill] [--plan]
+//	hopebench chaos [--nodes N] [--seed S|--seeds S,S,…] [--span D] [--kill] [--perm-kill] [--plan]
+//	hopebench chaos --churn [--nodes N] [--seed S|--seeds S,S,…] [--survive] [--watermark] [--json F]
 //
-// The chaos experiment runs the multi-node fault storm (internal/harness)
-// against live hoped processes behind fault-injecting proxies; it is not
-// part of the default sweep. Performance is measured by the repository's
+// The chaos experiment runs the multi-node fault storm, or with --churn
+// the membership storm (internal/harness), against live hoped processes;
+// each refuses the other's flags. It is not part of the default sweep. Performance is measured by the repository's
 // benchmark, `bash perf/run.sh` (perf/README.md), not here.
 package main
 

@@ -23,3 +23,31 @@ func TestSingleExperimentRuns(t *testing.T) {
 		t.Fatalf("e5: %v", err)
 	}
 }
+
+// TestChaosRefusesOtherStormsFlags checks that each storm refuses a flag
+// only the other storm reads, even when it is given its default value.
+// Every row is refused before a process is spawned: the fault-storm rows
+// carry --plan and the churn rows an explicit --hoped and --nodes 1,
+// which the churn storm refuses before launching anything.
+func TestChaosRefusesOtherStormsFlags(t *testing.T) {
+	churn := []string{"chaos", "--churn", "--nodes", "1", "--hoped", "/nonexistent/hoped"}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"plan", append(churn, "--plan")},
+		{"span", append(churn, "--span", "2s")},
+		{"kill", append(churn, "--kill")},
+		{"perm-kill", append(churn, "--perm-kill=false")},
+		{"vnodes", []string{"chaos", "--plan", "--vnodes", "0"}},
+		{"dead-after", []string{"chaos", "--plan", "--dead-after", "1s"}},
+		{"json", []string{"chaos", "--plan", "--json", "out.json"}},
+		{"watermark", []string{"chaos", "--plan", "--watermark"}},
+		{"survive", []string{"chaos", "--plan", "--survive=false"}},
+	} {
+		err := run(c.args)
+		if err == nil || !strings.Contains(err.Error(), "--"+c.flag) {
+			t.Errorf("%v: error %v, want one naming --%s", c.args, err, c.flag)
+		}
+	}
+}

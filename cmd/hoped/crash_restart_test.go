@@ -260,9 +260,9 @@ func buildHoped(t *testing.T) string {
 	return bin
 }
 
-// startHoped launches a hoped child and parses its boot lines (the
-// RECOVERED line, if any, arrives strictly before READY); the parsing
-// lives in internal/harness, shared with hopebench chaos.
+// startHoped launches a hoped child through the chaos storms' launcher,
+// which parses its boot lines (the RECOVERED line, if any, arrives
+// strictly before READY).
 func startHoped(t *testing.T, bin string, args []string) (*exec.Cmd, harness.BootInfo) {
 	t.Helper()
 	child, info, err := harness.StartHoped(bin, args)

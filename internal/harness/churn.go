@@ -12,6 +12,9 @@ package harness
 // holds over the final views — same live set, same ring, every key's
 // owner alive — on every surviving node.
 //
+// RunChurn is a fixed sequence of named steps; the survival and
+// watermark steps run only in storms that turn those modes on.
+//
 // Latency is measured at the observable boundary, the HOPED VIEW lines:
 // detection is SIGKILL → a survivor's first view with the victim dead,
 // resolution is SIGKILL → the doomed workload quiescing (every orphaned
@@ -19,16 +22,11 @@ package harness
 // ChurnConfig.Seed, so a failing run's seed reproduces it.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"os/exec"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -39,20 +37,14 @@ import (
 	"github.com/hope-dist/hope/internal/node"
 	"github.com/hope-dist/hope/internal/oracle"
 	"github.com/hope-dist/hope/internal/rpc"
-	"github.com/hope-dist/hope/internal/trace"
 	"github.com/hope-dist/hope/internal/wire"
 )
 
-// ChurnConfig parameterizes one membership-churn storm.
+// ChurnConfig parameterizes one membership-churn storm. Setup.Nodes is
+// the initial cluster size (default 3); node 1 is the seed.
 type ChurnConfig struct {
-	Seed     int64
-	Nodes    int    // initial cluster size; node 1 is the seed (default 3)
-	HopedBin string // path to the hoped binary (required)
-	DataRoot string // parent dir for per-node WALs ("" = a fresh temp dir)
-	Fsync    string // hoped --fsync policy (default "interval")
-	PageSize int    // pagination page size (default 3)
-	Reports  int    // reports per member workload (default 48)
-	VNodes   int    // ring virtual nodes per member (default cluster.DefaultVNodes)
+	Setup
+	VNodes int // ring virtual nodes per member (default cluster.DefaultVNodes)
 
 	// GossipEvery is the members' gossip period (default 25ms) and
 	// DeadAfter their failure detector's death threshold (default 1s;
@@ -86,29 +78,15 @@ type ChurnConfig struct {
 	//   - the WAL-visible hosted tables of the final members partition
 	//     exactly by the final ring (oracle.CheckMigration).
 	Survive bool
-
-	Tracer trace.Tracer // receives trace.Fault events (nil = discard)
-	Log    io.Writer    // storm narration (nil = discard)
 }
 
 func (c *ChurnConfig) norm() error {
-	if c.HopedBin == "" {
-		return fmt.Errorf("churn: HopedBin is required")
-	}
 	if c.Nodes == 0 {
 		c.Nodes = 3
 	}
-	if c.Nodes < 2 {
-		return fmt.Errorf("churn: Nodes = %d, want >= 2 (someone must survive the kill)", c.Nodes)
-	}
-	if c.Fsync == "" {
-		c.Fsync = "interval"
-	}
-	if c.PageSize <= 0 {
-		c.PageSize = 3
-	}
-	if c.Reports <= 0 {
-		c.Reports = 48
+	// Someone must survive the kill.
+	if err := c.Setup.norm(2); err != nil {
+		return err
 	}
 	if c.VNodes <= 0 {
 		c.VNodes = cluster.DefaultVNodes
@@ -118,12 +96,6 @@ func (c *ChurnConfig) norm() error {
 	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = time.Second
-	}
-	if c.Tracer == nil {
-		c.Tracer = trace.Nop
-	}
-	if c.Log == nil {
-		c.Log = io.Discard
 	}
 	return nil
 }
@@ -172,271 +144,6 @@ type ChurnResult struct {
 	Elapsed time.Duration
 }
 
-// timedView is one HOPED VIEW announcement with its arrival time.
-type timedView struct {
-	at   time.Time
-	view cluster.ViewLine
-}
-
-// stableLine is one HOPED STABLE announcement: a stability frontier the
-// node adopted, tagged with the view epoch the round ran under.
-type stableLine struct {
-	at       time.Time
-	epoch    uint64
-	frontier string
-}
-
-// parseStableLine parses "HOPED STABLE node=N epoch=E frontier=F".
-func parseStableLine(line string) (stableLine, bool) {
-	if !strings.HasPrefix(line, "HOPED STABLE") {
-		return stableLine{}, false
-	}
-	var sl stableLine
-	for _, f := range strings.Fields(line) {
-		if v, ok := strings.CutPrefix(f, "epoch="); ok {
-			e, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return stableLine{}, false
-			}
-			sl.epoch = e
-		}
-		if v, ok := strings.CutPrefix(f, "frontier="); ok {
-			sl.frontier = v
-		}
-	}
-	return sl, sl.frontier != ""
-}
-
-// adoptLine is one HOPED ADOPTED announcement: a shard slice absorbed
-// from a WAL, tagged with whose corpse (from == the watcher's own node
-// on a restart re-adoption).
-type adoptLine struct {
-	at    time.Time
-	from  int
-	count int
-}
-
-// parseAdoptLine parses "HOPED ADOPTED node=N from=M count=K".
-func parseAdoptLine(line string) (adoptLine, bool) {
-	if !strings.HasPrefix(line, "HOPED ADOPTED") {
-		return adoptLine{}, false
-	}
-	al := adoptLine{from: -1, count: -1}
-	for _, f := range strings.Fields(line) {
-		if v, ok := strings.CutPrefix(f, "from="); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return adoptLine{}, false
-			}
-			al.from = n
-		}
-		if v, ok := strings.CutPrefix(f, "count="); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return adoptLine{}, false
-			}
-			al.count = n
-		}
-	}
-	return al, al.from >= 0 && al.count >= 0
-}
-
-// transplantLine is one HOPED TRANSPLANTED announcement: user processes
-// reborn from a corpse's WAL by deterministic replay, with the old→new
-// incarnation map (from == the watcher's own node on a restart
-// re-adoption).
-type transplantLine struct {
-	at    time.Time
-	from  int
-	procs int
-	pairs []core.TransplantPair
-}
-
-// parseTransplantLine parses
-// "HOPED TRANSPLANTED node=N from=M procs=K map=old:new,..." (map is
-// "-" when the announcer's slice was empty).
-func parseTransplantLine(line string) (transplantLine, bool) {
-	if !strings.HasPrefix(line, "HOPED TRANSPLANTED") {
-		return transplantLine{}, false
-	}
-	tl := transplantLine{from: -1, procs: -1}
-	for _, f := range strings.Fields(line) {
-		if v, ok := strings.CutPrefix(f, "from="); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return transplantLine{}, false
-			}
-			tl.from = n
-		}
-		if v, ok := strings.CutPrefix(f, "procs="); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return transplantLine{}, false
-			}
-			tl.procs = n
-		}
-		if v, ok := strings.CutPrefix(f, "map="); ok && v != "-" {
-			for _, pair := range strings.Split(v, ",") {
-				o, nw, found := strings.Cut(pair, ":")
-				if !found {
-					return transplantLine{}, false
-				}
-				oldPID, err1 := strconv.ParseUint(o, 10, 64)
-				newPID, err2 := strconv.ParseUint(nw, 10, 64)
-				if err1 != nil || err2 != nil {
-					return transplantLine{}, false
-				}
-				tl.pairs = append(tl.pairs, core.TransplantPair{Old: ids.PID(oldPID), New: ids.PID(newPID)})
-			}
-		}
-	}
-	return tl, tl.from >= 0 && tl.procs >= 0 && len(tl.pairs) == tl.procs
-}
-
-// viewWatcher owns one hoped child's stdout for the child's whole life:
-// it parses the boot lines, then keeps tailing, recording every VIEW
-// announcement (timestamped at arrival — the observable instant of a
-// membership decision) and any EVICTED notice. Keeping one reader per
-// child also keeps the pipe drained, so a chatty child never blocks.
-type viewWatcher struct {
-	node int
-
-	mu      sync.Mutex
-	views   []timedView
-	stables []stableLine
-	adopts  []adoptLine
-	tpls    []transplantLine
-	evicted bool
-
-	boot chan bootRes
-}
-
-type bootRes struct {
-	info BootInfo
-	err  error
-}
-
-func (w *viewWatcher) watch(r io.Reader) {
-	sc := bufio.NewScanner(r)
-	var info BootInfo
-	booted := false
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "HOPED RECOVERED"):
-			info.Recovered = line
-		case strings.HasPrefix(line, "HOPED READY"):
-			if booted {
-				continue
-			}
-			booted = true
-			if err := parseReady(line, &info); err != nil {
-				w.boot <- bootRes{err: err}
-				return
-			}
-			w.boot <- bootRes{info: info}
-		case strings.HasPrefix(line, "HOPED EVICTED"):
-			w.mu.Lock()
-			w.evicted = true
-			w.mu.Unlock()
-		case strings.HasPrefix(line, "HOPED STABLE"):
-			if sl, ok := parseStableLine(line); ok {
-				sl.at = time.Now()
-				w.mu.Lock()
-				w.stables = append(w.stables, sl)
-				w.mu.Unlock()
-			}
-		case strings.HasPrefix(line, "HOPED ADOPTED"):
-			if al, ok := parseAdoptLine(line); ok {
-				al.at = time.Now()
-				w.mu.Lock()
-				w.adopts = append(w.adopts, al)
-				w.mu.Unlock()
-			}
-		case strings.HasPrefix(line, "HOPED TRANSPLANTED"):
-			if tl, ok := parseTransplantLine(line); ok {
-				tl.at = time.Now()
-				w.mu.Lock()
-				w.tpls = append(w.tpls, tl)
-				w.mu.Unlock()
-			}
-		default:
-			if vl, ok, err := cluster.ParseViewLine(line); err == nil && ok {
-				w.mu.Lock()
-				w.views = append(w.views, timedView{at: time.Now(), view: vl})
-				w.mu.Unlock()
-			}
-		}
-	}
-	if !booted {
-		w.boot <- bootRes{err: fmt.Errorf("node %d exited before READY: %v", w.node, sc.Err())}
-	}
-}
-
-// latest returns the newest view announcement, if any.
-func (w *viewWatcher) latest() (cluster.ViewLine, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.views) == 0 {
-		return cluster.ViewLine{}, false
-	}
-	return w.views[len(w.views)-1].view, true
-}
-
-// stableAt returns this node's newest STABLE announcement agreed at the
-// given view epoch, if any.
-func (w *viewWatcher) stableAt(epoch uint64) (stableLine, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := len(w.stables) - 1; i >= 0; i-- {
-		if w.stables[i].epoch == epoch {
-			return w.stables[i], true
-		}
-	}
-	return stableLine{}, false
-}
-
-// adoptedFrom returns this node's first adoption announcement naming
-// from, if any.
-func (w *viewWatcher) adoptedFrom(from int) (adoptLine, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, al := range w.adopts {
-		if al.from == from {
-			return al, true
-		}
-	}
-	return adoptLine{}, false
-}
-
-// transplantedFrom returns this node's first transplant announcement
-// naming from, if any.
-func (w *viewWatcher) transplantedFrom(from int) (transplantLine, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, tl := range w.tpls {
-		if tl.from == from {
-			return tl, true
-		}
-	}
-	return transplantLine{}, false
-}
-
-// firstDead returns when this watcher first announced a view with id in
-// its dead list.
-func (w *viewWatcher) firstDead(id int) (time.Time, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, tv := range w.views {
-		for _, d := range tv.view.Dead {
-			if d == id {
-				return tv.at, true
-			}
-		}
-	}
-	return time.Time{}, false
-}
-
 // viewOfLine lifts a parsed VIEW line into a cluster.View (addresses are
 // not announced, and the ownership checks do not need them).
 func viewOfLine(vl cluster.ViewLine) cluster.View {
@@ -451,35 +158,6 @@ func viewOfLine(vl cluster.ViewLine) cluster.View {
 	return v
 }
 
-// startWatched launches a hoped child whose stdout is owned by a
-// viewWatcher for the child's whole life.
-func startWatched(bin string, node int, args []string) (*exec.Cmd, BootInfo, *viewWatcher, error) {
-	child := exec.Command(bin, args...)
-	child.Stderr = os.Stderr
-	stdout, err := child.StdoutPipe()
-	if err != nil {
-		return nil, BootInfo{}, nil, err
-	}
-	w := &viewWatcher{node: node, boot: make(chan bootRes, 1)}
-	if err := child.Start(); err != nil {
-		return nil, BootInfo{}, nil, err
-	}
-	go w.watch(stdout)
-	select {
-	case r := <-w.boot:
-		if r.err != nil {
-			child.Process.Kill()
-			child.Wait()
-			return nil, BootInfo{}, nil, fmt.Errorf("hoped %v: %w", args, r.err)
-		}
-		return child, r.info, w, nil
-	case <-time.After(15 * time.Second):
-		child.Process.Kill()
-		child.Wait()
-		return nil, BootInfo{}, nil, fmt.Errorf("hoped %v: timed out waiting for READY", args)
-	}
-}
-
 // ownerRing derives the client's routing view from the members' VIEW
 // announcements: the freshest epoch any watched member has announced
 // wins, and its live set builds the ring (cached per epoch — ownership
@@ -491,14 +169,14 @@ type ownerRing struct {
 	vnodes int
 
 	mu       sync.Mutex
-	watchers []*viewWatcher
+	children []*child
 	epoch    uint64
 	ring     *cluster.Ring
 }
 
-func (o *ownerRing) add(w *viewWatcher) {
+func (o *ownerRing) add(c *child) {
 	o.mu.Lock()
-	o.watchers = append(o.watchers, w)
+	o.children = append(o.children, c)
 	o.mu.Unlock()
 }
 
@@ -507,8 +185,8 @@ func (o *ownerRing) owner(a ids.AID) (int, uint64, bool) {
 	defer o.mu.Unlock()
 	var best cluster.ViewLine
 	found := false
-	for _, w := range o.watchers {
-		if vl, ok := w.latest(); ok && (!found || vl.Epoch > best.Epoch) {
+	for _, c := range o.children {
+		if vl, ok := c.view(); ok && (!found || vl.Epoch > best.Epoch) {
 			best, found = vl, true
 		}
 	}
@@ -523,37 +201,45 @@ func (o *ownerRing) owner(a ids.AID) (int, uint64, bool) {
 	return node, o.epoch, ok
 }
 
-// member is one clustered hoped child.
-type member struct {
-	id      int
-	addr    string
-	pid     ids.PID
-	dataDir string
-	child   *exec.Cmd
-	watch   *viewWatcher
+// churn is one churn storm in progress: the state its steps share.
+type churn struct {
+	cfg                  ChurnConfig
+	res                  ChurnResult
+	start                time.Time
+	dataRoot             string
+	suspect, dead, lease time.Duration
+	owners               *ownerRing
+	cn                   *node.Node
+	tap                  *oracle.FIFOTap
+
+	servers    []*server // every member launched, in ID order
+	workloads  []*workload
+	victim     *server
+	tKill      time.Time
+	survivors  []*server
+	announced  map[int][]core.TransplantPair // survivor → its TRANSPLANTED map
+	final      []*server                     // survivors and the joiner
+	finalViews map[int]cluster.View
+	tAgreed    time.Time
 }
 
-// RunChurn executes one churn storm; see the package comment above for
+// RunChurn executes one churn storm; see the comment atop this file for
 // the shape. The returned result is valid even on error.
 func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
-	var res ChurnResult
 	if err := cfg.norm(); err != nil {
-		return res, err
+		return ChurnResult{}, err
 	}
-	logf := func(format string, args ...any) { fmt.Fprintf(cfg.Log, format+"\n", args...) }
-	start := time.Now()
-	suspect, dead := cfg.DeadAfter/4, cfg.DeadAfter
-	lease := 4 * cfg.DeadAfter
-
-	dataRoot := cfg.DataRoot
-	if dataRoot == "" {
-		dir, err := os.MkdirTemp("", "hope-churn-*")
-		if err != nil {
-			return res, err
-		}
-		defer os.RemoveAll(dir)
-		dataRoot = dir
+	r := &churn{
+		cfg: cfg, start: time.Now(),
+		suspect: cfg.DeadAfter / 4, dead: cfg.DeadAfter, lease: 4 * cfg.DeadAfter,
+		owners: &ownerRing{vnodes: cfg.VNodes},
 	}
+	root, cleanup, err := cfg.dataRoot()
+	if err != nil {
+		return r.res, err
+	}
+	defer cleanup()
+	r.dataRoot = root
 
 	// Client node 0 lives in-process and is NOT a cluster member: it
 	// drives workloads against every member over static peering, and its
@@ -564,554 +250,467 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	// Routed adjudication adds two network hops to every client
 	// assumption, so survival mode doubles the client's lease: still a
 	// liveness backstop, without spurious denials of live routed work.
-	owners := &ownerRing{vnodes: cfg.VNodes}
-	ncfg := node.Config{Tracer: cfg.Tracer, SuspectAfter: suspect, DeadAfter: dead, Lease: lease}
+	ncfg := node.Config{Tracer: cfg.Tracer, SuspectAfter: r.suspect, DeadAfter: r.dead, Lease: r.lease}
 	if cfg.Survive {
-		ncfg.Lease, ncfg.Ring = 2*lease, owners.owner
+		ncfg.Lease, ncfg.Ring = 2*r.lease, r.owners.owner
 	}
-	cn, tap, err := startClient(ncfg)
+	if r.cn, r.tap, err = startClient(ncfg); err != nil {
+		return r.res, err
+	}
+	defer r.cn.Close(0)
+	defer func() { stopAll(r.servers) }()
+
+	for _, step := range []struct {
+		on  bool
+		run func() error
+	}{
+		{true, r.bootstrap},
+		{cfg.Survive, r.awaitHosted},
+		{true, r.kill},
+		{true, r.awaitDetection},
+		{cfg.Survive, r.awaitAdoption},
+		{true, r.quiesce},
+		{cfg.Survive, r.checkTransplantFence},
+		{true, r.join},
+		{true, r.checkOwnership},
+		{cfg.Survive, r.checkMigration},
+		{true, r.checkInvariants},
+		{cfg.Survive, r.checkLayouts},
+		{true, r.checkNoEviction},
+		{cfg.Watermark, r.awaitStable},
+	} {
+		if !step.on {
+			continue
+		}
+		if err := step.run(); err != nil {
+			return r.res, err
+		}
+	}
+	r.res.AutoDenied = r.cn.Engine().AutoDenied()
+	r.res.DetectP50 = pctDuration(r.res.Detect, 50)
+	r.res.DetectP99 = pctDuration(r.res.Detect, 99)
+	r.res.Elapsed = time.Since(r.start)
+	return r.res, nil
+}
+
+func (r *churn) logf(format string, args ...any) { narrate(r.cfg.Log, r.start, format, args...) }
+
+// launch starts member id, seeding a fresh cluster when join is "" and
+// joining through the join=addr contact otherwise.
+func (r *churn) launch(id int, join string) (*server, error) {
+	s := newServer(id, r.dataRoot)
+	args := append(s.args(&r.cfg.Setup, "127.0.0.1:0", r.cn.Wire().Addr()), livenessArgs(r.suspect, r.dead, r.lease)...)
+	args = append(args, "--gossip-every", r.cfg.GossipEvery.String(), "--vnodes", strconv.Itoa(r.cfg.VNodes))
+	if r.cfg.Watermark {
+		// Fast rounds so the frontier advances within the storm's
+		// post-churn settling windows, not at hoped's default 250ms.
+		args = append(args, "--watermark", "--watermark-every", "50ms")
+	}
+	if r.cfg.Survive {
+		// --data-root lets each member read its dead peers' WALs to
+		// adopt its ring slice of the corpse's shard and processes.
+		args = append(args, "--data-root", r.dataRoot)
+	}
+	if join == "" {
+		args = append(args, "--seed-node")
+	} else {
+		args = append(args, "--join", join)
+	}
+	boot, err := s.start(r.cfg.HopedBin, args)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	defer cn.Close(0)
-	client, eng := cn.Wire(), cn.Engine()
+	s.addr, s.pid = boot.Addr, boot.PID
+	r.servers = append(r.servers, s)
+	r.cn.Wire().SetPeer(id, s.addr)
+	r.owners.add(s.proc)
+	r.logf("node %d up: addr=%s pid=%v join=%q", id, s.addr, s.pid, join)
+	return s, nil
+}
 
-	members := make(map[int]*member)
-	defer func() {
-		for _, m := range members {
-			if m.child != nil {
-				m.child.Process.Signal(os.Interrupt)
-				m.child.Wait()
+// awaitAgreement waits until every member in watching announces the
+// same epoch with exactly the watching members live, and returns their
+// views.
+func (r *churn) awaitAgreement(what string, watching []*server) (map[int]cluster.View, error) {
+	want := make([]int, len(watching))
+	for i, s := range watching {
+		want[i] = s.id
+	}
+	var views map[int]cluster.View
+	agreed := func() bool {
+		views = make(map[int]cluster.View, len(watching))
+		for _, s := range watching {
+			vl, ok := s.proc.view()
+			if !ok || !slices.Equal(vl.Live, want) {
+				return false
+			}
+			if views[s.id] = viewOfLine(vl); vl.Epoch != views[watching[0].id].Epoch {
+				return false
 			}
 		}
-	}()
-
-	memberArgs := func(id int, dataDir string, joinAddr string) []string {
-		args := []string{
-			"--node", strconv.Itoa(id), "--listen", "127.0.0.1:0",
-			"--serve", "printserver", "--peer", "0=" + client.Addr(),
-			"--drain-timeout", "2s",
-			"--data-dir", dataDir, "--fsync", cfg.Fsync,
-			"--suspect-after", suspect.String(),
-			"--dead-after", dead.String(),
-			"--lease", lease.String(),
-			"--gossip-every", cfg.GossipEvery.String(),
-			"--vnodes", strconv.Itoa(cfg.VNodes),
-		}
-		if cfg.Watermark {
-			// Fast rounds so the frontier advances within the storm's
-			// post-churn settling windows, not at hoped's default 250ms.
-			args = append(args, "--watermark", "--watermark-every", "50ms")
-		}
-		if cfg.Survive {
-			// --data-root lets each member read its dead peers' WALs to
-			// adopt its ring slice of the corpse's shard and processes.
-			args = append(args, "--data-root", dataRoot)
-		}
-		if joinAddr == "" {
-			args = append(args, "--seed-node")
-		} else {
-			args = append(args, "--join", joinAddr)
-		}
-		return args
+		return true
 	}
-	launch := func(id int, joinAddr string) (*member, error) {
-		m := &member{id: id, dataDir: filepath.Join(dataRoot, fmt.Sprintf("node%d", id))}
-		child, boot, w, err := startWatched(cfg.HopedBin, id, memberArgs(id, m.dataDir, joinAddr))
-		if err != nil {
-			return nil, err
+	if !waitUntil(30*time.Second, 5*time.Millisecond, agreed) {
+		for _, s := range watching {
+			vl, _ := s.proc.view()
+			r.logf("node %d latest view: %+v", s.id, vl)
 		}
-		m.child, m.addr, m.pid, m.watch = child, boot.Addr, boot.PID, w
-		if wire.NodeOf(m.pid) != id {
-			child.Process.Kill()
-			child.Wait()
-			return nil, fmt.Errorf("node %d root PID %v is outside its namespace", id, m.pid)
-		}
-		client.SetPeer(id, m.addr)
-		owners.add(m.watch)
-		members[id] = m
-		logf("node %d up: addr=%s pid=%v join=%q", id, m.addr, m.pid, joinAddr)
-		return m, nil
+		return nil, fmt.Errorf("churn: no agreement on %s (want live=%v) within 30s", what, want)
 	}
+	return views, nil
+}
 
-	// Bootstrap: node 1 seeds a fresh cluster; everyone else joins
-	// through it and is absorbed by gossip.
-	seedMember, err := launch(1, "")
+// awaitEach waits up to 30 s until has holds for every member in ss, and
+// returns the first for which it still does not (nil when all do).
+func awaitEach(ss []*server, has func(*server) bool) *server {
+	var missing *server
+	waitUntil(30*time.Second, time.Millisecond, func() bool {
+		for _, s := range ss {
+			if !has(s) {
+				missing = s
+				return false
+			}
+		}
+		missing = nil
+		return true
+	})
+	return missing
+}
+
+// bootstrap seeds a fresh cluster at node 1, joins everyone else through
+// it, starts one workload per member and picks the seed's victim.
+func (r *churn) bootstrap() error {
+	seed, err := r.launch(1, "")
 	if err != nil {
-		return res, err
+		return err
 	}
-	for id := 2; id <= cfg.Nodes; id++ {
-		if _, err := launch(id, "1="+seedMember.addr); err != nil {
-			return res, err
+	for id := 2; id <= r.cfg.Nodes; id++ {
+		if _, err := r.launch(id, "1="+seed.addr); err != nil {
+			return err
 		}
 	}
-
-	// agreed reports whether every listed member's latest view shows
-	// exactly wantLive live (and returns the views when so).
-	agreed := func(watching []*member, wantLive []int) (map[int]cluster.View, bool) {
-		views := make(map[int]cluster.View, len(watching))
-		var epoch uint64
-		for i, m := range watching {
-			vl, ok := m.watch.latest()
-			if !ok || !equalInts(vl.Live, wantLive) {
-				return nil, false
-			}
-			if i == 0 {
-				epoch = vl.Epoch
-			} else if vl.Epoch != epoch {
-				return nil, false
-			}
-			views[m.id] = viewOfLine(vl)
-		}
-		return views, true
+	if _, err := r.awaitAgreement("bootstrap", r.servers); err != nil {
+		return err
 	}
-	awaitAgreement := func(what string, watching []*member, wantLive []int, timeout time.Duration) (map[int]cluster.View, error) {
-		deadline := time.Now().Add(timeout)
-		for {
-			if views, ok := agreed(watching, wantLive); ok {
-				return views, nil
-			}
-			if time.Now().After(deadline) {
-				for _, m := range watching {
-					vl, _ := m.watch.latest()
-					logf("node %d latest view: %+v", m.id, vl)
-				}
-				return nil, fmt.Errorf("churn: no agreement on %s (want live=%v) within %v", what, wantLive, timeout)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
-	initial := make([]*member, 0, cfg.Nodes)
-	wantLive := make([]int, 0, cfg.Nodes)
-	for id := 1; id <= cfg.Nodes; id++ {
-		initial = append(initial, members[id])
-		wantLive = append(wantLive, id)
-	}
-	if _, err := awaitAgreement("bootstrap", initial, wantLive, 30*time.Second); err != nil {
-		return res, err
-	}
-	logf("%8v cluster of %d converged", time.Since(start).Round(time.Millisecond), cfg.Nodes)
+	r.logf("cluster of %d converged", r.cfg.Nodes)
 
 	// One streamed pagination workload per initial member, so the kill
 	// lands mid-speculation with assumptions owned across the ring.
-	type workload struct {
-		member *member
-		worker *core.Process
-		mu     sync.Mutex
-		done   int
-		rep    rpc.PageReport
+	if r.workloads, err = spawnWorkloads(r.cn.Engine(), r.servers, &r.cfg.Setup); err != nil {
+		return err
 	}
-	workloads := make([]*workload, 0, cfg.Nodes)
-	for _, m := range initial {
-		w := &workload{member: m}
-		worker, err := eng.SpawnRoot(rpc.StreamedWorker(m.pid, cfg.PageSize, cfg.Reports, func(r rpc.PageReport) {
-			w.mu.Lock()
-			w.rep, w.done = r, w.done+1
-			w.mu.Unlock()
-		}))
-		if err != nil {
-			return res, fmt.Errorf("spawn workload for node %d: %w", m.id, err)
-		}
-		w.worker = worker
-		workloads = append(workloads, w)
-	}
-
 	// Let speculation build before the kill: enough frames in flight
 	// that the victim owns live assumptions when it dies.
-	progress := time.Now().Add(30 * time.Second)
-	for client.WireStats().FramesIn < uint64(cfg.Nodes*8) {
-		if time.Now().After(progress) {
-			return res, fmt.Errorf("churn: workloads made no progress: wire %v", client.WireStats())
-		}
-		time.Sleep(time.Millisecond)
+	client := r.cn.Wire()
+	if !waitUntil(30*time.Second, time.Millisecond, func() bool { return client.WireStats().FramesIn >= uint64(r.cfg.Nodes*8) }) {
+		return fmt.Errorf("churn: workloads made no progress: wire %v", client.WireStats())
 	}
-
-	// SIGKILL one member mid-speculation, seed-chosen. No drain, no WAL
-	// close, no goodbye gossip — the survivors must diagnose the death
-	// themselves and re-own what the corpse held.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	victim := members[1+rng.Intn(cfg.Nodes)]
-	if cfg.Survive {
-		// Hold the kill until the victim demonstrably hosts part of the
-		// shard and its WAL can rebirth its root server: exports are
-		// tombstoned only when shipped on a view change, so once its WAL
-		// shows one the adoption count is ≥1 no matter how fast the
-		// workload adjudicates, and the transplant fence is exercised
-		// only if the journal extract includes the server. The client
-		// frame gate above is satisfied by membership gossip alone and
-		// says nothing about routed machines.
-		hostedBy := time.Now().Add(30 * time.Second)
-		for {
-			ex, err := durable.ReadExtract(victim.dataDir, victim.id)
-			if err == nil && ex.ProcErr != nil {
-				err = ex.ProcErr
-			}
-			if err == nil && len(ex.AIDExports) > 0 && ex.Procs[victim.pid] != nil {
-				logf("%8v node %d hosts %d machine(s); killing it",
-					time.Since(start).Round(time.Millisecond), victim.id, len(ex.AIDExports))
-				break
-			}
-			if time.Now().After(hostedBy) {
-				return res, fmt.Errorf("churn: node %d never hosted a machine and its server (last read: err=%v)", victim.id, err)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	res.Killed = victim.id
-	tKill := time.Now()
-	if err := victim.child.Process.Kill(); err != nil {
-		return res, fmt.Errorf("SIGKILL node %d: %w", victim.id, err)
-	}
-	victim.child.Wait()
-	victim.child = nil
-	delete(members, victim.id)
-	logf("%8v SIGKILL node %d (speculation in flight)", time.Since(start).Round(time.Millisecond), victim.id)
-
-	// Detection: every survivor's view must converge on the death.
-	survivors := make([]*member, 0, len(members))
-	survLive := make([]int, 0, len(members))
-	for id := 1; id <= cfg.Nodes; id++ {
-		if m, ok := members[id]; ok {
-			survivors = append(survivors, m)
-			survLive = append(survLive, id)
-		}
-	}
-	detectDeadline := time.Now().Add(30 * time.Second)
-	for _, m := range survivors {
-		for {
-			if at, ok := m.watch.firstDead(victim.id); ok {
-				lat := at.Sub(tKill)
-				if lat < 0 {
-					lat = 0 // pre-kill suspicion resolved into death evidence
-				}
-				res.Detect = append(res.Detect, lat)
-				logf("%8v node %d saw node %d dead after %v",
-					time.Since(start).Round(time.Millisecond), m.id, victim.id, lat.Round(time.Millisecond))
-				break
-			}
-			if time.Now().After(detectDeadline) {
-				return res, fmt.Errorf("churn: node %d never announced node %d dead", m.id, victim.id)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	// Survival storms: every survivor must announce its ring slice of the
-	// corpse's WAL shard and of its user processes (either count may be 0
-	// for a survivor whose slice is empty, but both announcements are
-	// mandatory — they prove the adoption path ran). In total at least one
-	// machine must move, or the kill did not land mid-speculation and the
-	// storm proved nothing, and at least the victim's root server must be
-	// reborn. Each latency is kill → the earliest announcement: how long
-	// the corpse's shard and processes were dark.
-	announced := make(map[int][]core.TransplantPair)
-	if cfg.Survive {
-		adoptDeadline := time.Now().Add(30 * time.Second)
-		var firstAdopt, firstTpl time.Time
-		for _, m := range survivors {
-			for {
-				al, adopted := m.watch.adoptedFrom(victim.id)
-				tl, transplanted := m.watch.transplantedFrom(victim.id)
-				if adopted && transplanted {
-					res.Adopted += al.count
-					res.Transplanted += tl.procs
-					announced[m.id] = tl.pairs
-					if firstAdopt.IsZero() || al.at.Before(firstAdopt) {
-						firstAdopt = al.at
-					}
-					if firstTpl.IsZero() || tl.at.Before(firstTpl) {
-						firstTpl = tl.at
-					}
-					logf("%8v node %d adopted %d machine(s) and %d process(es) from node %d",
-						time.Since(start).Round(time.Millisecond), m.id, al.count, tl.procs, victim.id)
-					break
-				}
-				if time.Now().After(adoptDeadline) {
-					return res, fmt.Errorf("churn: node %d never announced its adoption from node %d (ADOPTED %v, TRANSPLANTED %v)",
-						m.id, victim.id, adopted, transplanted)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		if res.Adopted < 1 {
-			return res, fmt.Errorf("churn: survivors adopted 0 machines from node %d — nothing was in flight at the kill", victim.id)
-		}
-		if res.Transplanted < 1 {
-			return res, fmt.Errorf("churn: survivors transplanted 0 processes from node %d — its WAL held none", victim.id)
-		}
-		res.AdoptLatency = max(firstAdopt.Sub(tKill), 0)
-		res.TransplantLatency = max(firstTpl.Sub(tKill), 0)
-		logf("%8v adopted %d machine(s) and %d process(es) total, latency %v / %v",
-			time.Since(start).Round(time.Millisecond), res.Adopted, res.Transplanted,
-			res.AdoptLatency.Round(time.Millisecond), res.TransplantLatency.Round(time.Millisecond))
-	}
-
-	// Resolution: the survivors' workloads must complete fully definite,
-	// and the doomed one too in survival storms. Otherwise it must
-	// quiesce — every assumption the victim owned denied (detector or
-	// lease) and dependents rolled back.
-	quiesce := time.Now().Add(90 * time.Second)
-	for _, w := range workloads {
-		doomed := w.member.id == victim.id
-		for {
-			st := w.worker.Snapshot()
-			w.mu.Lock()
-			completed := w.done > 0
-			w.mu.Unlock()
-			settled := completed && st.Completed && st.AllDefinite && client.Inflight() == 0
-			if doomed && !cfg.Survive {
-				// Without survival the doomed workload only has to quiesce:
-				// its orphans denied, its dependents rolled back.
-				settled = st.Completed && client.Inflight() == 0 && (st.AllDefinite || eng.AutoDenied() > 0)
-			}
-			if settled {
-				res.Rollbacks += st.Restarts
-				if doomed {
-					res.Resolve = time.Since(tKill)
-					if cfg.Survive {
-						// The doomed workload COMPLETED against the reborn
-						// server — fully definite, every report delivered —
-						// instead of quiescing by denial. That retained
-						// history is its one final outcome.
-						res.TransplantOutcomes = 1
-					}
-				}
-				break
-			}
-			if time.Now().After(quiesce) {
-				return res, fmt.Errorf("churn: no quiescence for node %d workload: worker completed=%v definite=%v restarts=%d deadAIDs=%d inflight=%d autodenied=%d routing=%+v",
-					w.member.id, st.Completed, st.AllDefinite, st.Restarts, len(st.DeadAIDs),
-					client.Inflight(), eng.AutoDenied(), eng.RoutingStats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	logf("%8v quiesced: resolve=%v rollbacks=%d autodenied=%d",
-		time.Since(start).Round(time.Millisecond), res.Resolve.Round(time.Millisecond), res.Rollbacks, eng.AutoDenied())
-
-	// Transplant fence: the survivors' agreed post-death views must
-	// designate the announced adoptions — every corpse process reborn
-	// exactly once, at its ring owner — and the doomed workload must have
-	// reached exactly one final outcome. Checked before the join: adoption
-	// happened at death time, under the post-death ring.
-	if cfg.Survive {
-		postDeath, err := awaitAgreement("post-death membership", survivors, survLive, 30*time.Second)
-		if err != nil {
-			return res, err
-		}
-		if err := oracle.CheckTransplant(victim.id, wire.NodeOf, postDeath, cfg.VNodes,
-			announced, map[ids.PID]int{victim.pid: res.TransplantOutcomes}); err != nil {
-			return res, err
-		}
-		logf("%8v transplant fence holds: %d rebirth(s), %d final outcome(s) for the doomed workload",
-			time.Since(start).Round(time.Millisecond), res.Transplanted, res.TransplantOutcomes)
-	}
-
-	// Late join: a fresh member (fresh ID — the victim's ID is dead
-	// forever, sticky death guarantees it) joins through a survivor and
-	// must be absorbed into every survivor's view with a ring share.
-	joiner := cfg.Nodes + 1
-	res.Joined = joiner
-	tJoin := time.Now()
-	if _, err := launch(joiner, fmt.Sprintf("%d=%s", survivors[0].id, survivors[0].addr)); err != nil {
-		return res, err
-	}
-	finalMembers := append(append([]*member(nil), survivors...), members[joiner])
-	finalLive := append(append([]int(nil), survLive...), joiner)
-	finalViews, err := awaitAgreement("post-join membership", finalMembers, finalLive, 30*time.Second)
-	if err != nil {
-		return res, err
-	}
-	res.JoinLag = time.Since(tJoin)
-	tAgreed := time.Now()
-	res.FinalEpoch = finalViews[survivors[0].id].Epoch
-	res.FinalLive = finalLive
-
-	// The joiner must actually serve (a member with no working engine
-	// would pass the view checks and still be useless).
-	if line, err := rpc.Probe(eng, members[joiner].pid, rpc.MethodPrint, 30*time.Second); err != nil {
-		return res, fmt.Errorf("probe joiner node %d: %w", joiner, err)
-	} else if line < 1 {
-		return res, fmt.Errorf("joiner node %d printed line %d, want >= 1", joiner, line)
-	}
-
-	// Ownership invariant over the final views: agreed live set, agreed
-	// ring, every checked key owned by a live member. The keys are the
-	// storm's root PIDs (the victim's included — its namespace must
-	// re-own deterministically) plus every assumption the client still
-	// holds speculation on (normally none after quiescence).
-	keys := []uint64{uint64(victim.pid)}
-	for _, m := range finalMembers {
-		keys = append(keys, uint64(m.pid))
-	}
-	for _, a := range eng.SpeculativeAIDs() {
-		keys = append(keys, uint64(a))
-	}
-	if err := oracle.CheckOwnership(finalViews, cfg.VNodes, keys); err != nil {
-		return res, err
-	}
-	ring := cluster.NewRing(finalLive, cfg.VNodes)
-	res.JoinShare = ring.Shares()[joiner]
-	if res.JoinShare <= 0 {
-		return res, fmt.Errorf("churn: joiner node %d owns no share of the ring %v", joiner, ring)
-	}
-
-	// Survival storms: the WAL-visible hosted tables of the final members
-	// must partition by the final ring — every live machine hosted by
-	// exactly one node, and that node its ring owner. The members are
-	// still running, so each table is read forensically mid-flight and
-	// polled: a snapshot torn across a transfer (source exported, target
-	// not yet landed) or a checkpoint rewrite heals on the next read.
-	if cfg.Survive {
-		migrateDeadline := time.Now().Add(30 * time.Second)
-		for {
-			hosted := make(map[int][]uint64, len(finalMembers))
-			readable := true
-			for _, m := range finalMembers {
-				ex, err := durable.ReadExtract(m.dataDir, m.id)
-				if err != nil {
-					readable = false
-					break
-				}
-				keys := []uint64{}
-				for a := range ex.AIDExports {
-					keys = append(keys, uint64(a))
-				}
-				hosted[m.id] = keys
-			}
-			var err error
-			if readable {
-				err = oracle.CheckMigration(finalViews, cfg.VNodes, hosted, nil, nil)
-				if err == nil {
-					total := 0
-					for _, keys := range hosted {
-						total += len(keys)
-					}
-					logf("%8v migration partition holds: %d hosted machine(s) across %d members",
-						time.Since(start).Round(time.Millisecond), total, len(finalMembers))
-					break
-				}
-			} else {
-				err = fmt.Errorf("churn: hosted tables unreadable mid-flight")
-			}
-			if time.Now().After(migrateDeadline) {
-				return res, fmt.Errorf("churn: migration partition never settled: %w", err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	// Remaining invariants, as in the fault storm: liveness (no surviving
-	// speculation on anything the victim owned), worker verdict agreement
-	// and completeness for survivors, zero protocol violations, FIFO.
-	deadOwned := func(a ids.AID) bool { return wire.NodeOf(a.PID()) == victim.id }
-	for _, w := range workloads {
-		name := fmt.Sprintf("node %d workload", w.member.id)
-		if err := oracle.CheckLiveness(name, w.worker.HistorySnapshot(), deadOwned); err != nil {
-			return res, err
-		}
-		doomed := w.member.id == victim.id
-		if doomed && !cfg.Survive {
-			continue
-		}
-		// In survival storms the doomed workload completed against the
-		// reborn server: its verdicts must agree like any survivor's and
-		// every report must have landed.
-		if err := oracle.CheckWorker(name, w.worker.Snapshot()); err != nil {
-			return res, err
-		}
-		w.mu.Lock()
-		rep := w.rep
-		w.mu.Unlock()
-		if rep.Totals != cfg.Reports {
-			return res, fmt.Errorf("%s printed %d totals, want %d", name, rep.Totals, cfg.Reports)
-		}
-		if cfg.Survive && !doomed {
-			// Adopted, not denied: a spurious denial of a live migrated
-			// assumption would roll the worker back at a non-boundary
-			// report and insert an extra newpage, so the page layout
-			// diverging from the sequential one is the observable symptom
-			// of a lost or mis-adjudicated migration. The doomed workload
-			// is exempt — rollbacks across the death legitimately insert
-			// extra page breaks.
-			if want := expectPageBreaks(cfg.PageSize, cfg.Reports); rep.NewPageCalls != want {
-				return res, fmt.Errorf("%s made %d newpage calls, want %d (sequential layout)",
-					name, rep.NewPageCalls, want)
-			}
-		}
-	}
-	for _, m := range finalMembers {
-		m.watch.mu.Lock()
-		ev := m.watch.evicted
-		m.watch.mu.Unlock()
-		if ev {
-			return res, fmt.Errorf("churn: surviving node %d was evicted", m.id)
-		}
-	}
-	if v := eng.Violations(); v != 0 {
-		return res, fmt.Errorf("%d protocol violations", v)
-	}
-	if bad := tap.Violations(); len(bad) != 0 {
-		return res, fmt.Errorf("per-pair FIFO inversions at delivery: %s", strings.Join(bad, "; "))
-	}
-
-	// Watermark storms: stability rounds were blocked while the corpse
-	// sat unevicted (it answers no sweep and its in-flight frames fail
-	// the drain check); after eviction and the join they must resume.
-	// Every final member — the joiner included — has at least one boot
-	// interval, so the joiner's frontier entry appearing is itself an
-	// advance every member must announce at the final view epoch. A
-	// member that never does means the protocol did not survive churn.
-	if cfg.Watermark {
-		stableDeadline := time.Now().Add(30 * time.Second)
-		for _, m := range finalMembers {
-			for {
-				sl, ok := m.watch.stableAt(res.FinalEpoch)
-				if ok {
-					if lag := sl.at.Sub(tAgreed); lag > res.StableLag {
-						res.StableLag = lag
-					}
-					if m.id == survivors[0].id {
-						res.StableFrontier = sl.frontier
-					}
-					logf("%8v node %d stable at e%d: frontier %s",
-						time.Since(start).Round(time.Millisecond), m.id, sl.epoch, sl.frontier)
-					break
-				}
-				if time.Now().After(stableDeadline) {
-					return res, fmt.Errorf("churn: node %d never announced a stability frontier at view epoch %d",
-						m.id, res.FinalEpoch)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
-
-	res.AutoDenied = eng.AutoDenied()
-	res.DetectP50 = pctDuration(res.Detect, 50)
-	res.DetectP99 = pctDuration(res.Detect, 99)
-	res.Elapsed = time.Since(start)
-	return res, nil
+	r.victim = r.servers[rand.New(rand.NewSource(r.cfg.Seed)).Intn(r.cfg.Nodes)]
+	return nil
 }
 
-// expectPageBreaks simulates the print server's line counter over one
-// sequential run of the pagination workload: each report is a total
-// print and a trailer print, with a newpage forced whenever the total
-// lands at or past the page boundary. The streamed worker's FIFO
-// ordering makes this the unique correct layout, so the count doubles
-// as a no-churn control for migrated runs.
-func expectPageBreaks(pageSize, reports int) int {
-	line, breaks := 0, 0
-	for i := 0; i < reports; i++ {
-		line++ // the total print
-		if line >= pageSize {
-			line = 0 // the worker's newpage lands before the trailer
-			breaks++
+// awaitHosted (survival) holds the kill until the victim demonstrably
+// hosts part of the shard and its WAL can rebirth its root server:
+// exports are tombstoned only when shipped on a view change, so once its
+// WAL shows one the adoption count is ≥1 no matter how fast the workload
+// adjudicates, and the transplant fence is exercised only if the journal
+// extract includes the server. The client frame gate in bootstrap is
+// satisfied by membership gossip alone and says nothing about routed
+// machines.
+func (r *churn) awaitHosted() error {
+	v := r.victim
+	var err error
+	hosted := 0
+	if !waitUntil(30*time.Second, time.Millisecond, func() bool {
+		ex, e := durable.ReadExtract(v.dataDir, v.id)
+		if e == nil {
+			e = ex.ProcErr
 		}
-		line++ // the trailer print
+		if err = e; err != nil {
+			return false
+		}
+		hosted = len(ex.AIDExports)
+		return hosted > 0 && ex.Procs[v.pid] != nil
+	}) {
+		return fmt.Errorf("churn: node %d never hosted a machine and its server (last read: err=%v)", v.id, err)
 	}
-	return breaks
+	r.logf("node %d hosts %d machine(s); killing it", v.id, hosted)
+	return nil
+}
+
+// kill SIGKILLs the victim mid-speculation. No drain, no WAL close, no
+// goodbye gossip — the survivors must diagnose the death themselves and
+// re-own what the corpse held.
+func (r *churn) kill() error {
+	r.res.Killed = r.victim.id
+	r.tKill = time.Now()
+	if err := r.victim.kill(); err != nil {
+		return fmt.Errorf("SIGKILL node %d: %w", r.victim.id, err)
+	}
+	r.logf("SIGKILL node %d (speculation in flight)", r.victim.id)
+	for _, s := range r.servers {
+		if s != r.victim {
+			r.survivors = append(r.survivors, s)
+		}
+	}
+	return nil
+}
+
+// awaitDetection: every survivor's view must converge on the death.
+func (r *churn) awaitDetection() error {
+	dead := func(s *server) (hopedLine, bool) {
+		return s.proc.find("VIEW", false, func(l hopedLine) bool { return slices.Contains(l.view.Dead, r.victim.id) })
+	}
+	if s := awaitEach(r.survivors, func(s *server) bool { _, ok := dead(s); return ok }); s != nil {
+		return fmt.Errorf("churn: node %d never announced node %d dead", s.id, r.victim.id)
+	}
+	for _, s := range r.survivors {
+		l, _ := dead(s)
+		lat := max(l.at.Sub(r.tKill), 0) // pre-kill suspicion resolved into death evidence
+		r.res.Detect = append(r.res.Detect, lat)
+		r.logf("node %d saw node %d dead after %v", s.id, r.victim.id, lat.Round(time.Millisecond))
+	}
+	return nil
+}
+
+// awaitAdoption (survival): every survivor must announce its ring slice
+// of the corpse's WAL shard and of its user processes. Either count may
+// be 0 for a survivor whose slice is empty, but both announcements are
+// mandatory — they prove the adoption path ran. In total at least one
+// machine must move, or the kill did not land mid-speculation and the
+// storm proved nothing, and at least the victim's root server must be
+// reborn. Each latency is kill → the earliest announcement: how long the
+// corpse's shard and processes were dark.
+func (r *churn) awaitAdoption() error {
+	fromVictim := func(l hopedLine) bool { return l.from == r.victim.id }
+	adoption := func(s *server) (al, tl hopedLine, adopted, transplanted bool) {
+		al, adopted = s.proc.find("ADOPTED", false, fromVictim)
+		tl, transplanted = s.proc.find("TRANSPLANTED", false, fromVictim)
+		return al, tl, adopted, transplanted
+	}
+	if s := awaitEach(r.survivors, func(s *server) bool { _, _, a, t := adoption(s); return a && t }); s != nil {
+		_, _, a, t := adoption(s)
+		return fmt.Errorf("churn: node %d never announced its adoption from node %d (ADOPTED %v, TRANSPLANTED %v)",
+			s.id, r.victim.id, a, t)
+	}
+	r.announced = make(map[int][]core.TransplantPair)
+	var firstAdopt, firstTpl time.Time
+	for _, s := range r.survivors {
+		al, tl, _, _ := adoption(s)
+		r.res.Adopted += al.count
+		r.res.Transplanted += tl.count
+		r.announced[s.id] = tl.pairs
+		if firstAdopt.IsZero() || al.at.Before(firstAdopt) {
+			firstAdopt = al.at
+		}
+		if firstTpl.IsZero() || tl.at.Before(firstTpl) {
+			firstTpl = tl.at
+		}
+		r.logf("node %d adopted %d machine(s) and %d process(es) from node %d", s.id, al.count, tl.count, r.victim.id)
+	}
+	if r.res.Adopted < 1 {
+		return fmt.Errorf("churn: survivors adopted 0 machines from node %d — nothing was in flight at the kill", r.victim.id)
+	}
+	if r.res.Transplanted < 1 {
+		return fmt.Errorf("churn: survivors transplanted 0 processes from node %d — its WAL held none", r.victim.id)
+	}
+	r.res.AdoptLatency = max(firstAdopt.Sub(r.tKill), 0)
+	r.res.TransplantLatency = max(firstTpl.Sub(r.tKill), 0)
+	r.logf("adopted %d machine(s) and %d process(es) total, latency %v / %v", r.res.Adopted, r.res.Transplanted,
+		r.res.AdoptLatency.Round(time.Millisecond), r.res.TransplantLatency.Round(time.Millisecond))
+	return nil
+}
+
+// mustComplete: the survivors' workloads must complete fully definite,
+// and in survival storms the doomed one too, against the reborn server.
+// Otherwise the doomed one need only quiesce: every assumption the
+// victim owned denied (detector or lease) and dependents rolled back.
+func (r *churn) mustComplete(w *workload) bool { return r.cfg.Survive || w.srv != r.victim }
+
+func (r *churn) quiesce() error {
+	var err error
+	if r.res.Rollbacks, err = awaitQuiescence(r.cn, r.workloads, r.mustComplete); err != nil {
+		return err
+	}
+	doomed := r.workloads[slices.IndexFunc(r.workloads, func(w *workload) bool { return w.srv == r.victim })]
+	r.res.Resolve = doomed.settled.Sub(r.tKill)
+	if r.cfg.Survive {
+		// The doomed workload COMPLETED against the reborn server — fully
+		// definite, every report delivered — instead of quiescing by
+		// denial. That retained history is its one final outcome.
+		r.res.TransplantOutcomes = 1
+	}
+	r.logf("quiesced: resolve=%v rollbacks=%d autodenied=%d",
+		r.res.Resolve.Round(time.Millisecond), r.res.Rollbacks, r.cn.Engine().AutoDenied())
+	return nil
+}
+
+// checkTransplantFence (survival): the survivors' agreed post-death
+// views must designate the announced adoptions — every corpse process
+// reborn exactly once, at its ring owner — and the doomed workload must
+// have reached exactly one final outcome. Checked before the join:
+// adoption happened at death time, under the post-death ring.
+func (r *churn) checkTransplantFence() error {
+	postDeath, err := r.awaitAgreement("post-death membership", r.survivors)
+	if err != nil {
+		return err
+	}
+	if err := oracle.CheckTransplant(r.victim.id, wire.NodeOf, postDeath, r.cfg.VNodes,
+		r.announced, map[ids.PID]int{r.victim.pid: r.res.TransplantOutcomes}); err != nil {
+		return err
+	}
+	r.logf("transplant fence holds: %d rebirth(s), %d final outcome(s) for the doomed workload",
+		r.res.Transplanted, r.res.TransplantOutcomes)
+	return nil
+}
+
+// join launches a fresh member (fresh ID — the victim's ID is dead
+// forever, sticky death guarantees it) through a survivor; it must be
+// absorbed into every survivor's view, and it must actually serve (a
+// member with no working engine would pass the view checks and still be
+// useless).
+func (r *churn) join() error {
+	id := r.cfg.Nodes + 1
+	r.res.Joined = id
+	tJoin := time.Now()
+	joiner, err := r.launch(id, fmt.Sprintf("%d=%s", r.survivors[0].id, r.survivors[0].addr))
+	if err != nil {
+		return err
+	}
+	r.final = append(slices.Clone(r.survivors), joiner)
+	if r.finalViews, err = r.awaitAgreement("post-join membership", r.final); err != nil {
+		return err
+	}
+	r.res.JoinLag = time.Since(tJoin)
+	r.tAgreed = time.Now()
+	r.res.FinalEpoch = r.finalViews[r.survivors[0].id].Epoch
+	for _, s := range r.final {
+		r.res.FinalLive = append(r.res.FinalLive, s.id)
+	}
+	line, err := rpc.Probe(r.cn.Engine(), joiner.pid, rpc.MethodPrint, 30*time.Second)
+	if err != nil {
+		return fmt.Errorf("probe joiner node %d: %w", id, err)
+	}
+	if line < 1 {
+		return fmt.Errorf("joiner node %d printed line %d, want >= 1", id, line)
+	}
+	return nil
+}
+
+// checkOwnership: over the final views, an agreed live set, an agreed
+// ring, and every checked key owned by a live member. The keys are the
+// storm's root PIDs (the victim's included — its namespace must re-own
+// deterministically) plus every assumption the client still holds
+// speculation on (normally none after quiescence). The joiner must own a
+// share of the ring.
+func (r *churn) checkOwnership() error {
+	keys := []uint64{uint64(r.victim.pid)}
+	for _, s := range r.final {
+		keys = append(keys, uint64(s.pid))
+	}
+	for _, a := range r.cn.Engine().SpeculativeAIDs() {
+		keys = append(keys, uint64(a))
+	}
+	if err := oracle.CheckOwnership(r.finalViews, r.cfg.VNodes, keys); err != nil {
+		return err
+	}
+	ring := cluster.NewRing(r.res.FinalLive, r.cfg.VNodes)
+	if r.res.JoinShare = ring.Shares()[r.res.Joined]; r.res.JoinShare <= 0 {
+		return fmt.Errorf("churn: joiner node %d owns no share of the ring %v", r.res.Joined, ring)
+	}
+	return nil
+}
+
+// checkMigration (survival): the WAL-visible hosted tables of the final
+// members must partition by the final ring — every live machine hosted
+// by exactly one node, and that node its ring owner. The members are
+// still running, so each table is read forensically mid-flight and
+// polled: a snapshot torn across a transfer (source exported, target not
+// yet landed) or a checkpoint rewrite heals on the next read.
+func (r *churn) checkMigration() error {
+	var err error
+	total := 0
+	if !waitUntil(30*time.Second, 10*time.Millisecond, func() bool {
+		hosted := make(map[int][]uint64, len(r.final))
+		total = 0
+		for _, s := range r.final {
+			ex, e := durable.ReadExtract(s.dataDir, s.id)
+			if e != nil {
+				err = fmt.Errorf("churn: hosted tables unreadable mid-flight")
+				return false
+			}
+			keys := []uint64{}
+			for a := range ex.AIDExports {
+				keys = append(keys, uint64(a))
+			}
+			hosted[s.id] = keys
+			total += len(keys)
+		}
+		err = oracle.CheckMigration(r.finalViews, r.cfg.VNodes, hosted, nil, nil)
+		return err == nil
+	}) {
+		return fmt.Errorf("churn: migration partition never settled: %w", err)
+	}
+	r.logf("migration partition holds: %d hosted machine(s) across %d members", total, len(r.final))
+	return nil
+}
+
+// checkInvariants runs the shared pass: liveness (no surviving
+// speculation on anything the victim owned), and verdict agreement,
+// completeness and totals for every workload that had to complete.
+func (r *churn) checkInvariants() error {
+	return checkInvariants(r.cn.Engine(), r.tap, r.workloads, r.cfg.Reports, r.victim.id, r.mustComplete)
+}
+
+// checkLayouts (survival): adopted, not denied. A spurious denial of a
+// live migrated assumption would roll a worker back at a non-boundary
+// report and insert an extra newpage, so a page layout diverging from
+// the sequential one is the observable symptom of a lost or
+// mis-adjudicated migration. The doomed workload is exempt — rollbacks
+// across the death legitimately insert extra page breaks.
+func (r *churn) checkLayouts() error {
+	_, want := oracle.ExpectedLayout(r.cfg.PageSize, r.cfg.Reports)
+	for _, w := range r.workloads {
+		if rep, _ := w.report(); w.srv != r.victim && rep.NewPageCalls != want {
+			return fmt.Errorf("node %d workload made %d newpage calls, want %d (sequential layout)",
+				w.srv.id, rep.NewPageCalls, want)
+		}
+	}
+	return nil
+}
+
+func (r *churn) checkNoEviction() error {
+	for _, s := range r.final {
+		if _, evicted := s.proc.find("EVICTED", false, nil); evicted {
+			return fmt.Errorf("churn: surviving node %d was evicted", s.id)
+		}
+	}
+	return nil
+}
+
+// awaitStable (watermark): stability rounds were blocked while the
+// corpse sat unevicted (it answers no sweep and its in-flight frames
+// fail the drain check); after eviction and the join they must resume.
+// Every final member — the joiner included — has at least one boot
+// interval, so the joiner's frontier entry appearing is itself an
+// advance every member must announce at the final view epoch. A member
+// that never does means the protocol did not survive churn.
+func (r *churn) awaitStable() error {
+	stable := func(s *server) (hopedLine, bool) {
+		return s.proc.find("STABLE", true, func(l hopedLine) bool { return l.epoch == r.res.FinalEpoch })
+	}
+	if s := awaitEach(r.final, func(s *server) bool { _, ok := stable(s); return ok }); s != nil {
+		return fmt.Errorf("churn: node %d never announced a stability frontier at view epoch %d", s.id, r.res.FinalEpoch)
+	}
+	for _, s := range r.final {
+		sl, _ := stable(s)
+		r.res.StableLag = max(r.res.StableLag, sl.at.Sub(r.tAgreed))
+		if s == r.survivors[0] {
+			r.res.StableFrontier = sl.frontier
+		}
+		r.logf("node %d stable at e%d: frontier %s", s.id, sl.epoch, sl.frontier)
+	}
+	return nil
 }
 
 // pctDuration returns the p-th percentile of samples (nearest-rank).
@@ -1119,23 +718,7 @@ func pctDuration(samples []time.Duration, p int) time.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := len(s) * p / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	return s[min(len(s)*p/100, len(s)-1)]
 }

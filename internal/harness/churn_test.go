@@ -17,11 +17,7 @@ func TestRunChurn(t *testing.T) {
 		t.Skip("spawns and kills child processes; skipped in -short")
 	}
 	res, err := RunChurn(ChurnConfig{
-		Seed:     3,
-		Nodes:    3,
-		HopedBin: buildHoped(t),
-		Reports:  24,
-		Log:      testWriter{t},
+		Setup: Setup{Seed: 3, Nodes: 3, HopedBin: buildHoped(t), Reports: 24, Log: testWriter{t}},
 	})
 	if err != nil {
 		t.Fatalf("churn storm failed (replay with seed 3): %v", err)

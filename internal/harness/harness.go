@@ -1,38 +1,35 @@
-// Package harness orchestrates the multi-node chaos storm: N durable
-// hoped server processes behind fault-injecting TCP proxies
-// (internal/faultwire), a client engine driving one randomized
-// pagination workload per server, and a seed-deterministic fault plan —
-// severed connections, partitions, armed bit flips, and one
-// SIGKILL-plus-restart — executed against them mid-run.
+// Package harness drives the multi-process chaos storms: hoped children
+// serving printserver, an in-process client engine (node 0) driving one
+// streamed pagination workload per server, faults executed against them
+// mid-run, then distributed quiescence and the invariants from
+// internal/oracle. It is one driver with two entry points:
 //
-// When the storm ends the harness heals every partition, severs every
-// connection once more (a corrupted length prefix can stall a reader
-// mid-frame; the sever bounds it), waits for distributed quiescence, and
-// asserts the shared invariants from internal/oracle:
+//   - Run, the fault storm (storm.go): durable servers behind
+//     fault-injecting TCP proxies (internal/faultwire) and a
+//     seed-deterministic plan of severs, partitions, armed bit flips and
+//     one SIGKILL, either restarted from the WAL or permanent;
+//   - RunChurn, the membership storm (churn.go): a dynamic cluster that
+//     loses one member to SIGKILL mid-speculation and absorbs a fresh
+//     joiner, optionally with state survival and the commit watermark.
 //
-//   - every worker completed with an all-definite history and the system
-//     recorded zero protocol violations (verdict agreement);
-//   - each server's committed line counter equals a sequential replay of
-//     its workload — the committed prefix is byte-stable through crashes
-//     and partitions, with nothing lost, duplicated, or reordered;
-//   - per-peer wire FIFO held at the delivery boundary (oracle.FIFOTap):
-//     no resent or duplicated frame re-entered the stream behind the
-//     receiver's dedup watermark;
-//   - a killed node recovered from its WAL on the same address with the
-//     same root PID (no resurrection of rolled-back state: recovery
-//     replays the log, it does not reinvent it).
+// Both start every child through one launcher (startChild) whose stdout
+// reader parses hoped's HOPED lines (parseHopedLine), spawn their
+// workloads the same way (spawnWorkloads), wait for quiescence under one
+// rule (awaitQuiescence) and end with one invariant pass
+// (checkInvariants):
 //
-// With Config.PermKill the storm instead kills one node permanently: no
-// restart ever follows, the client's wire failure detector must declare
-// the corpse dead, and the engine's liveness layer must auto-deny the
-// orphaned assumptions so dependents roll back instead of waiting
-// forever. The oracle's liveness invariant then replaces completeness
-// for the doomed workload: after quiescence no surviving interval is
-// speculative on anything the dead node owned.
+//   - no surviving speculation on anything a dead node owned
+//     (oracle.CheckLiveness);
+//   - every workload that had to complete did, with an all-definite
+//     history, agreed verdicts (oracle.CheckWorker) and every total
+//     printed;
+//   - zero protocol violations;
+//   - per-pair wire FIFO at the delivery boundary (oracle.FIFOTap): no
+//     resent or duplicated frame re-entered the stream behind the
+//     receiver's dedup watermark.
 //
-// Everything about a run derives from Config.Seed: GenPlan is a pure
-// function, so a failing run's printed seed and plan are a complete
-// reproduction recipe.
+// Everything about a run derives from its seed, so a failing run's
+// printed seed (and, for the fault storm, plan) reproduces it.
 package harness
 
 import (
@@ -47,6 +44,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hope-dist/hope/internal/cluster"
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/faultwire"
 	"github.com/hope-dist/hope/internal/ids"
@@ -58,6 +56,65 @@ import (
 	"github.com/hope-dist/hope/internal/wire"
 )
 
+// Setup is what both storms configure alike: the servers, their WALs and
+// the workload each one serves.
+type Setup struct {
+	Seed     int64
+	Nodes    int    // hoped server processes, numbered 1..Nodes
+	HopedBin string // path to the hoped binary (required)
+	DataRoot string // parent dir for per-node WALs ("" = a fresh temp dir)
+	Fsync    string // hoped --fsync policy for durable nodes (default "interval")
+	PageSize int    // pagination page size (default 3)
+	Reports  int    // reports per server workload (default 48)
+
+	Tracer trace.Tracer // receives trace.Fault events (nil = discard)
+	Log    io.Writer    // storm narration (nil = discard)
+}
+
+func (s *Setup) norm(minNodes int) error {
+	if s.HopedBin == "" {
+		return fmt.Errorf("harness: HopedBin is required")
+	}
+	if s.Nodes < minNodes {
+		return fmt.Errorf("harness: Nodes = %d, want >= %d", s.Nodes, minNodes)
+	}
+	if s.Fsync == "" {
+		s.Fsync = "interval"
+	}
+	if s.PageSize <= 0 {
+		s.PageSize = 3
+	}
+	if s.Reports <= 0 {
+		s.Reports = 48
+	}
+	if s.Tracer == nil {
+		s.Tracer = trace.Nop
+	}
+	if s.Log == nil {
+		s.Log = io.Discard
+	}
+	return nil
+}
+
+// dataRoot returns the parent of the per-node WAL directories: DataRoot,
+// or a fresh temp dir that cleanup removes.
+func (s *Setup) dataRoot() (root string, cleanup func(), err error) {
+	if s.DataRoot != "" {
+		return s.DataRoot, func() {}, nil
+	}
+	dir, err := os.MkdirTemp("", "hope-storm-*")
+	if err != nil {
+		return "", nil, err
+	}
+	return dir, func() { os.RemoveAll(dir) }, nil
+}
+
+// narrate writes one line of storm narration stamped with the time since
+// start.
+func narrate(w io.Writer, start time.Time, format string, args ...any) {
+	fmt.Fprintf(w, "%8v "+format+"\n", append([]any{time.Since(start).Round(time.Millisecond)}, args...)...)
+}
+
 // BootInfo is what a hoped child reports on stdout before serving.
 type BootInfo struct {
 	Addr      string
@@ -65,172 +122,256 @@ type BootInfo struct {
 	Recovered string // the HOPED RECOVERED line verbatim, "" on a fresh boot
 }
 
-// AwaitBoot parses a hoped child's boot lines from r: an optional
-// "HOPED RECOVERED …" line followed by "HOPED READY node=… addr=…
-// pid=…". It is the one parser for the protocol; cmd/hopebench and the
-// cmd/hoped tests share it.
-func AwaitBoot(r io.Reader) (BootInfo, error) {
-	type res struct {
-		info BootInfo
-		err  error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		var info BootInfo
-		sc := bufio.NewScanner(r)
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, "HOPED RECOVERED") {
-				info.Recovered = line
-				continue
-			}
-			if !strings.HasPrefix(line, "HOPED READY") {
-				continue
-			}
-			if err := parseReady(line, &info); err != nil {
-				ch <- res{err: err}
-				return
-			}
-			ch <- res{info: info}
-			return
-		}
-		ch <- res{err: fmt.Errorf("hoped exited before READY: %v", sc.Err())}
-	}()
-	select {
-	case r := <-ch:
-		return r.info, r.err
-	case <-time.After(15 * time.Second):
-		return BootInfo{}, fmt.Errorf("timed out waiting for hoped READY line")
-	}
-}
-
-// parseReady fills info's Addr and PID from a HOPED READY line; shared
-// by AwaitBoot and the churn harness's view watcher (which keeps the
-// stdout stream for itself after boot).
-func parseReady(line string, info *BootInfo) error {
-	for _, f := range strings.Fields(line) {
-		if v, ok := strings.CutPrefix(f, "addr="); ok {
-			info.Addr = v
-		}
-		if v, ok := strings.CutPrefix(f, "pid="); ok {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad pid in READY line %q: %v", line, err)
-			}
-			info.PID = ids.PID(n)
-		}
-	}
-	if info.Addr == "" {
-		return fmt.Errorf("no addr in READY line %q", line)
-	}
-	return nil
-}
-
-// StartHoped launches a hoped child and waits for its boot report.
+// StartHoped launches a hoped child and waits for its boot report. The
+// child's stdout stays drained for its whole life.
 func StartHoped(bin string, args []string) (*exec.Cmd, BootInfo, error) {
-	child := exec.Command(bin, args...)
-	child.Stderr = os.Stderr
-	stdout, err := child.StdoutPipe()
+	c, err := startChild(bin, args)
 	if err != nil {
 		return nil, BootInfo{}, err
 	}
-	if err := child.Start(); err != nil {
-		return nil, BootInfo{}, err
+	return c.cmd, c.boot, nil
+}
+
+// hopedLine is one parsed announcement from hoped's stdout; cmd/hoped's
+// doc comment lists the formats. Only the fields the storms read are
+// kept.
+type hopedLine struct {
+	at       time.Time
+	kind     string                // READY, RECOVERED, VIEW, STABLE, ADOPTED, TRANSPLANTED, EVICTED
+	addr     string                // READY
+	pid      ids.PID               // READY
+	epoch    uint64                // STABLE
+	frontier string                // STABLE
+	from     int                   // ADOPTED, TRANSPLANTED: whose WAL
+	count    int                   // ADOPTED count=, TRANSPLANTED procs=
+	pairs    []core.TransplantPair // TRANSPLANTED map=
+	view     cluster.ViewLine      // VIEW
+}
+
+// parseHopedLine parses one line of hoped's stdout. ok is false for a
+// line that is no HOPED announcement. A missing or malformed field that
+// the storms read is an error, so a format drift fails at the line
+// instead of as a storm timeout. VIEW lines go to cluster.ParseViewLine.
+func parseHopedLine(line string) (l hopedLine, ok bool, err error) {
+	f := strings.Fields(line)
+	if len(f) < 2 || f[0] != "HOPED" {
+		return l, false, nil
 	}
-	info, err := AwaitBoot(stdout)
+	l.kind = f[1]
+	if l.kind == "VIEW" {
+		l.view, _, err = cluster.ParseViewLine(line)
+		return l, true, err
+	}
+	kv := make(map[string]string, len(f))
+	for _, s := range f[2:] {
+		if k, v, found := strings.Cut(s, "="); found {
+			kv[k] = v
+		}
+	}
+	str := func(key string) string {
+		if kv[key] == "" && err == nil {
+			err = fmt.Errorf("no %s= in %q", key, line)
+		}
+		return kv[key]
+	}
+	num := func(key, v string) uint64 {
+		n, perr := strconv.ParseUint(v, 10, 64)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("bad %s=%q in %q", key, v, line)
+		}
+		return n
+	}
+	field := func(key string) uint64 { return num(key, str(key)) }
+	switch l.kind {
+	case "READY":
+		l.addr, l.pid = str("addr"), ids.PID(field("pid"))
+	case "STABLE":
+		l.epoch, l.frontier = field("epoch"), str("frontier")
+	case "ADOPTED":
+		l.from, l.count = int(field("from")), int(field("count"))
+	case "TRANSPLANTED":
+		l.from, l.count = int(field("from")), int(field("procs"))
+		if m := str("map"); m != "-" && err == nil {
+			for _, pair := range strings.Split(m, ",") {
+				o, n, _ := strings.Cut(pair, ":")
+				l.pairs = append(l.pairs, core.TransplantPair{Old: ids.PID(num("map", o)), New: ids.PID(num("map", n))})
+			}
+		}
+		if err == nil && len(l.pairs) != l.count {
+			err = fmt.Errorf("procs=%d but %d map pairs in %q", l.count, len(l.pairs), line)
+		}
+	}
+	return l, true, err
+}
+
+// child is one hoped process. A single reader owns its stdout for the
+// process's whole life: it takes the boot report, then records every
+// later HOPED line with its arrival time (the observable instant of a
+// membership decision), and keeps the pipe drained so a chatty child
+// never blocks.
+type child struct {
+	cmd  *exec.Cmd
+	boot BootInfo
+
+	mu    sync.Mutex
+	lines []hopedLine
+}
+
+// startChild launches hoped with args and waits for its READY line.
+func startChild(bin string, args []string) (*child, error) {
+	c := &child{cmd: exec.Command(bin, args...)}
+	c.cmd.Stderr = os.Stderr
+	stdout, err := c.cmd.StdoutPipe()
 	if err != nil {
-		child.Process.Kill()
-		child.Wait()
-		return nil, BootInfo{}, fmt.Errorf("hoped %v: %w", args, err)
+		return nil, err
 	}
-	return child, info, nil
+	if err := c.cmd.Start(); err != nil {
+		return nil, err
+	}
+	booted := make(chan error, 1)
+	go c.read(stdout, booted)
+	select {
+	case err = <-booted:
+	case <-time.After(15 * time.Second):
+		err = fmt.Errorf("timed out waiting for READY")
+	}
+	if err != nil {
+		c.kill()
+		return nil, fmt.Errorf("hoped %v: %w", args, err)
+	}
+	return c, nil
 }
 
-// Config parameterizes one chaos storm.
-type Config struct {
-	Seed     int64
-	Nodes    int           // hoped server processes (numbered 1..Nodes)
-	Span     time.Duration // storm duration; quiescence is awaited after
-	Kill     bool          // SIGKILL+restart one node mid-storm (requires durable nodes)
-	PermKill bool          // SIGKILL one node permanently — no restart; enables the liveness layer (overrides Kill)
-	Durable  bool          // run children with a WAL (--data-dir); implied by Kill
-	Fsync    string        // hoped --fsync policy for durable nodes ("" = interval)
-	HopedBin string        // path to the hoped binary (required)
-	DataRoot string        // parent dir for per-node WALs ("" = a fresh temp dir)
-	PageSize int           // pagination page size (default 3)
-	Reports  int           // reports per server workload (default 48)
-	Jitter   time.Duration // per-chunk proxy latency jitter (default 200µs)
-	Tracer   trace.Tracer  // receives trace.Fault events (nil = discard)
-	Log      io.Writer     // storm narration (nil = discard)
+func (c *child) read(r io.Reader, booted chan<- error) {
+	sc := bufio.NewScanner(r)
+	ready := false
+	for sc.Scan() {
+		l, ok, err := parseHopedLine(sc.Text())
+		switch {
+		case !ok:
+		case err != nil && !ready && l.kind == "READY":
+			booted <- err
+			return
+		case err != nil:
+			fmt.Fprintf(os.Stderr, "harness: %v\n", err)
+		case !ready && l.kind == "RECOVERED":
+			c.boot.Recovered = sc.Text()
+		case !ready && l.kind == "READY":
+			c.boot.Addr, c.boot.PID, ready = l.addr, l.pid, true
+			booted <- nil
+		default:
+			l.at = time.Now()
+			c.mu.Lock()
+			c.lines = append(c.lines, l)
+			c.mu.Unlock()
+		}
+	}
+	if !ready {
+		booted <- fmt.Errorf("hoped exited before READY: %v", sc.Err())
+	}
 }
 
-func (c *Config) norm() error {
-	if c.HopedBin == "" {
-		return fmt.Errorf("harness: HopedBin is required")
+// find returns the child's first recorded line of the kind that match
+// accepts (nil accepts any), or its newest when newest is set.
+func (c *child) find(kind string, newest bool, match func(hopedLine) bool) (hopedLine, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.lines {
+		if newest {
+			i = len(c.lines) - 1 - i
+		}
+		if l := c.lines[i]; l.kind == kind && (match == nil || match(l)) {
+			return l, true
+		}
 	}
-	if c.Nodes < 1 {
-		return fmt.Errorf("harness: Nodes = %d, want >= 1", c.Nodes)
-	}
-	if c.Span <= 0 {
-		c.Span = 2 * time.Second
-	}
-	if c.PermKill {
-		// A permanent kill supersedes kill+restart: the plan places the
-		// SIGKILL at the same instant but nothing ever follows. Children
-		// stay durable so the victim's on-disk state is a realistic corpse.
-		c.Kill = false
-		c.Durable = true
-	}
-	if c.Kill {
-		c.Durable = true
-	}
-	if c.Fsync == "" {
-		c.Fsync = "interval"
-	}
-	if c.PageSize <= 0 {
-		c.PageSize = 3
-	}
-	if c.Reports <= 0 {
-		c.Reports = 48
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 200 * time.Microsecond
-	}
-	if c.Tracer == nil {
-		c.Tracer = trace.Nop
-	}
-	if c.Log == nil {
-		c.Log = io.Discard
-	}
-	return nil
+	return hopedLine{}, false
 }
 
-// Result summarizes a completed storm.
-type Result struct {
-	Plan       faultwire.Plan
-	Elapsed    time.Duration
-	Wire       wire.WireStats               // client node counters
-	Proxies    map[int]faultwire.ProxyStats // node → merged in+out proxy stats
-	Rollbacks  int                          // worker restarts across all workloads
-	Recovered  string                       // the killed node's RECOVERED line
-	PermKilled int                          // node permanently killed (0 = none)
-	AutoDenied int64                        // assumptions the client's liveness layer auto-denied
+// view returns the child's newest VIEW announcement, if any.
+func (c *child) view() (cluster.ViewLine, bool) {
+	l, ok := c.find("VIEW", true, nil)
+	return l.view, ok
 }
 
-// LivenessTimings derives the failure-detector and lease timings a storm
-// of the given span uses, shared by the harness and `hopebench chaos
-// --plan`. Suspicion starts after one span of silence; death needs two
-// spans plus a fixed margin, so no partition the generator schedules
-// (≤ 3/8 span, healed within the storm) can ever be mistaken for a
-// death. The lease outlives the dead threshold by one more span so that
-// owner-death detection — not lease expiry — resolves dead-owned
-// assumptions, and the lease only catches what the detector cannot see:
-// assumptions hosted locally whose resolution depended on the dead node.
-func LivenessTimings(span time.Duration) (suspect, dead, lease time.Duration) {
-	suspect = span
-	dead = 2*span + 6*time.Second
-	lease = dead + span
-	return suspect, dead, lease
+// kill SIGKILLs the child and reaps it.
+func (c *child) kill() error {
+	err := c.cmd.Process.Kill()
+	c.cmd.Wait()
+	return err
+}
+
+// server is one hoped child serving printserver. In the fault storm it
+// sits behind two proxies: in carries client → server dials, out
+// carries server → client dials, so a partition cuts the link in both
+// directions.
+type server struct {
+	id      int
+	addr    string  // the child's listen address (stable across restart)
+	pid     ids.PID // its root service
+	dataDir string  // "" for a volatile server
+	in, out *faultwire.Proxy
+	proc    *child // nil while killed
+}
+
+func newServer(id int, dataRoot string) *server {
+	s := &server{id: id}
+	if dataRoot != "" {
+		s.dataDir = filepath.Join(dataRoot, fmt.Sprintf("node%d", id))
+	}
+	return s
+}
+
+// args are the flags every storm server runs with; each storm appends
+// its own.
+func (s *server) args(cfg *Setup, listen, client string) []string {
+	args := []string{
+		"--node", strconv.Itoa(s.id), "--listen", listen,
+		"--serve", "printserver", "--peer", "0=" + client,
+		// Teardown happens after the oracle has passed; a long
+		// best-effort drain would only slow the run down.
+		"--drain-timeout", "2s",
+	}
+	if s.dataDir != "" {
+		args = append(args, "--data-dir", s.dataDir, "--fsync", cfg.Fsync)
+	}
+	return args
+}
+
+// livenessArgs are hoped's failure-detector and lease flags.
+func livenessArgs(suspect, dead, lease time.Duration) []string {
+	return []string{"--suspect-after", suspect.String(), "--dead-after", dead.String(), "--lease", lease.String()}
+}
+
+// start launches the server's hoped child. Its root PID must lie in the
+// node's own namespace.
+func (s *server) start(bin string, args []string) (BootInfo, error) {
+	c, err := startChild(bin, args)
+	if err != nil {
+		return BootInfo{}, err
+	}
+	if wire.NodeOf(c.boot.PID) != s.id {
+		c.kill()
+		return BootInfo{}, fmt.Errorf("node %d root PID %v is outside its namespace", s.id, c.boot.PID)
+	}
+	s.proc = c
+	return c.boot, nil
+}
+
+// kill SIGKILLs the server: no drain, no WAL close, no goodbye.
+func (s *server) kill() error {
+	c := s.proc
+	s.proc = nil
+	return c.kill()
+}
+
+// stopAll interrupts every running server and waits for it to exit.
+func stopAll(servers []*server) {
+	for _, s := range servers {
+		if s.proc != nil {
+			s.proc.cmd.Process.Signal(os.Interrupt)
+			s.proc.cmd.Wait()
+		}
+	}
 }
 
 // startClient starts a storm's in-process client, node 0: no root
@@ -248,343 +389,124 @@ func startClient(cfg node.Config) (*node.Node, *oracle.FIFOTap, error) {
 	return n, tap, err
 }
 
-// server is one hoped child with its two proxies: in carries client →
-// server dials, out carries server → client dials. Faults against a node
-// hit both, so a partition cuts the link in both directions.
-type server struct {
-	id      int
-	addr    string // the child's real listen address (stable across restart)
-	pid     ids.PID
-	dataDir string
-	child   *exec.Cmd
-	in, out *faultwire.Proxy
-	mu      sync.Mutex // guards child across kill/restart
+// workload is one streamed pagination worker printing to one server.
+type workload struct {
+	srv     *server
+	worker  *core.Process
+	settled time.Time // when awaitQuiescence saw it settle
+
+	mu   sync.Mutex
+	done int
+	rep  rpc.PageReport
 }
 
-// Run executes one storm. The returned Result is valid even on error —
-// print Result.Plan alongside the seed to reproduce the failure.
-func Run(cfg Config) (Result, error) {
-	var res Result
-	if err := cfg.norm(); err != nil {
-		return res, err
-	}
-	var plan faultwire.Plan
-	if cfg.PermKill {
-		plan = faultwire.GenPlanPerm(cfg.Seed, cfg.Nodes, cfg.Span)
-	} else {
-		plan = faultwire.GenPlan(cfg.Seed, cfg.Nodes, cfg.Span, cfg.Kill)
-	}
-	res.Plan = plan
-	suspect, dead, lease := LivenessTimings(cfg.Span)
-	logf := func(format string, args ...any) { fmt.Fprintf(cfg.Log, format+"\n", args...) }
-	start := time.Now()
+// report returns the worker's last page report and whether it finished.
+func (w *workload) report() (rpc.PageReport, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.rep, w.done > 0
+}
 
-	dataRoot := cfg.DataRoot
-	if cfg.Durable && dataRoot == "" {
-		dir, err := os.MkdirTemp("", "hope-chaos-*")
-		if err != nil {
-			return res, err
-		}
-		defer os.RemoveAll(dir)
-		dataRoot = dir
-	}
-
-	// Client node 0 lives in-process. When the plan kills a node for
-	// good, it also runs the liveness layer: the wire failure detector
-	// declares the silent peer dead and the engine auto-denies whatever
-	// the corpse owned.
-	ncfg := node.Config{Tracer: cfg.Tracer}
-	if cfg.PermKill {
-		ncfg.SuspectAfter, ncfg.DeadAfter, ncfg.Lease = suspect, dead, lease
-	}
-	cn, tap, err := startClient(ncfg)
-	if err != nil {
-		return res, err
-	}
-	defer cn.Close(0)
-	client, eng := cn.Wire(), cn.Engine()
-
-	servers := make([]*server, 0, cfg.Nodes)
-	defer func() {
-		for _, s := range servers {
-			s.mu.Lock()
-			if s.child != nil {
-				s.child.Process.Signal(os.Interrupt)
-				s.child.Wait()
-			}
-			s.mu.Unlock()
-		}
-	}()
-
-	for id := 1; id <= cfg.Nodes; id++ {
-		s := &server{id: id}
-		// The outbound proxy (server → client) must exist before the
-		// child: its address is the child's --peer 0.
-		s.out, err = faultwire.NewProxy(faultwire.ProxyConfig{
-			Listen: "127.0.0.1:0", Target: client.Addr(),
-			Seed: cfg.Seed ^ int64(id)<<1, Jitter: cfg.Jitter, Tracer: cfg.Tracer,
-		})
-		if err != nil {
-			return res, err
-		}
-		defer s.out.Close()
-
-		args := []string{
-			"--node", strconv.Itoa(id), "--listen", "127.0.0.1:0",
-			"--serve", "printserver", "--peer", "0=" + s.out.Addr(),
-			// Teardown happens after the oracle has passed; a long
-			// best-effort drain would only slow the run down.
-			"--drain-timeout", "2s",
-		}
-		if cfg.Durable {
-			s.dataDir = filepath.Join(dataRoot, fmt.Sprintf("node%d", id))
-			args = append(args, "--data-dir", s.dataDir, "--fsync", cfg.Fsync)
-		}
-		if cfg.PermKill {
-			// Servers run the same detector/lease timings as the client;
-			// their only peer is node 0, which never dies, so this mostly
-			// exercises the flag plumbing end to end.
-			args = append(args,
-				"--suspect-after", suspect.String(),
-				"--dead-after", dead.String(),
-				"--lease", lease.String())
-		}
-		child, boot, err := StartHoped(cfg.HopedBin, args)
-		if err != nil {
-			return res, err
-		}
-		s.child, s.addr, s.pid = child, boot.Addr, boot.PID
-		if wire.NodeOf(s.pid) != id {
-			return res, fmt.Errorf("node %d root PID %v is outside its namespace", id, s.pid)
-		}
-
-		// The inbound proxy (client → server) targets the child's real
-		// address, which survives restart — the victim relistens on it.
-		s.in, err = faultwire.NewProxy(faultwire.ProxyConfig{
-			Listen: "127.0.0.1:0", Target: s.addr,
-			Seed: cfg.Seed ^ int64(id)<<1 ^ 1, Jitter: cfg.Jitter, Tracer: cfg.Tracer,
-		})
-		if err != nil {
-			return res, err
-		}
-		defer s.in.Close()
-		client.SetPeer(id, s.in.Addr())
-		servers = append(servers, s)
-		logf("node %d up: addr=%s pid=%v proxies in=%s out=%s",
-			id, s.addr, s.pid, s.in.Addr(), s.out.Addr())
-	}
-
-	// One streamed pagination workload per server, all running through
-	// the storm concurrently.
-	type workload struct {
-		worker *core.Process
-		server *server
-		mu     sync.Mutex
-		done   int
-		rep    rpc.PageReport
-	}
+// spawnWorkloads starts one streamed pagination workload per server, all
+// running concurrently.
+func spawnWorkloads(eng *core.Engine, servers []*server, cfg *Setup) ([]*workload, error) {
 	workloads := make([]*workload, 0, len(servers))
 	for _, s := range servers {
-		w := &workload{server: s}
-		s := s
-		worker, err := eng.SpawnRoot(rpc.StreamedWorker(s.pid, cfg.PageSize, cfg.Reports, func(r rpc.PageReport) {
+		w := &workload{srv: s}
+		var err error
+		w.worker, err = eng.SpawnRoot(rpc.StreamedWorker(s.pid, cfg.PageSize, cfg.Reports, func(r rpc.PageReport) {
 			w.mu.Lock()
 			w.rep, w.done = r, w.done+1
 			w.mu.Unlock()
 		}))
 		if err != nil {
-			return res, fmt.Errorf("spawn workload for node %d: %w", s.id, err)
+			return nil, fmt.Errorf("spawn workload for node %d: %w", s.id, err)
 		}
-		w.worker = worker
 		workloads = append(workloads, w)
 	}
+	return workloads, nil
+}
 
-	// Execute the fault plan against the proxies and processes.
-	byNode := make(map[int]*server, len(servers))
-	for _, s := range servers {
-		byNode[s.id] = s
-	}
-	for _, e := range plan.Events {
-		if wait := e.At - time.Since(start); wait > 0 {
-			time.Sleep(wait)
+// waitUntil polls ok every tick until it holds, and reports false if it
+// still does not once timeout has passed.
+func waitUntil(timeout, tick time.Duration, ok func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for !ok() {
+		if time.Now().After(deadline) {
+			return false
 		}
-		s := byNode[e.Node]
-		logf("%8v %s", time.Since(start).Round(time.Millisecond), e)
-		switch e.Op {
-		case faultwire.OpSever:
-			s.in.Sever()
-			s.out.Sever()
-		case faultwire.OpPartition:
-			s.in.Block()
-			s.out.Block()
-		case faultwire.OpHeal:
-			s.in.Unblock()
-			s.out.Unblock()
-		case faultwire.OpCorrupt:
-			s.in.CorruptNext(1)
-			s.out.CorruptNext(1)
-		case faultwire.OpKill:
-			s.mu.Lock()
-			err := s.child.Process.Kill()
-			s.child.Wait()
-			s.mu.Unlock()
-			if err != nil {
-				return res, fmt.Errorf("SIGKILL node %d: %w", e.Node, err)
-			}
-		case faultwire.OpKillPerm:
-			s.mu.Lock()
-			err := s.child.Process.Kill()
-			s.child.Wait()
-			s.child = nil // never restarted; teardown must not re-signal it
-			s.mu.Unlock()
-			if err != nil {
-				return res, fmt.Errorf("SIGKILL (permanent) node %d: %w", e.Node, err)
-			}
-			res.PermKilled = e.Node
-		case faultwire.OpRestart:
-			args := []string{
-				"--node", strconv.Itoa(s.id), "--listen", s.addr,
-				"--serve", "printserver", "--peer", "0=" + s.out.Addr(),
-				"--drain-timeout", "2s",
-				"--data-dir", s.dataDir, "--fsync", cfg.Fsync,
-			}
-			child, boot, err := StartHoped(cfg.HopedBin, args)
-			if err != nil {
-				return res, fmt.Errorf("restart node %d: %w", e.Node, err)
-			}
-			if boot.Recovered == "" {
-				child.Process.Kill()
-				child.Wait()
-				return res, fmt.Errorf("restarted node %d reported no recovery", e.Node)
-			}
-			if boot.PID != s.pid {
-				child.Process.Kill()
-				child.Wait()
-				return res, fmt.Errorf("node %d root PID changed across restart: %v -> %v",
-					e.Node, s.pid, boot.PID)
-			}
-			res.Recovered = boot.Recovered
-			s.mu.Lock()
-			s.child = child
-			s.mu.Unlock()
-			logf("%8v node %d recovered: %s", time.Since(start).Round(time.Millisecond), s.id, boot.Recovered)
-		}
+		time.Sleep(tick)
 	}
+	return true
+}
 
-	// Storm over: make the network whole and kick every possibly-stalled
-	// reader once, then wait for distributed quiescence.
-	for _, s := range servers {
-		s.in.Unblock()
-		s.out.Unblock()
-		s.in.Sever()
-		s.out.Sever()
-	}
-	logf("%8v storm over, awaiting quiescence", time.Since(start).Round(time.Millisecond))
-
+// awaitQuiescence waits up to 90 s for every workload to settle and
+// returns the worker restarts summed over them. A workload that
+// mustComplete is done, Completed and AllDefinite with nothing in
+// flight. Any other is doomed: its server is gone and answers nothing,
+// so it ends one of two ways. If every application-level denial was
+// already in flight when the node died, the rollback cascade resolves
+// the whole history and it quiesces all-definite like a survivor.
+// Otherwise some assumption is orphaned, unconfirmable forever, and only
+// a liveness auto-deny can resolve it; its rollback re-executes the body
+// into fresh client-local speculation, so it is settled once it quiesces
+// and the layer has auto-denied something. Without the liveness layer
+// the second case never settles.
+func awaitQuiescence(cn *node.Node, workloads []*workload, mustComplete func(*workload) bool) (int, error) {
+	client, eng := cn.Wire(), cn.Engine()
 	deadline := time.Now().Add(90 * time.Second)
+	rollbacks := 0
 	for _, w := range workloads {
-		doomed := cfg.PermKill && w.server.id == res.PermKilled
-		for {
-			st := w.worker.Snapshot()
-			w.mu.Lock()
-			completed := w.done > 0
-			w.mu.Unlock()
-			if doomed {
-				// The dead server answers nothing, so the doomed workload
-				// ends one of two ways. If every application-level denial
-				// was already in flight when the node died, the rollback
-				// cascade resolves the whole history and it quiesces fully
-				// definite like any survivor. Otherwise some assumption is
-				// orphaned — unconfirmable forever — and only a liveness
-				// auto-deny (lease expiry) can resolve it; its rollback
-				// re-executes the body into fresh client-local speculation,
-				// so "done" is speculative completion plus proof that the
-				// layer is resolving orphans rather than hanging. Without
-				// the liveness layer the second case never exits this loop.
-				if st.Completed && client.Inflight() == 0 &&
-					(st.AllDefinite || eng.AutoDenied() > 0) {
-					res.Rollbacks += st.Restarts
-					break
-				}
-			} else if completed && st.Completed && st.AllDefinite && client.Inflight() == 0 {
-				res.Rollbacks += st.Restarts
-				break
+		var st core.Status
+		if !waitUntil(time.Until(deadline), time.Millisecond, func() bool {
+			st = w.worker.Snapshot()
+			_, done := w.report()
+			if !st.Completed || client.Inflight() != 0 {
+				return false
 			}
-			if time.Now().After(deadline) {
-				return res, fmt.Errorf("no quiescence for node %d workload: worker=%+v inflight=%d autodenied=%d wire=%v",
-					w.server.id, st, client.Inflight(), eng.AutoDenied(), client.WireStats())
+			if mustComplete(w) {
+				return done && st.AllDefinite
 			}
-			time.Sleep(time.Millisecond)
+			return st.AllDefinite || eng.AutoDenied() > 0
+		}) {
+			return rollbacks, fmt.Errorf("no quiescence for node %d workload: completed=%v definite=%v worker=%+v inflight=%d autodenied=%d routing=%+v wire=%v",
+				w.srv.id, st.Completed, st.AllDefinite, st, client.Inflight(), eng.AutoDenied(), eng.RoutingStats(), client.WireStats())
 		}
+		rollbacks += st.Restarts
+		w.settled = time.Now()
 	}
+	return rollbacks, nil
+}
 
-	// Invariants. The liveness check first (every survivor, dead or
-	// healthy server), then workers (verdict agreement + definiteness),
-	// then the committed layout per surviving server, then the FIFO audit.
-	deadOwned := func(a ids.AID) bool {
-		return res.PermKilled != 0 && wire.NodeOf(a.PID()) == res.PermKilled
-	}
+// checkInvariants is the pass both storms end with once the workloads
+// have quiesced: no workload still speculative on anything node dead
+// owned (0: no node died for good); verdict agreement, completeness and
+// every total printed for each workload that mustComplete; zero protocol
+// violations; and per-pair FIFO at delivery.
+func checkInvariants(eng *core.Engine, tap *oracle.FIFOTap, workloads []*workload, reports, dead int, mustComplete func(*workload) bool) error {
+	deadOwned := func(a ids.AID) bool { return dead != 0 && wire.NodeOf(a.PID()) == dead }
 	for _, w := range workloads {
-		name := fmt.Sprintf("node %d workload", w.server.id)
+		name := fmt.Sprintf("node %d workload", w.srv.id)
 		if err := oracle.CheckLiveness(name, w.worker.HistorySnapshot(), deadOwned); err != nil {
-			return res, err
+			return err
 		}
-		if cfg.PermKill && w.server.id == res.PermKilled {
-			// The doomed workload's residual speculation is client-local by
-			// construction (CheckLiveness above); completeness and totals
-			// are unreachable without its server.
+		if !mustComplete(w) {
+			// Its residual speculation is client-local (checked above);
+			// completeness and totals are unreachable without its server.
 			continue
 		}
 		if err := oracle.CheckWorker(name, w.worker.Snapshot()); err != nil {
-			return res, err
+			return err
 		}
-		w.mu.Lock()
-		rep := w.rep
-		w.mu.Unlock()
-		if rep.Totals != cfg.Reports {
-			return res, fmt.Errorf("%s printed %d totals, want %d", name, rep.Totals, cfg.Reports)
-		}
-	}
-	for _, s := range servers {
-		if cfg.PermKill && s.id == res.PermKilled {
-			continue // no process left to probe
-		}
-		want := oracle.ExpectedFinalLine(cfg.PageSize, cfg.Reports) + 1
-		line, err := rpc.Probe(eng, s.pid, rpc.MethodPrint, 30*time.Second)
-		if err != nil {
-			return res, fmt.Errorf("probe node %d: %w", s.id, err)
-		}
-		if line != want {
-			return res, fmt.Errorf("node %d final line = %d, want %d: prints lost, duplicated, or reordered",
-				s.id, line, want)
+		if rep, _ := w.report(); rep.Totals != reports {
+			return fmt.Errorf("%s printed %d totals, want %d", name, rep.Totals, reports)
 		}
 	}
 	if v := eng.Violations(); v != 0 {
-		return res, fmt.Errorf("%d protocol violations", v)
+		return fmt.Errorf("%d protocol violations", v)
 	}
 	if bad := tap.Violations(); len(bad) != 0 {
-		return res, fmt.Errorf("per-pair FIFO inversions at delivery: %s", strings.Join(bad, "; "))
+		return fmt.Errorf("per-pair FIFO inversions at delivery: %s", strings.Join(bad, "; "))
 	}
-	if cfg.Kill && res.Recovered == "" {
-		return res, fmt.Errorf("plan killed node %d but no recovery was recorded", plan.Victim())
-	}
-	if cfg.PermKill && res.PermKilled == 0 {
-		return res, fmt.Errorf("perm-kill storm killed no node")
-	}
-	res.AutoDenied = eng.AutoDenied()
-
-	res.Elapsed = time.Since(start)
-	res.Wire = client.WireStats()
-	res.Proxies = make(map[int]faultwire.ProxyStats, len(servers))
-	for _, s := range servers {
-		in, out := s.in.Stats(), s.out.Stats()
-		res.Proxies[s.id] = faultwire.ProxyStats{
-			Accepted:  in.Accepted + out.Accepted,
-			Refused:   in.Refused + out.Refused,
-			Severed:   in.Severed + out.Severed,
-			Corrupted: in.Corrupted + out.Corrupted,
-			Bytes:     in.Bytes + out.Bytes,
-		}
-	}
-	return res, nil
+	return nil
 }

@@ -1,29 +1,56 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/hope-dist/hope/internal/cluster"
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/faultwire"
+	"github.com/hope-dist/hope/internal/node"
 	"github.com/hope-dist/hope/internal/oracle"
 	"github.com/hope-dist/hope/internal/rpc"
-	"github.com/hope-dist/hope/internal/wire"
 )
 
-// buildHoped compiles cmd/hoped once per test into a temp dir.
+// hoped is the test binary's one build of cmd/hoped, shared by every
+// test and removed by TestMain.
+var hoped struct {
+	once     sync.Once
+	dir, bin string
+	err      error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if hoped.dir != "" {
+		os.RemoveAll(hoped.dir)
+	}
+	os.Exit(code)
+}
+
+// buildHoped compiles cmd/hoped on first use and returns its path.
 func buildHoped(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "hoped")
-	cmd := exec.Command("go", "build", "-o", bin, "../../cmd/hoped")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building hoped: %v\n%s", err, out)
+	hoped.once.Do(func() {
+		if hoped.dir, hoped.err = os.MkdirTemp("", "harness-hoped-*"); hoped.err != nil {
+			return
+		}
+		hoped.bin = filepath.Join(hoped.dir, "hoped")
+		if out, err := exec.Command("go", "build", "-o", hoped.bin, "../../cmd/hoped").CombinedOutput(); err != nil {
+			hoped.err = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if hoped.err != nil {
+		t.Fatalf("building hoped: %v", hoped.err)
 	}
-	return bin
+	return hoped.bin
 }
 
 // TestRunStorm drives the full orchestrator end to end at a small scale:
@@ -36,13 +63,9 @@ func TestRunStorm(t *testing.T) {
 		t.Skip("spawns and kills child processes; skipped in -short")
 	}
 	res, err := Run(Config{
-		Seed:     7,
-		Nodes:    2,
-		Span:     time.Second,
-		Kill:     true,
-		HopedBin: buildHoped(t),
-		Reports:  32,
-		Log:      testWriter{t},
+		Setup: Setup{Seed: 7, Nodes: 2, HopedBin: buildHoped(t), Reports: 32, Log: testWriter{t}},
+		Span:  time.Second,
+		Kill:  true,
 	})
 	if err != nil {
 		t.Fatalf("storm failed (replay with seed %d):\n%s\nerror: %v", res.Plan.Seed, res.Plan, err)
@@ -65,13 +88,9 @@ func TestPermKillStorm(t *testing.T) {
 		t.Skip("spawns and kills child processes; skipped in -short")
 	}
 	res, err := Run(Config{
-		Seed:     10,
-		Nodes:    2,
+		Setup:    Setup{Seed: 10, Nodes: 2, HopedBin: buildHoped(t), Reports: 24, Log: testWriter{t}},
 		Span:     time.Second,
 		PermKill: true,
-		HopedBin: buildHoped(t),
-		Reports:  24,
-		Log:      testWriter{t},
 	})
 	if err != nil {
 		t.Fatalf("perm-kill storm failed (replay with seed %d):\n%s\nerror: %v", res.Plan.Seed, res.Plan, err)
@@ -100,12 +119,12 @@ func TestKillWhilePartitioned(t *testing.T) {
 	bin := buildHoped(t)
 	dataDir := t.TempDir()
 
-	client, err := wire.NewNode(wire.NodeConfig{ID: 0, Listen: "127.0.0.1:0"})
+	cn, tap, err := startClient(node.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	tap := oracle.NewFIFOTap(client)
+	defer cn.Close(0)
+	client, eng := cn.Wire(), cn.Engine()
 
 	out, err := faultwire.NewProxy(faultwire.ProxyConfig{Listen: "127.0.0.1:0", Target: client.Addr()})
 	if err != nil {
@@ -130,9 +149,6 @@ func TestKillWhilePartitioned(t *testing.T) {
 	}
 	defer in.Close()
 	client.SetPeer(1, in.Addr())
-
-	eng := core.NewEngine(core.Config{Transport: tap, PIDBase: wire.PIDBase(0)})
-	defer eng.Shutdown()
 
 	const pageSize, reports = 3, 48
 	var mu sync.Mutex
@@ -244,6 +260,56 @@ func TestKillWhilePartitioned(t *testing.T) {
 	}
 	t.Logf("healed run: restarts=%d wire=%v in=%v out=%v",
 		worker.Snapshot().Restarts, client.WireStats(), in.Stats(), out.Stats())
+}
+
+// TestParseHopedLines pins the HOPED-line parser against the example
+// lines in cmd/hoped's doc comment, and checks that a malformed line is
+// an error here instead of a storm timeout.
+func TestParseHopedLines(t *testing.T) {
+	cases := []struct {
+		line    string
+		want    hopedLine
+		wantErr string // a substring of the error; "" = the line parses
+	}{
+		{line: "HOPED RECOVERED node=1 records=412 procs=1 redeliver=3 resend=0 unacked=2 denied=0 torn=0 in 1.2ms from=389 tail=23 ckpt",
+			want: hopedLine{kind: "RECOVERED"}},
+		{line: "HOPED VIEW node=2 epoch=5 live=0,1,2 dead=3",
+			want: hopedLine{kind: "VIEW", view: cluster.ViewLine{Node: 2, Epoch: 5, Live: []int{0, 1, 2}, Dead: []int{3}}}},
+		{line: "HOPED READY node=1 addr=127.0.0.1:7101 pid=281474976710657",
+			want: hopedLine{kind: "READY", addr: "127.0.0.1:7101", pid: 281474976710657}},
+		{line: "HOPED STABLE node=1 epoch=5 frontier=0:41,1:17",
+			want: hopedLine{kind: "STABLE", epoch: 5, frontier: "0:41,1:17"}},
+		{line: "HOPED ADOPTED node=2 from=3 count=5",
+			want: hopedLine{kind: "ADOPTED", from: 3, count: 5}},
+		{line: "HOPED TRANSPLANTED node=2 from=3 procs=1 map=844424930131970:562949953421314",
+			want: hopedLine{kind: "TRANSPLANTED", from: 3, count: 1,
+				pairs: []core.TransplantPair{{Old: 844424930131970, New: 562949953421314}}}},
+		{line: "HOPED TRANSPLANTED node=2 from=3 procs=0 map=-",
+			want: hopedLine{kind: "TRANSPLANTED", from: 3}},
+		{line: "HOPED EVICTED node=2 epoch=7", want: hopedLine{kind: "EVICTED"}},
+		{line: "not an announcement"},
+
+		{line: "HOPED READY node=1 addr=127.0.0.1:7101 pid=x1", wantErr: "bad pid="},
+		{line: "HOPED READY node=1 pid=281474976710657", wantErr: "no addr="},
+		{line: "HOPED TRANSPLANTED node=2 from=3 procs=2 map=844424930131970:562949953421314", wantErr: "procs=2 but 1 map pairs"},
+		{line: "HOPED ADOPTED node=2 from=three count=5", wantErr: "bad from="},
+		{line: "HOPED STABLE node=1 epoch=5", wantErr: "no frontier="},
+	}
+	for _, c := range cases {
+		got, ok, err := parseHopedLine(c.line)
+		switch {
+		case c.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%q: error %v, want one containing %q", c.line, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%q: %v", c.line, err)
+		case ok != (c.want.kind != ""):
+			t.Errorf("%q: ok = %v", c.line, ok)
+		case !reflect.DeepEqual(got, c.want):
+			t.Errorf("%q: parsed %+v, want %+v", c.line, got, c.want)
+		}
+	}
 }
 
 // testWriter adapts t.Logf so harness narration lands in test output.

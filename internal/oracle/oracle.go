@@ -166,15 +166,26 @@ func CheckTerminations(snaps []core.Status) error {
 // partitions along the way. (The chaos harness, the perf benchmark and
 // cmd/hoped's crash tests check against this replay.)
 func ExpectedFinalLine(pageSize, n int) int {
-	line := 0
+	line, _ := ExpectedLayout(pageSize, n)
+	return line
+}
+
+// ExpectedLayout is the sequential replay behind ExpectedFinalLine: each
+// report prints a total, then a trailer, with the worker's newpage
+// landing between them whenever the total reaches the page boundary. It
+// returns the final line counter and the number of newpage calls. The
+// streamed worker's FIFO ordering makes this the unique correct layout,
+// so the newpage count is a no-churn control for migrated runs.
+func ExpectedLayout(pageSize, n int) (line, newpages int) {
 	for i := 0; i < n; i++ {
 		line++ // total
 		if line >= pageSize {
 			line = 0 // newpage
+			newpages++
 		}
 		line++ // trailer
 	}
-	return line
+	return line, newpages
 }
 
 // ParseSeeds parses a comma-separated seed list ("1,2,3"). Empty input

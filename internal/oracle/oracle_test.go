@@ -53,19 +53,23 @@ func TestCheckTerminations(t *testing.T) {
 }
 
 // TestExpectedFinalLine pins the sequential replay against hand-traced
-// cases: each report prints a total, page-wraps at pageSize, then prints
-// a trailer.
+// cases: each report prints a total, page-wraps at pageSize (one newpage
+// call), then prints a trailer.
 func TestExpectedFinalLine(t *testing.T) {
-	cases := []struct{ pageSize, n, want int }{
-		{3, 0, 0},
-		{3, 1, 2},  // total(1), trailer(2)
-		{3, 2, 1},  // …then total(3) wraps to 0, trailer(1)
-		{2, 1, 2},  // total(1), trailer(2)
-		{10, 4, 8}, // no wraps: 2 lines per report
+	cases := []struct{ pageSize, n, want, newpages int }{
+		{3, 0, 0, 0},
+		{3, 1, 2, 0},  // total(1), trailer(2)
+		{3, 2, 1, 1},  // …then total(3) wraps to 0, trailer(1)
+		{3, 4, 1, 2},  // …total(2), trailer(3); total(4) wraps, trailer(1)
+		{2, 1, 2, 0},  // total(1), trailer(2)
+		{10, 4, 8, 0}, // no wraps: 2 lines per report
 	}
 	for _, c := range cases {
 		if got := ExpectedFinalLine(c.pageSize, c.n); got != c.want {
 			t.Errorf("ExpectedFinalLine(%d, %d) = %d, want %d", c.pageSize, c.n, got, c.want)
+		}
+		if line, np := ExpectedLayout(c.pageSize, c.n); line != c.want || np != c.newpages {
+			t.Errorf("ExpectedLayout(%d, %d) = %d, %d, want %d, %d", c.pageSize, c.n, line, np, c.want, c.newpages)
 		}
 	}
 }

@@ -17,6 +17,13 @@ fi
 echo '== go build ./...'
 go build ./...
 
+# The chaos smokes below run hoped and hopebench as built here, once,
+# instead of one `go run` (and one hoped build) per stanza.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/hoped" ./cmd/hoped
+go build -o "$tmp/hopebench" ./cmd/hopebench
+
 echo '== gob stays off the message path (internal/wire: one fallback encoder, one old-bytes decoder)'
 # The wire codec's binary payload form (DESIGN.md §7) exists because a
 # per-message gob encoder/decoder compiles a type engine per frame. gob
@@ -80,7 +87,7 @@ echo '== chaos storm smoke (pinned seed)'
 # partitions, armed corruption, and one SIGKILL+restart; fails on any
 # oracle violation. The seed pins the fault schedule, so a failure here
 # reproduces with the same command.
-go run ./cmd/hopebench chaos --nodes 2 --seed 7 --span 1s --reports 24
+"$tmp/hopebench" chaos --hoped "$tmp/hoped" --nodes 2 --seed 7 --span 1s --reports 24
 
 echo '== permanent-death chaos smoke (pinned seed)'
 # Same storm shape, but the victim is never restarted: the failure
@@ -88,7 +95,7 @@ echo '== permanent-death chaos smoke (pinned seed)'
 # leases must auto-deny whatever it stranded. Hangs (then fails on the
 # quiescence deadline), rather than fails fast, if the liveness layer
 # regresses — that hang IS the bug being guarded against.
-go run ./cmd/hopebench chaos --nodes 2 --seed 10 --span 1s --reports 24 --perm-kill
+"$tmp/hopebench" chaos --hoped "$tmp/hoped" --nodes 2 --seed 10 --span 1s --reports 24 --perm-kill
 
 echo '== membership churn smoke (pinned seed)'
 # A 3-node dynamic cluster bootstrapped from one seed node loses a
@@ -96,7 +103,7 @@ echo '== membership churn smoke (pinned seed)'
 # survivors' views must converge on the death, the orphaned assumptions
 # must be auto-denied, and the sharded-ownership invariant must hold
 # over the final views (agreed live set, agreed ring, live owners).
-go run ./cmd/hopebench chaos --churn --nodes 3 --seed 3 --reports 24
+"$tmp/hopebench" chaos --hoped "$tmp/hoped" --churn --nodes 3 --seed 3 --reports 24
 
 echo '== watermark churn smoke (pinned seed)'
 # The same churn storm with every member running --watermark: stability
@@ -104,7 +111,7 @@ echo '== watermark churn smoke (pinned seed)'
 # sweep and its in-flight frames fail the drain check), so the storm
 # additionally asserts every final member — the late joiner included —
 # announces an agreed HOPED STABLE frontier at the final view epoch.
-go run ./cmd/hopebench chaos --churn --nodes 3 --seed 3 --reports 24 --watermark
+"$tmp/hopebench" chaos --hoped "$tmp/hoped" --churn --nodes 3 --seed 3 --reports 24 --watermark
 
 echo '== migration battery (pinned seeds, repeated under race)'
 # Ownership routing + live shard migration (DESIGN.md §13): the ring
@@ -179,13 +186,13 @@ echo '== survival churn smoke (pinned seed)'
 # adjudication shows up as a divergent layout; and the doomed workload
 # must COMPLETE against the reborn server with exactly one final
 # outcome instead of quiescing by denial.
-go run ./cmd/hopebench chaos --churn --survive --nodes 3 --seed 1 --reports 24
+"$tmp/hopebench" chaos --hoped "$tmp/hoped" --churn --survive --nodes 3 --seed 1 --reports 24
 
 echo '== survival + watermark churn smoke (pinned seed)'
 # The same survival storm with every member also on --watermark
 # (DESIGN.md §12, §13): adoption and transplant run under gated
 # outputs, and on top of the survival assertions every final member
 # must announce an agreed HOPED STABLE frontier at the final view epoch.
-go run ./cmd/hopebench chaos --churn --survive --watermark --nodes 3 --seed 1 --reports 24
+"$tmp/hopebench" chaos --hoped "$tmp/hoped" --churn --survive --watermark --nodes 3 --seed 1 --reports 24
 
 echo 'check: OK'
