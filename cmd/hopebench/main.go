@@ -158,6 +158,9 @@ func e8() error {
 		fmt.Printf("%-5d %-8d %12v %12v %9d %11d %7v\n",
 			res.LPs, res.Events, res.TimeWarp.Round(time.Microsecond),
 			res.HOPE.Round(time.Microsecond), res.TWRolls, res.HOPERolls, res.Match)
+		if !res.Match {
+			return fmt.Errorf("e8: HOPE and Time Warp committed different states at %d LPs, seed %d", lps, cfg.Seed)
+		}
 	}
 	return nil
 }

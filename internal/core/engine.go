@@ -68,14 +68,16 @@ type Engine struct {
 	// and, with a ring, routes adjudication to ring owners (see route.go).
 	router *router
 
-	// Transplant state (see transplant.go): the old→new incarnation map
-	// consulted by the outbound translation chokepoint, frames parked
-	// until an adopter announces, and the fast-path gate that keeps the
-	// chokepoint to one atomic load while no mapping exists.
+	// Outbound addressing (address.go): net is the transport under the
+	// chokepoint, which carries resolved messages only. xmu guards the
+	// old→new incarnation map (transplant.go) and the one park queue;
+	// xlateOn keeps resolve to one atomic load while no mapping exists.
+	net         transport.Transport
 	xlateOn     atomic.Bool
 	xmu         sync.RWMutex
 	transplants map[ids.PID]ids.PID
-	xparked     []*msg.Message
+	parked      []*msg.Message
+	flushMu     sync.Mutex // one flush at a time keeps re-park order
 
 	mu      sync.Mutex
 	procs   map[ids.PID]*Process
@@ -182,11 +184,15 @@ func NewEngine(cfg Config) *Engine {
 		holders:   make(map[*Process]struct{}),
 		uncovered: make(map[*Process]struct{}),
 		tombs:     make(map[ids.PID]tombRef),
+
+		transplants: make(map[ids.PID]ids.PID),
 	}
 	e.tombHandler = e.tombstone
-	// Every outbound message passes the transplant-translation chokepoint
-	// (one atomic load until a mapping is installed; see transplant.go).
-	e.machine = vpm.New(&xlateTransport{Transport: net, eng: e})
+	// Every outbound message passes the one addressing step (address.go):
+	// a nil-ring check and one atomic load until a ring or a transplant
+	// mapping makes it re-address a copy.
+	e.net = net
+	e.machine = vpm.New(&outbound{Transport: net, eng: e})
 	if cfg.PIDBase != 0 {
 		e.machine.SkipPIDs(cfg.PIDBase)
 	}
@@ -210,7 +216,7 @@ func NewEngine(cfg Config) *Engine {
 		e.archive[a] = false
 	}
 	e.stability = cfg.Stability
-	e.router = newRouter(e, cfg.Routing.norm())
+	newRouter(e, cfg.Routing.norm())
 	e.liveness = cfg.Liveness.norm()
 	e.leaseStop = make(chan struct{})
 	e.leaseDone = make(chan struct{})
@@ -359,7 +365,7 @@ func (e *Engine) Shutdown() {
 
 	// Stop the lease sweeper before the machine: a sweep mid-teardown
 	// would synthesize denials into a transport being closed. The
-	// routing retry pacer stops for the same reason.
+	// park queue's retry pacer stops for the same reason.
 	close(e.leaseStop)
 	<-e.leaseDone
 	e.router.stopRetries()

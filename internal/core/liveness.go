@@ -108,10 +108,14 @@ func (e *Engine) AutoDeny(a ids.AID, reason string) bool {
 	// Deny to False and fans Rollback out to its whole DOM, local and
 	// remote alike. With none reachable (a dead node hosted it, or no ring
 	// owner is known yet) nobody will fan out for us: roll back our own
-	// dependents directly.
-	if deny := msg.Deny(a.PID(), ids.NilInterval, a); e.router.reaches(deny) {
+	// dependents directly. With a ring the Deny is sent either way: while
+	// no owner is known it parks, and reaches the owner a view names.
+	deny := msg.Deny(a.PID(), ids.NilInterval, a)
+	reached := e.router.reaches(deny)
+	if reached || e.router.ring != nil {
 		e.machine.Net().Send(deny)
-	} else {
+	}
+	if !reached {
 		e.fanoutDenied(a)
 	}
 	return true

@@ -77,18 +77,18 @@ func (p *Process) restoreLocked(r *Restored) {
 				// Finalize fan-out may have been cut short by the crash;
 				// repeat it. Dependents that already saw it ignore the copy.
 				for _, y := range rec.IHA.Slice() {
-					p.send(msg.Affirm(pid, rec.ID, y, nil))
+					p.proc.Send(msg.Affirm(pid, rec.ID, y, nil))
 				}
 				for _, y := range rec.IHD.Slice() {
-					p.send(msg.Deny(pid, rec.ID, y))
+					p.proc.Send(msg.Deny(pid, rec.ID, y))
 				}
 				continue
 			}
 			for _, a := range rec.IDO.Slice() {
-				p.send(msg.Guess(pid, rec.ID, a))
+				p.proc.Send(msg.Guess(pid, rec.ID, a))
 			}
 			for _, a := range rec.Cut.Slice() {
-				p.send(msg.CutProbe(pid, rec.ID, a))
+				p.proc.Send(msg.CutProbe(pid, rec.ID, a))
 			}
 			if rec.Finalizable() {
 				// The interval emptied its IDO before the crash but the
@@ -134,20 +134,20 @@ func (p *Process) transplantResumeLocked() {
 	for i, rec := range p.history.Slice() {
 		if rec.Definite {
 			for _, y := range rec.IHA.Slice() {
-				p.send(msg.Affirm(pid, rec.ID, y, nil))
+				p.proc.Send(msg.Affirm(pid, rec.ID, y, nil))
 			}
 			for _, y := range rec.IHD.Slice() {
-				p.send(msg.Deny(pid, rec.ID, y))
+				p.proc.Send(msg.Deny(pid, rec.ID, y))
 			}
 			continue
 		}
 		if i == 0 {
 			// Speculative root: trust it (see above).
 			for _, a := range rec.IDO.Slice() {
-				p.send(msg.Guess(pid, rec.ID, a))
+				p.proc.Send(msg.Guess(pid, rec.ID, a))
 			}
 			for _, a := range rec.Cut.Slice() {
-				p.send(msg.CutProbe(pid, rec.ID, a))
+				p.proc.Send(msg.CutProbe(pid, rec.ID, a))
 			}
 			if rec.Finalizable() {
 				p.finalizeLocked(rec)

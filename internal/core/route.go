@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,16 +27,16 @@ import (
 // this engine minted or reinstalled from its WAL, and no message is
 // re-addressed. With ownership routing (DESIGN.md §13) the adjudicator
 // for an assumption is the node the consistent-hash ring designates, not
-// the node that minted the AID. Every AID-bound adjudication (Guess,
-// Affirm, Deny, Retract, CutProbe) is rewritten to the ring owner's
-// well-known router PID and stamped with the sender's view epoch; a
-// receiver that does not own the AID under its own ring NACKs the frame
-// back, and the sender retries against a fresher ring. On a view change
-// the old owner ships each moved AID's machine snapshot to the new owner
-// (OwnershipChanged); on an owner's death the successor adopts the shard
-// from the corpse's WAL (InstallExports). Both install paths merge rather
-// than overwrite, so a transfer racing the receiver's lazy Cold-create
-// converges.
+// the node that minted the AID. The engine's addressing step (address.go)
+// sends every AID-bound adjudication (Guess, Affirm, Deny, Retract,
+// CutProbe) to the ring owner's well-known router PID, stamped with the
+// sender's view epoch; a receiver that does not own the AID under its own
+// ring NACKs the frame back, and the sender retries against a fresher
+// ring. On a view change the old owner ships each moved AID's machine
+// snapshot to the new owner (OwnershipChanged); on an owner's death the
+// successor adopts the shard from the corpse's WAL (InstallExports).
+// Both install paths merge rather than overwrite, so a transfer racing
+// the receiver's lazy Cold-create converges.
 //
 // Without a ring the table also reclaims decided assumptions as it serves
 // (DESIGN.md §4 item 10): once a drain has sent a machine's final fan-out
@@ -59,8 +60,8 @@ type RoutingConfig struct {
 	RouterPID func(node int) ids.PID
 	// Owner maps an assumption to its ring-designated owner under the
 	// current membership view, with the view's epoch. ok is false while
-	// no view is known (bootstrap); routed sends are then parked on the
-	// retry queue until a view arrives.
+	// no view is known (bootstrap); routed sends then wait on the engine's
+	// park queue until a view arrives.
 	Owner func(ids.AID) (node int, epoch uint64, ok bool)
 	// Ship transmits one encoded export batch to a node's routing layer
 	// out of band (wire.Node.Transfer in deployments). It reports
@@ -141,8 +142,8 @@ type hostState struct {
 // router is the engine's AID table: one goroutine stepping hosted
 // machines from one mailbox, which the transport feeds for every hosted
 // AID's PID and, with a ring, for the node's well-known router PID. With
-// a ring it also keeps the retry queue for outbound adjudications whose
-// owner was stale or unknown.
+// a ring its pacer flushes the engine's park queue, where adjudications
+// whose owner was stale or unknown wait.
 type router struct {
 	eng  *Engine
 	ring *RoutingConfig // nil: no ring (see RoutingConfig)
@@ -156,8 +157,7 @@ type router struct {
 
 	mu         sync.Mutex
 	hosts      map[ids.AID]*hostState
-	dirty      []ids.AID // hosts changed since the last export flush
-	retry      []*msg.Message
+	dirty      []ids.AID          // hosts changed since the last export flush
 	grantEpoch map[ids.AID]uint64 // view epoch at first routed Guess (lease grant)
 	// verdicts holds the reclaimed assumptions: AID → True. A machine
 	// rebuilt from one for a late frame shadows it in hosts until the
@@ -173,10 +173,11 @@ type router struct {
 	done chan struct{}
 }
 
-// newRouter starts the table's goroutine and, with a ring, attaches the
-// node's router PID and starts the retry pacer. Called by NewEngine after
-// the machine exists.
-func newRouter(e *Engine, ring *RoutingConfig) *router {
+// newRouter installs the table as e.router, then starts its goroutine
+// and, with a ring, attaches the node's router PID and starts the retry
+// pacer: both reach the engine's park queue through e.router. Called by
+// NewEngine after the machine exists.
+func newRouter(e *Engine, ring *RoutingConfig) {
 	rt := &router{
 		eng:        e,
 		ring:       ring,
@@ -193,14 +194,14 @@ func newRouter(e *Engine, ring *RoutingConfig) *router {
 		rt.self = ring.Self
 	}
 	rt.exporter, _ = e.persist.(AIDExporter)
+	e.router = rt
 	go rt.run()
 	if ring == nil {
 		close(rt.done)
-		return rt
+		return
 	}
 	e.machine.Attach(ring.RouterPID(rt.self), rt.handler)
 	go rt.retryLoop()
-	return rt
 }
 
 // deliver is the transport handler for every PID attached to the table:
@@ -278,22 +279,25 @@ func (rt *router) flushExports() {
 }
 
 // busy reports whether an adjudication is queued, being stepped, or
-// parked awaiting a retry: in-flight protocol traffic for Settle.
+// parked awaiting a retry: in-flight protocol traffic for Settle. A frame
+// parked for a transplant mapping may wait forever, and does not count.
 func (rt *router) busy() bool {
-	return rt.pending.Load() > 0 || rt.pendingRetries() > 0
-}
-
-// isAdjudication reports whether k is addressed to an AID machine.
-func isAdjudication(k msg.Kind) bool {
-	switch k {
-	case msg.KindGuess, msg.KindAffirm, msg.KindDeny, msg.KindRetract, msg.KindCutProbe:
+	if rt.pending.Load() > 0 {
 		return true
 	}
-	return false
+	rt.eng.xmu.RLock()
+	defer rt.eng.xmu.RUnlock()
+	return slices.ContainsFunc(rt.eng.parked, rt.routes)
+}
+
+// routes reports whether the ring addresses m: with a ring, every
+// AID-bound adjudication.
+func (rt *router) routes(m *msg.Message) bool {
+	return rt.ring != nil && m.Kind.Adjudication() && m.AID.Valid()
 }
 
 // handle processes one inbound frame: a NACK of something we sent
-// (requeue it), an adjudication to step or reject under our own ring, or
+// (hand it back to the engine), an adjudication to step or reject under our own ring, or
 // a peer's Batch of them. run marks the frame consumed afterwards, which
 // keeps the delivered-but-unconsumed fold (ReadExtract,
 // Recovered.Redeliver) down to the frames a crash genuinely swallowed.
@@ -303,13 +307,13 @@ func (rt *router) handle(m *msg.Message) {
 		if orig, ok := m.Payload.(*msg.Message); ok && orig != nil {
 			rt.mu.Lock()
 			rt.stats.nacked++
-			rt.retry = append(rt.retry, orig)
 			rt.mu.Unlock()
+			rt.eng.Requeue(orig)
 		}
-	case isAdjudication(m.Kind):
+	case m.Kind.Adjudication():
 		rt.adjudicate(m)
 	case m.Kind == msg.KindBatch:
-		// A peer's flushRetries coalesced several adjudications bound for
+		// A peer's park-queue flush coalesced several adjudications bound for
 		// this owner into one frame. Unpack and adjudicate each: an inner
 		// message we turn out not to own is NACKed individually, so a batch
 		// straddling a view change costs only the stale members a retry.
@@ -321,7 +325,7 @@ func (rt *router) handle(m *msg.Message) {
 		for _, im := range inner {
 			switch {
 			case im == nil:
-			case isAdjudication(im.Kind):
+			case im.Kind.Adjudication():
 				rt.adjudicate(im)
 			default:
 				rt.violation("AID table received batched " + im.Kind.String())
@@ -541,56 +545,22 @@ func (rt *router) mint(a ids.AID) {
 }
 
 // reaches reports whether adjudication m has a table to step it: ours,
-// when we host its AID, or the ring owner's (m is re-addressed there).
-// False means none is reachable now — without a ring the AID lives on
-// another engine; with one no owner is known yet, and m waits on the
-// retry queue.
+// when we host its AID, or the ring owner's, when resolve names one.
+// False means none is reachable now: without a ring the AID lives on
+// another engine; with one no owner is known yet.
 func (rt *router) reaches(m *msg.Message) bool {
-	if rt.ring == nil {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		h := rt.hosts[m.AID]
-		_, decided := rt.verdicts[m.AID] // a reclaimed verdict still answers
-		return h != nil && !h.moved || decided
+	if rt.ring != nil {
+		return rt.eng.resolve(m, false) != nil
 	}
-	return !rt.redirect(m)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	h := rt.hosts[m.AID]
+	_, decided := rt.verdicts[m.AID] // a reclaimed verdict still answers
+	return h != nil && !h.moved || decided
 }
 
-// redirect intercepts an outbound message at the engine's send choke
-// points. With a ring, AID-bound adjudications addressed to the
-// assumption itself are stamped with the current view epoch and
-// re-addressed to the ring owner's router; everything else (Replace,
-// Rollback, Revive, CutAck, Data — all targeting interval processes), and
-// everything without a ring, passes through untouched. It reports whether
-// the message was consumed (parked on the retry queue because no owner is
-// known yet); false means send m, possibly rewritten, normally.
-func (rt *router) redirect(m *msg.Message) bool {
-	if rt.ring == nil || !isAdjudication(m.Kind) || !m.AID.Valid() || m.To != m.AID.PID() {
-		return false
-	}
-	owner, epoch, ok := rt.ring.Owner(m.AID)
-	if !ok {
-		rt.mu.Lock()
-		rt.retry = append(rt.retry, m)
-		rt.mu.Unlock()
-		return true
-	}
-	if m.Kind == msg.KindGuess {
-		rt.mu.Lock()
-		if _, seen := rt.grantEpoch[m.AID]; !seen {
-			// The lease clock for this assumption starts under this view
-			// epoch; orphan detection compares against it (DenyOwned).
-			rt.grantEpoch[m.AID] = epoch
-		}
-		rt.mu.Unlock()
-	}
-	m.Epoch = epoch
-	m.To = rt.ring.RouterPID(owner)
-	return false
-}
-
-// retryLoop re-sends parked messages (NACKed or owner-unknown) against
-// the current ring, paced by RetryEvery.
+// retryLoop flushes the park queue, NACKed and owner-unknown
+// adjudications included, against the current ring, paced by RetryEvery.
 func (rt *router) retryLoop() {
 	defer close(rt.done)
 	t := time.NewTicker(rt.ring.RetryEvery)
@@ -601,68 +571,8 @@ func (rt *router) retryLoop() {
 			return
 		case <-t.C:
 		}
-		rt.flushRetries()
+		rt.eng.flush()
 	}
-}
-
-// flushRetries re-routes every parked message whose owner is now known.
-// Messages sharing a destination owner are coalesced into one Batch
-// frame per flush — a NACK storm after a view change then costs one
-// frame per (owner, flush) instead of one per message — preserving
-// per-destination order; a singleton goes out plain. Messages whose
-// owner is still unknown are re-parked ahead of anything parked
-// meanwhile, so repeated re-parks never reorder them.
-func (rt *router) flushRetries() {
-	rt.mu.Lock()
-	pending := rt.retry
-	rt.retry = nil
-	rt.mu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	groups := make(map[int][]*msg.Message)
-	var owners []int // insertion order: deterministic frame emission
-	var unknown []*msg.Message
-	for _, m := range pending {
-		owner, epoch, ok := rt.ring.Owner(m.AID)
-		if !ok {
-			unknown = append(unknown, m)
-			continue
-		}
-		m.Epoch = epoch
-		m.To = rt.ring.RouterPID(owner)
-		if len(groups[owner]) == 0 {
-			owners = append(owners, owner)
-		}
-		groups[owner] = append(groups[owner], m)
-	}
-	if len(unknown) > 0 {
-		rt.mu.Lock()
-		rt.retry = append(unknown, rt.retry...)
-		rt.mu.Unlock()
-	}
-	self := rt.ring.RouterPID(rt.self)
-	for _, owner := range owners {
-		grp := groups[owner]
-		rt.mu.Lock()
-		rt.stats.retries += uint64(len(grp))
-		if len(grp) > 1 {
-			rt.stats.batched += uint64(len(grp))
-		}
-		rt.mu.Unlock()
-		if len(grp) == 1 {
-			rt.eng.machine.Net().Send(grp[0])
-			continue
-		}
-		rt.eng.machine.Net().Send(msg.Batch(self, grp[0].To, grp[0].Epoch, grp))
-	}
-}
-
-// pendingRetries reports how many messages await a retry.
-func (rt *router) pendingRetries() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.retry)
 }
 
 // migrationAdopted reports whether assumption a has been reassigned by
@@ -740,9 +650,9 @@ func (e *Engine) OwnershipChanged() {
 			Kind: trace.Info, AID: a, Detail: "shipped to new ring owner",
 		})
 	}
-	// A view change is also the retry queue's wake-up call: messages
+	// A view change is also the park queue's wake-up call: messages
 	// parked on a stale owner may route cleanly now.
-	rt.flushRetries()
+	e.flush()
 }
 
 // InstallTransfer absorbs an inbound export batch (the transfer-frame
@@ -842,26 +752,6 @@ func (rt *router) install(exports []aid.Export, onlyOwned bool) int {
 	}
 	rt.mu.Unlock()
 	return installed
-}
-
-// RequeueRouted re-parks an adjudication on the routing retry queue —
-// the wire layer's hand-back (wire.HealthConfig.OnDeadFrame) for
-// frames abandoned toward a dead owner. The retry pacer re-resolves
-// the ring on each flush, so once the view reassigns the shard the
-// message reaches the successor; if the corpse had in fact applied it
-// before dying, the adopted machine absorbs the replay idempotently.
-// It reports whether the message was queued: false without a ring (the
-// dead peer was the only adjudicator) or when m is not an adjudication
-// (NACKs and interval-directed traffic die with the peer, by design).
-func (e *Engine) RequeueRouted(m *msg.Message) bool {
-	rt := e.router
-	if rt.ring == nil || m == nil || !m.AID.Valid() || !isAdjudication(m.Kind) {
-		return false
-	}
-	rt.mu.Lock()
-	rt.retry = append(rt.retry, m)
-	rt.mu.Unlock()
-	return true
 }
 
 // RoutingStats snapshots the AID table's counters.

@@ -13,7 +13,7 @@ import (
 	"github.com/hope-dist/hope/internal/transport"
 )
 
-// The routing retry queue's two liveness properties, pinned without the
+// The park queue's two liveness properties for routed adjudications, pinned without the
 // pacer's help: a view change drains parked messages immediately
 // (OwnershipChanged ends with a flush), and messages whose owner stays
 // unknown survive repeated re-parks without duplication or reordering.

@@ -8,7 +8,6 @@ import (
 	"github.com/hope-dist/hope/internal/ids"
 	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/trace"
-	"github.com/hope-dist/hope/internal/transport"
 )
 
 // Process transplant (DESIGN.md §13): when a member dies for good, each
@@ -23,12 +22,13 @@ import (
 // old From/To/Child PIDs verbatim, so inbound control messages and
 // ring-owner machine state — both of which reference the old identity —
 // match without a translation table threaded through the engine.
-// Translation happens only at the messaging layer: an outbound
-// chokepoint rewrites the destination of anything addressed to a mapped
-// corpse PID, and the wire layer hands frames bound for a dead node back
-// to the engine (RequeueTransplant) to be forwarded or parked until the
-// adopter's announcement arrives. Intervals opened after the transplant
-// use the reborn PID, so the two incarnations' IDs can never collide.
+// Translation happens only at the messaging layer: the engine's
+// addressing step (address.go) sends a copy of anything addressed to a
+// mapped corpse PID on to its newest incarnation, and the wire layer
+// hands frames bound for a dead node back to the engine (Requeue) to be
+// forwarded, or parked until the adopter's announcement arrives.
+// Intervals opened after the transplant use the reborn PID, so the two
+// incarnations' IDs can never collide.
 //
 // At-most-one-incarnation fence: the process ring assigns each corpse
 // PID to exactly one survivor per agreed view, and InstallTransplantMap
@@ -42,29 +42,13 @@ type TransplantPair struct {
 	New ids.PID // adopted incarnation in the survivor's namespace
 }
 
-// xlateTransport is the outbound PID-translation chokepoint: every send
-// from the machine (user processes, the router, liveness denials,
-// reinjected corpse traffic) passes through it, and anything addressed
-// to a mapped corpse PID is rewritten to the adopted incarnation. The
-// gate is a single atomic load until the first mapping is installed.
-type xlateTransport struct {
-	transport.Transport
-	eng *Engine
-}
-
-// Send implements transport.Transport.
-func (t *xlateTransport) Send(m *msg.Message) {
-	if t.eng.xlateOn.Load() {
-		if to, ok := t.eng.lookupTransplant(m.To); ok {
-			m.To = to
-		}
-	}
-	t.Transport.Send(m)
-}
-
-// lookupTransplant resolves pid through the transplant map, chasing
-// chains (the adopter itself died and its adoption was re-adopted).
-func (e *Engine) lookupTransplant(pid ids.PID) (ids.PID, bool) {
+// Adopter returns the newest incarnation of a transplanted process,
+// chasing chains (the adopter itself died and its adoption was
+// re-adopted); ok is false for a PID with no installed mapping. Death
+// handlers use it to skip auto-denying assumptions whose minting process
+// was adopted rather than lost, and to judge a dead minter by its
+// adopter's health.
+func (e *Engine) Adopter(pid ids.PID) (ids.PID, bool) {
 	e.xmu.RLock()
 	defer e.xmu.RUnlock()
 	to, ok := e.transplants[pid]
@@ -81,110 +65,33 @@ func (e *Engine) lookupTransplant(pid ids.PID) (ids.PID, bool) {
 	return to, true
 }
 
-// maxTransplantParked bounds the frames parked while waiting for an
-// adopter's announcement; beyond it the oldest parked frame is dropped
-// (counted as a trace event) — the same fail-fast posture as the
-// transport's own queue limits.
-const maxTransplantParked = 1 << 14
-
 // InstallTransplantMap records old→new incarnation mappings, learned
 // either from a local adoption or from a peer's announcement frame.
 // First mapping wins: a pair whose Old is already mapped is ignored,
 // which (with disjoint ring slices under agreed views) fences duplicate
 // deliveries of an announcement and conflicting adoptions — at most one
-// transplant of a process ever takes effect here. Frames parked for a
-// now-mapped corpse PID are forwarded. Returns how many pairs were newly
-// installed.
+// transplant of a process ever takes effect here. A new mapping flushes
+// the park queue, so frames parked for a now-mapped corpse PID go on to
+// the adopter. Returns how many pairs were newly installed.
 func (e *Engine) InstallTransplantMap(pairs []TransplantPair) int {
 	e.xmu.Lock()
-	if e.transplants == nil {
-		e.transplants = make(map[ids.PID]ids.PID, len(pairs))
-	}
 	installed := 0
 	for _, pr := range pairs {
 		if pr.Old == pr.New || pr.Old == ids.NilPID || pr.New == ids.NilPID {
 			continue
 		}
 		if _, dup := e.transplants[pr.Old]; dup {
-			continue
+			continue // first mapping wins
 		}
 		e.transplants[pr.Old] = pr.New
 		installed++
 	}
-	var flush []*msg.Message
-	if installed > 0 {
-		keep := e.xparked[:0]
-		for _, m := range e.xparked {
-			if _, ok := e.transplants[m.To]; ok {
-				flush = append(flush, m)
-			} else {
-				keep = append(keep, m)
-			}
-		}
-		for i := len(keep); i < len(e.xparked); i++ {
-			e.xparked[i] = nil
-		}
-		e.xparked = keep
-	}
 	e.xmu.Unlock()
 	if installed > 0 {
 		e.xlateOn.Store(true)
-	}
-	for _, m := range flush {
-		e.machine.Net().Send(m) // the chokepoint rewrites m.To
+		e.flush()
 	}
 	return installed
-}
-
-// TransplantMap snapshots the installed mappings, sorted by Old — the
-// payload for (re-)announcements to peers.
-func (e *Engine) TransplantMap() []TransplantPair {
-	e.xmu.RLock()
-	out := make([]TransplantPair, 0, len(e.transplants))
-	for old, reborn := range e.transplants {
-		out = append(out, TransplantPair{Old: old, New: reborn})
-	}
-	e.xmu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Old < out[j].Old })
-	return out
-}
-
-// RequeueTransplant accepts a frame the wire layer could not deliver
-// because its destination node is dead. If a mapping for the dead
-// incarnation is installed the frame is forwarded now (the chokepoint
-// rewrites the destination); otherwise it is parked and flushed by the
-// InstallTransplantMap call that makes it routable.
-func (e *Engine) RequeueTransplant(m *msg.Message) {
-	e.xmu.Lock()
-	if _, ok := e.transplants[m.To]; !ok {
-		if len(e.xparked) >= maxTransplantParked {
-			drop := e.xparked[0]
-			e.xparked = append(e.xparked[:0], e.xparked[1:]...)
-			e.tracer.Emit(trace.Event{Kind: trace.Transport,
-				Detail: fmt.Sprintf("transplant: parked-frame cap, dropping %s to %s", drop.Kind, drop.To)})
-		}
-		e.xparked = append(e.xparked, m)
-		e.xmu.Unlock()
-		return
-	}
-	e.xmu.Unlock()
-	e.machine.Net().Send(m)
-}
-
-// Transplanted reports whether pid is a dead incarnation with an
-// installed mapping — used by death handlers to skip auto-denying
-// assumptions whose minting process was adopted rather than lost.
-func (e *Engine) Transplanted(pid ids.PID) bool {
-	_, ok := e.lookupTransplant(pid)
-	return ok
-}
-
-// TransplantParked reports how many dead-node frames are parked awaiting
-// an adopter's announcement.
-func (e *Engine) TransplantParked() int {
-	e.xmu.RLock()
-	defer e.xmu.RUnlock()
-	return len(e.xparked)
 }
 
 // AdoptProcesses transplants this node's ring slice of a dead node's
@@ -216,7 +123,7 @@ func (e *Engine) AdoptProcesses(from int, procs map[ids.PID]*Restored, own func(
 		if own != nil && !own(old) {
 			continue
 		}
-		if _, dup := e.lookupTransplant(old); dup {
+		if _, dup := e.Adopter(old); dup {
 			// The fence: someone (possibly us, recovering) already adopted
 			// this process; a second incarnation must not spawn.
 			continue
@@ -227,6 +134,8 @@ func (e *Engine) AdoptProcesses(from int, procs map[ids.PID]*Restored, own func(
 		// (node, seq) space collides with ours: cleared, as for
 		// ReinjectCorpseTraffic, so no adopted receive — re-folded from a
 		// checkpoint, or re-consumed after rollback — retires our frames.
+		// These are the extraction's decoded copies, not yet in any
+		// journal of ours (DESIGN.md §4, message ownership).
 		for _, en := range r.Entries {
 			if en.Msg != nil {
 				en.Msg.SrcNode, en.Msg.SrcSeq = 0, 0
@@ -300,7 +209,8 @@ func (e *Engine) Transplant(pid ids.PID, body Body, r *Restored) (*Process, erro
 // processes, re-injected only for processes this node adopted. WAL
 // identities are cleared first so the adopter's durable layer never
 // retires a foreign (node, seq) pair that collides with its own inbox
-// accounting. Returns how many messages were re-sent.
+// accounting; the messages are the extraction's decoded copies, written
+// before their first send here. Returns how many messages were re-sent.
 func (e *Engine) ReinjectCorpseTraffic(out, orphans []*msg.Message) int {
 	n := 0
 	for _, m := range out {
@@ -315,7 +225,7 @@ func (e *Engine) ReinjectCorpseTraffic(out, orphans []*msg.Message) int {
 		if m == nil {
 			continue
 		}
-		if _, ok := e.lookupTransplant(m.To); !ok {
+		if _, ok := e.Adopter(m.To); !ok {
 			continue
 		}
 		m.SrcNode, m.SrcSeq = 0, 0

@@ -30,11 +30,10 @@ func (t *sharedNet) Close() {}
 
 // corpseNet stands in for the wire layer's dead-peer hand-back: once the
 // corpse is declared dead, frames addressed into its PID namespace are
-// handed to RequeueTransplant (parked until an adopter's announcement,
-// forwarded after) instead of being sent. The engine's translation
-// chokepoint runs before this wrapper, so frames for a mapped corpse PID
-// arrive here already rewritten to the adopter's namespace and pass
-// through. Close is a no-op: the underlying net is shared.
+// handed to Requeue (parked until an adopter's announcement,
+// forwarded after) instead of being sent. The engine's addressing step
+// runs before this wrapper, so frames for a mapped corpse PID arrive
+// here as copies addressed to the adopter's namespace and pass through. Close is a no-op: the underlying net is shared.
 type corpseNet struct {
 	transport.Transport
 	eng        atomic.Pointer[core.Engine]
@@ -45,7 +44,7 @@ type corpseNet struct {
 func (t *corpseNet) Send(m *msg.Message) {
 	if t.corpseDead.Load() && routeNode(m.To) == t.corpse {
 		if e := t.eng.Load(); e != nil {
-			e.RequeueTransplant(m)
+			e.Requeue(m)
 			return
 		}
 	}
@@ -160,7 +159,7 @@ func TestTransplantAdoptReplayContinuation(t *testing.T) {
 	// The client's next request goes nowhere: parked on the sender.
 	close(step)
 	routeWaitFor(t, "the request to park against the dead node", func() bool {
-		return engC.TransplantParked() == 1
+		return engC.Parked() == 1
 	})
 
 	// Node 2 adopts the corpse's processes from its WAL.
@@ -184,7 +183,7 @@ func TestTransplantAdoptReplayContinuation(t *testing.T) {
 	if routeNode(pairs[0].New) != 2 {
 		t.Fatalf("reborn PID %v is not in the adopter's namespace", pairs[0].New)
 	}
-	if !engB.Transplanted(serverPID) {
+	if _, ok := engB.Adopter(serverPID); !ok {
 		t.Error("adopter does not report the old incarnation transplanted")
 	}
 
@@ -223,14 +222,11 @@ func TestTransplantAdoptReplayContinuation(t *testing.T) {
 	if v, _ := reply(1); v != 12 {
 		t.Fatalf("continuation reply = %d, want 12 (replayed state lost)", v)
 	}
-	if n := engC.TransplantParked(); n != 0 {
+	if n := engC.Parked(); n != 0 {
 		t.Errorf("%d frames still parked after the flush", n)
 	}
-	if !engC.Transplanted(serverPID) {
-		t.Error("client does not report the old incarnation transplanted")
-	}
-	if got := engC.TransplantMap(); !reflect.DeepEqual(got, pairs) {
-		t.Errorf("client transplant map = %v, want %v", got, pairs)
+	if reborn, ok := engC.Adopter(serverPID); !ok || reborn != pairs[0].New {
+		t.Errorf("client maps %v to %v (ok=%v), want %v", serverPID, reborn, ok, pairs[0].New)
 	}
 	if v := engB.Violations() + engC.Violations(); v != 0 {
 		t.Errorf("%d protocol violations across adopter and client", v)

@@ -851,9 +851,9 @@ type Extract struct {
 	// frames (their recDelivered records are synced before the wire ack,
 	// see Store.SyncForAck) but never handed them to a consumer, so their
 	// senders pruned them and only the WAL copy remains. A ring successor
-	// feeds them through its routing retry queue (Engine.RequeueRouted);
-	// the new owner's applied set deduplicates survivors replaying the
-	// same corpse.
+	// hands their adjudications to its engine's park queue
+	// (Engine.Requeue); the new owner's applied set deduplicates
+	// survivors replaying the same corpse. Their Data is Orphans.
 	Unconsumed []*msg.Message
 	// Procs maps each of the node's user processes (by its PID there) to
 	// its replayable state — the fold that feeds Recovered.Restore on a

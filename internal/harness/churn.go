@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -693,14 +694,27 @@ func (r *churn) checkNoEviction() error {
 // fail the drain check); after eviction and the join they must resume.
 // Every final member — the joiner included — has at least one boot
 // interval, so the joiner's frontier entry appearing is itself an
-// advance every member must announce at the final view epoch. A member
-// that never does means the protocol did not survive churn.
+// advance every member must announce at the final view epoch. Only a
+// line whose frontier names every final member counts: one written at
+// that epoch before the join does not. A member that never announces one
+// means the protocol did not survive churn.
 func (r *churn) awaitStable() error {
-	stable := func(s *server) (hopedLine, bool) {
-		return s.proc.find("STABLE", true, func(l hopedLine) bool { return l.epoch == r.res.FinalEpoch })
+	covers := func(l hopedLine) bool {
+		named := make(map[string]bool)
+		for _, entry := range strings.Split(l.frontier, ",") {
+			node, _, _ := strings.Cut(entry, ":")
+			named[node] = true
+		}
+		for _, s := range r.final {
+			if !named[strconv.Itoa(s.id)] {
+				return false
+			}
+		}
+		return l.epoch == r.res.FinalEpoch
 	}
+	stable := func(s *server) (hopedLine, bool) { return s.proc.find("STABLE", true, covers) }
 	if s := awaitEach(r.final, func(s *server) bool { _, ok := stable(s); return ok }); s != nil {
-		return fmt.Errorf("churn: node %d never announced a stability frontier at view epoch %d", s.id, r.res.FinalEpoch)
+		return fmt.Errorf("churn: node %d never announced a stability frontier naming every final member at view epoch %d", s.id, r.res.FinalEpoch)
 	}
 	for _, s := range r.final {
 		sl, _ := stable(s)

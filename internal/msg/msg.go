@@ -85,6 +85,16 @@ var Kinds = []Kind{
 // Valid reports whether k is a defined message kind.
 func (k Kind) Valid() bool { return k >= KindGuess && k <= KindBatch }
 
+// Adjudication reports whether k is addressed to an AID machine: Guess,
+// Affirm, Deny, Retract or CutProbe.
+func (k Kind) Adjudication() bool {
+	switch k {
+	case KindGuess, KindAffirm, KindDeny, KindRetract, KindCutProbe:
+		return true
+	}
+	return false
+}
+
 // KindFromString parses the String form of a kind ("Guess", "Affirm",
 // ...). It is the inverse of Kind.String for all valid kinds.
 func KindFromString(s string) (Kind, bool) {

@@ -244,12 +244,12 @@ func Start(cfg Config) (_ *Node, err error) {
 			},
 		}
 		if routed {
-			// Frames stranded toward a dead peer come back: adjudications
-			// re-park on the routing retry queue for the ring successor,
-			// user Data parks until an adopter's announcement lands.
+			// Frames stranded toward a dead peer come back to the engine's
+			// park queue: adjudications for the ring successor, the rest
+			// until an adopter's announcement lands.
 			wcfg.Health.OnDeadFrame = func(_ int, m *msg.Message) {
-				if eng := n.eng.Load(); eng != nil && !eng.RequeueRouted(m) {
-					eng.RequeueTransplant(m)
+				if eng := n.eng.Load(); eng != nil {
+					eng.Requeue(m)
 				}
 			}
 		}
@@ -486,7 +486,8 @@ func (n *Node) denyDead(id int, reason string) {
 		return
 	}
 	eng.DenyOwned(func(pid ids.PID) bool {
-		return wire.NodeOf(pid) == id && !eng.Transplanted(pid)
+		_, adopted := eng.Adopter(pid)
+		return wire.NodeOf(pid) == id && !adopted
 	}, reason)
 }
 
@@ -501,16 +502,10 @@ func (n *Node) ringOwner(a ids.AID) (int, uint64, bool) {
 	return owner, m.Epoch(), ok
 }
 
-// adopter returns the reborn incarnation of a transplanted process.
+// adopter returns the newest incarnation of a transplanted process.
 func (n *Node) adopter(pid ids.PID) (ids.PID, bool) {
-	eng := n.eng.Load()
-	if eng == nil || !eng.Transplanted(pid) {
-		return 0, false
-	}
-	for _, pr := range eng.TransplantMap() {
-		if pr.Old == pid {
-			return pr.New, true
-		}
+	if eng := n.eng.Load(); eng != nil {
+		return eng.Adopter(pid)
 	}
 	return 0, false
 }
@@ -547,8 +542,11 @@ func (n *Node) adoptCorpse(id int, ring *cluster.Ring) {
 	n.adoptShard(id, ex.AIDExports, true)
 	// Frames the corpse acked but never consumed exist only in its WAL:
 	// requeue their adjudications through our ring (owners deduplicate).
+	// Its unconsumed Data is the orphans ReinjectCorpseTraffic re-sent.
 	for _, m := range ex.Unconsumed {
-		eng.RequeueRouted(m)
+		if m.Kind.Adjudication() {
+			eng.Requeue(m)
+		}
 	}
 }
 

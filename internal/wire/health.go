@@ -76,10 +76,11 @@ type HealthConfig struct {
 	// the node abandons because its peer is dead: the unacknowledged
 	// resend queue dropped at declaration, plus any later Send toward
 	// the corpse. The frame is lost at the wire either way — the hook
-	// exists so a routing layer can re-park AID adjudications and retry
-	// them against the successor once the ring reassigns the shard
-	// (Engine.RequeueRouted). Called synchronously from the declaring
-	// goroutine and from Send; keep it non-blocking.
+	// exists so the engine can park it (Engine.Requeue): an AID
+	// adjudication until the ring reassigns the shard, anything else
+	// until an adopter's transplant mapping names a live destination.
+	// Called synchronously from the declaring goroutine and from Send;
+	// keep it non-blocking.
 	OnDeadFrame func(to int, m *msg.Message)
 }
 

@@ -159,8 +159,12 @@ echo '== transplant battery (pinned seeds, repeated under race)'
 # the first-mapping-wins twin fence, parked-frame translation, the
 # out-of-band channel contract the announcements ride (one row per
 # channel, drop-oldest included), and the wire handshake's
-# watermark-mode rejection. Three repetitions under the race detector.
-go test -race -count=3 -run 'TestTransplant|TestProcExtract|TestOutOfBandChannels|TestWatermarkMode|TestRetryQueue' \
+# watermark-mode rejection. The addressing step re-addresses copies
+# only: a rollback past a translated send replays cleanly, and no path
+# (ring redirect, park and flush, NACK retry and Batch, translation,
+# dead-frame hand-back) writes a message its sender holds (DESIGN.md §4
+# item 14). Three repetitions under the race detector.
+go test -race -count=3 -run 'TestTransplant|TestProcExtract|TestOutOfBandChannels|TestWatermarkMode|TestRetryQueue|TestRollbackPastTranslatedSend|TestSentMessageIsNeverRewritten' \
     ./internal/core/ ./internal/durable/ ./internal/wire/
 
 echo '== process reaping (repeated under race)'
@@ -187,6 +191,14 @@ echo '== survival churn smoke (pinned seed)'
 # must COMPLETE against the reborn server with exactly one final
 # outcome instead of quiescing by denial.
 "$tmp/hopebench" chaos --hoped "$tmp/hoped" --churn --survive --nodes 3 --seed 1 --reports 24
+
+echo '== survival churn smoke, second pinned seed'
+# The seed that exposed a sent message rewritten after its sender had
+# journalled it: a rollback past a transplant-translated send replayed
+# send(to=<old PID>) against an entry reading the new PID ("journal:
+# replay divergence"). Re-addressing now sends a copy (DESIGN.md §4
+# item 14).
+"$tmp/hopebench" chaos --hoped "$tmp/hoped" --churn --survive --nodes 3 --seed 2 --reports 24
 
 echo '== survival + watermark churn smoke (pinned seed)'
 # The same survival storm with every member also on --watermark
