@@ -66,8 +66,14 @@ func TestProxyRelays(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("echo mismatch: %q", got)
 	}
-	if st := p.Stats(); st.Accepted != 1 || st.Bytes < uint64(2*len(want)) {
-		t.Fatalf("stats = %v", st)
+	// A pump counts a chunk after writing it on, so the echo can reach
+	// the client before the count does: wait for it, as for Refused below.
+	deadline := time.Now().Add(2 * time.Second)
+	for st := p.Stats(); st.Accepted != 1 || st.Bytes < uint64(2*len(want)); st = p.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %v", st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
