@@ -35,13 +35,10 @@ func chaosExperiment(args []string) error {
 	kill := fs.Bool("kill", true, "fault storm: SIGKILL+restart one durable node mid-storm")
 	permKill := fs.Bool("perm-kill", false, "fault storm: SIGKILL one node permanently — no restart; the liveness layer must resolve its orphans (overrides --kill)")
 	churn := fs.Bool("churn", false, "membership churn storm instead of a fault storm: a dynamic cluster loses one member to SIGKILL mid-speculation and absorbs a replacement, with sharded-ownership invariants")
-	fsync := fs.String("fsync", "interval", "WAL fsync policy for durable nodes (always|interval|none)")
 	hopedPath := fs.String("hoped", "", "path to the hoped binary (default: $PATH, then `go build`)")
 	pageSize := fs.Int("pagesize", 3, "page size (smaller ⇒ more mispredictions)")
 	reports := fs.Int("reports", 48, "reports per server workload")
-	vnodes := fs.Int("vnodes", 0, "churn: ring virtual nodes per member (0 = cluster default)")
-	deadAfter := fs.Duration("dead-after", 0, "churn: members' failure-detector death threshold (0 = harness default 1s)")
-	watermark := fs.Bool("watermark", false, "churn: run every member with the stability watermark (fast rounds) and assert the frontier resumes advancing after the churn")
+	watermark := fs.Bool("watermark", false, "churn: run every member with the stability watermark and assert the frontier resumes advancing after the churn")
 	survive := fs.Bool("survive", false, "churn: run every member with hoped --data-root (state survival) — the killed member's AID shard must be adopted (not denied) and its user processes reborn by deterministic replay on the ring-designated survivors, the WAL-hosted tables must partition by the final ring, and the doomed workload must complete with exactly one final outcome")
 	jsonOut := fs.String("json", "", "churn: also write the results as JSON to this file")
 	planOnly := fs.Bool("plan", false, "fault storm: print each seed's fault plan and exit (no processes spawned)")
@@ -59,7 +56,7 @@ func chaosExperiment(args []string) error {
 		churn bool
 	}{
 		{"plan", false}, {"span", false}, {"kill", false}, {"perm-kill", false},
-		{"vnodes", true}, {"dead-after", true}, {"json", true}, {"watermark", true}, {"survive", true},
+		{"json", true}, {"watermark", true}, {"survive", true},
 	} {
 		switch {
 		case given[f.name] && f.churn && !*churn:
@@ -109,14 +106,12 @@ func chaosExperiment(args []string) error {
 		return err
 	}
 	defer cleanup()
-	setup := harness.Setup{Nodes: *nodes, HopedBin: bin, Fsync: *fsync, PageSize: *pageSize, Reports: *reports}
+	setup := harness.Setup{Nodes: *nodes, HopedBin: bin, PageSize: *pageSize, Reports: *reports}
 	if *verbose {
 		setup.Log = os.Stderr
 	}
 	if *churn {
-		return churnStorms(harness.ChurnConfig{
-			Setup: setup, VNodes: *vnodes, DeadAfter: *deadAfter, Watermark: *watermark, Survive: *survive,
-		}, seedList, *jsonOut)
+		return churnStorms(harness.ChurnConfig{Setup: setup, Watermark: *watermark, Survive: *survive}, seedList, *jsonOut)
 	}
 	return faultStorms(harness.Config{Setup: setup, Span: *span, Kill: *kill, PermKill: *permKill}, seedList)
 }
@@ -124,8 +119,8 @@ func chaosExperiment(args []string) error {
 // faultStorms runs one fault storm per seed.
 func faultStorms(cfg harness.Config, seedList []int64) error {
 	fmt.Println("CHAOS — multi-node fault storm over loopback TCP proxies")
-	fmt.Printf("workload: %d reports × %d servers, pageSize %d, span %v, kill=%v, perm-kill=%v, fsync=%s\n",
-		cfg.Reports, cfg.Nodes, cfg.PageSize, cfg.Span, cfg.Kill, cfg.PermKill, cfg.Fsync)
+	fmt.Printf("workload: %d reports × %d servers, pageSize %d, span %v, kill=%v, perm-kill=%v\n",
+		cfg.Reports, cfg.Nodes, cfg.PageSize, cfg.Span, cfg.Kill, cfg.PermKill)
 	fmt.Printf("%-12s %10s %10s %10s %10s %10s %10s\n",
 		"seed", "elapsed", "rollbacks", "reconnects", "resends", "crc-errs", "refused")
 	for _, s := range seedList {
@@ -201,8 +196,8 @@ type churnReport struct {
 func churnStorms(cfg harness.ChurnConfig, seedList []int64, jsonOut string) error {
 	nodes, reports := cfg.Nodes, cfg.Reports
 	fmt.Println("CHAOS --churn — membership churn over a dynamic hoped cluster")
-	fmt.Printf("workload: %d reports × %d members, pageSize %d, fsync=%s; SIGKILL one member mid-speculation, join a replacement\n",
-		reports, nodes, cfg.PageSize, cfg.Fsync)
+	fmt.Printf("workload: %d reports × %d members, pageSize %d; SIGKILL one member mid-speculation, join a replacement\n",
+		reports, nodes, cfg.PageSize)
 
 	report := churnReport{
 		Benchmark: "Cluster churn: ownership handoff latency + rollback cost, cmd/hopebench chaos --churn",

@@ -88,6 +88,9 @@ func e3() error {
 		}
 		fmt.Printf("%-6d %-12s %-8v %12v %10d\n",
 			res.Ring, res.Algorithm, res.Settled, res.Elapsed.Round(time.Microsecond), res.Control)
+		if !res.Settled {
+			return fmt.Errorf("Algorithm 2 left the %d-member ring unsettled", ring)
+		}
 	}
 	res, err := bench.RunE3(2, interval.Algorithm1, 50*time.Millisecond)
 	if err != nil {
@@ -95,6 +98,9 @@ func e3() error {
 	}
 	fmt.Printf("%-6d %-12s %-8v %12s %10d   <- livelock: traffic in a %v window, never settles\n",
 		res.Ring, res.Algorithm, res.Settled, "∞", res.Control, res.Elapsed)
+	if res.Settled {
+		return fmt.Errorf("Algorithm 1 settled the 2-member ring, want the livelock")
+	}
 	return nil
 }
 
@@ -159,7 +165,7 @@ func e8() error {
 			res.LPs, res.Events, res.TimeWarp.Round(time.Microsecond),
 			res.HOPE.Round(time.Microsecond), res.TWRolls, res.HOPERolls, res.Match)
 		if !res.Match {
-			return fmt.Errorf("e8: HOPE and Time Warp committed different states at %d LPs, seed %d", lps, cfg.Seed)
+			return fmt.Errorf("HOPE and Time Warp committed different states at %d LPs, seed %d", lps, cfg.Seed)
 		}
 	}
 	return nil
@@ -178,6 +184,9 @@ func e10() error {
 			continue
 		}
 		fmt.Printf("%-11g %12v %10d %12.3g\n", res.Tolerance, res.Elapsed.Round(time.Millisecond), res.Rollbacks, res.MaxError)
+		if tol == 0 && res.MaxError != 0 {
+			return fmt.Errorf("tolerance 0 committed max error %g, want the sequential result", res.MaxError)
+		}
 	}
 	return nil
 }
@@ -195,6 +204,9 @@ func e11() error {
 			fmt.Printf("%-9d %-11s %12v %12v %6.1f%% %9d %7v\n",
 				res.Writers, res.Contention, res.Locked.Round(time.Microsecond),
 				res.Optimistic.Round(time.Microsecond), res.SavedPct, res.Retries, res.FinalOK)
+			if !res.FinalOK {
+				return fmt.Errorf("lost updates with %d writers, %s contention", writers, res.Contention)
+			}
 		}
 	}
 	return nil

@@ -39,8 +39,6 @@ func TestChaosRefusesOtherStormsFlags(t *testing.T) {
 		{"span", append(churn, "--span", "2s")},
 		{"kill", append(churn, "--kill")},
 		{"perm-kill", append(churn, "--perm-kill=false")},
-		{"vnodes", []string{"chaos", "--plan", "--vnodes", "0"}},
-		{"dead-after", []string{"chaos", "--plan", "--dead-after", "1s"}},
 		{"json", []string{"chaos", "--plan", "--json", "out.json"}},
 		{"watermark", []string{"chaos", "--plan", "--watermark"}},
 		{"survive", []string{"chaos", "--plan", "--survive=false"}},
@@ -48,6 +46,14 @@ func TestChaosRefusesOtherStormsFlags(t *testing.T) {
 		err := run(c.args)
 		if err == nil || !strings.Contains(err.Error(), "--"+c.flag) {
 			t.Errorf("%v: error %v, want one naming --%s", c.args, err, c.flag)
+		}
+	}
+	// Retired: the churn storm's ring, death threshold and fsync policy
+	// are constants.
+	for _, name := range []string{"vnodes", "dead-after", "fsync"} {
+		args := append(churn, "--"+name+"=1")
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("%v: error %v, want the flag undefined", args, err)
 		}
 	}
 }

@@ -65,10 +65,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"duplicate peer", []string{"--node", "1", "--peer", "0=a:1", "--peer", "0=b:2"},
 			"duplicate node id 0"},
 		{"node out of range", []string{"--node", "65536"}, "out of range"},
-		{"vnodes without cluster", []string{"--node", "1", "--vnodes", "32"},
-			"need cluster mode"},
-		{"gossip-every without cluster", []string{"--node", "1", "--gossip-every", "50ms"},
-			"need cluster mode"},
 		{"data-root without cluster", []string{"--node", "1", "--data-dir", "/d/node1", "--data-root", "/d"},
 			"--data-root needs cluster mode"},
 		{"data-root without data-dir", []string{"--node", "1", "--seed-node", "--data-root", "/d"},
@@ -93,7 +89,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	// Retired tuning knobs: the transport has one write path and the
 	// default queue bounds; the WAL batches what piles up. Routing,
 	// migration and transplant are one mode, switched by --data-root.
-	for _, name := range []string{"unbatched", "flush-delay", "queue-frames", "queue-bytes", "fsync-linger", "route", "migrate", "transplant"} {
+	// The ring's vnode count and the gossip and fallback-round cadences
+	// are constants every member shares.
+	for _, name := range []string{"unbatched", "flush-delay", "queue-frames", "queue-bytes", "fsync-linger", "route", "migrate", "transplant",
+		"vnodes", "gossip-every", "watermark-every"} {
 		cases = append(cases, flagCase{"retired " + name,
 			[]string{"--node", "1", "--" + name + "=1"}, "flag provided but not defined: -" + name})
 	}

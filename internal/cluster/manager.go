@@ -41,9 +41,6 @@ type Config struct {
 	Interval time.Duration
 	// Fanout is how many peers each round targets (default 3).
 	Fanout int
-	// VNodes is the ring's virtual-node count per member (default
-	// DefaultVNodes). Every member must use the same value.
-	VNodes int
 	// Transport carries gossip and learns peer addresses. Required.
 	Transport Transport
 	// Tracer receives cluster events (nil = discard).
@@ -78,9 +75,6 @@ func (c *Config) norm() error {
 	}
 	if c.Fanout <= 0 {
 		c.Fanout = 3
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	if c.Tracer == nil {
 		c.Tracer = trace.Nop
@@ -153,7 +147,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg.Transport.SetPeer(id, addr)
 	}
 	m.mu.Lock()
-	m.ring = NewRing(m.table.Live(), cfg.VNodes)
+	m.ring = NewRing(m.table.Live(), DefaultVNodes)
 	m.mu.Unlock()
 	return m, nil
 }
@@ -265,7 +259,7 @@ func (m *Manager) react(d Delta) {
 	view := m.table.View()
 	m.mu.Lock()
 	if d.Resharded {
-		m.ring = NewRing(view.Live(), m.cfg.VNodes)
+		m.ring = NewRing(view.Live(), DefaultVNodes)
 	}
 	ring := m.ring
 	m.mu.Unlock()

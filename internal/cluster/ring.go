@@ -5,11 +5,11 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per member when RingConfig
-// leaves it zero. 64 points per node keeps the largest/smallest share
-// ratio under ~2 for small clusters without making ring rebuilds or
-// lookups expensive (rebuild is O(n·v·log(n·v)), lookup one binary
-// search).
+// DefaultVNodes is the virtual-node count per member of every cluster
+// ring: the Manager builds with it, so members cannot disagree on it.
+// 64 points per node keeps the largest/smallest share ratio under ~2
+// for small clusters without making ring rebuilds or lookups expensive
+// (rebuild is O(n·v·log(n·v)), lookup one binary search).
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash ownership ring over a live member set:
@@ -136,9 +136,6 @@ func (r *Ring) Live() []int { return append([]int(nil), r.live...) }
 
 // Size returns how many live members the ring shards across.
 func (r *Ring) Size() int { return len(r.live) }
-
-// VNodes returns the per-member virtual node count.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Shares returns each member's fraction of the ring circle — a balance
 // diagnostic (perfect balance is 1/n each).

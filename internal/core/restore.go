@@ -25,6 +25,21 @@ import (
 // None of these re-fires are persisted as interval records again — the
 // WAL already holds this state; only the outbound frames (FrameQueued)
 // are logged, as for any send.
+//
+// A process transplanted off a dead node (r.Transplant) trusts only the
+// definite prefix of its history: those outcomes were durable on the
+// corpse and externally visible. Its speculative suffix is NOT trusted:
+// the corpse may have executed arbitrarily far past the last logged
+// journal entry, so re-firing its registrations and resuming
+// mid-interval could split the timeline (the corpse's sends exist in the
+// world but not in our journal). Instead the suffix is rolled back
+// through the live rollback machinery — which retracts its
+// registrations, denies the assumptions it minted, and requeues its
+// surviving receives — and re-run from the replay frontier. The one
+// interval that cannot be rolled back is a speculative ROOT: rolling
+// back a root terminates the process (§ rollbackLocked). A speculative
+// root is the replay frontier by definition — nothing before it exists —
+// so it is trusted like an ordinary restart's.
 func (p *Process) restoreLocked(r *Restored) {
 	pid := p.proc.PID()
 	for _, ri := range r.Intervals {
@@ -69,32 +84,38 @@ func (p *Process) restoreLocked(r *Restored) {
 	p.seq = r.NextSeq
 	p.curIdx = p.history.Len() - 1
 
-	if r.Transplant {
-		p.transplantResumeLocked()
-	} else {
-		for _, rec := range p.history.Slice() {
-			if rec.Definite {
-				// Finalize fan-out may have been cut short by the crash;
-				// repeat it. Dependents that already saw it ignore the copy.
-				for _, y := range rec.IHA.Slice() {
-					p.proc.Send(msg.Affirm(pid, rec.ID, y, nil))
-				}
-				for _, y := range rec.IHD.Slice() {
-					p.proc.Send(msg.Deny(pid, rec.ID, y))
-				}
-				continue
+	// One resume pass. A definite interval's finalize fan-out may have
+	// been cut short by the crash; repeat it (dependents that already
+	// saw it ignore the copy). A speculative one re-fires its
+	// registrations, unless a transplant rolls it back (above).
+	for i, rec := range p.history.Slice() {
+		if rec.Definite {
+			for _, y := range rec.IHA.Slice() {
+				p.proc.Send(msg.Affirm(pid, rec.ID, y, nil))
 			}
-			for _, a := range rec.IDO.Slice() {
-				p.proc.Send(msg.Guess(pid, rec.ID, a))
+			for _, y := range rec.IHD.Slice() {
+				p.proc.Send(msg.Deny(pid, rec.ID, y))
 			}
-			for _, a := range rec.Cut.Slice() {
-				p.proc.Send(msg.CutProbe(pid, rec.ID, a))
-			}
-			if rec.Finalizable() {
-				// The interval emptied its IDO before the crash but the
-				// finalize marker never reached the WAL: finish the job.
-				p.finalizeLocked(rec)
-			}
+			continue
+		}
+		if r.Transplant && i > 0 {
+			p.eng.tracer.Emit(trace.Event{
+				Kind: trace.Rollback, PID: pid, Interval: rec.ID,
+				Detail: "transplant: rolling back speculative suffix above the replay frontier",
+			})
+			p.rollbackLocked(rec)
+			break
+		}
+		for _, a := range rec.IDO.Slice() {
+			p.proc.Send(msg.Guess(pid, rec.ID, a))
+		}
+		for _, a := range rec.Cut.Slice() {
+			p.proc.Send(msg.CutProbe(pid, rec.ID, a))
+		}
+		if rec.Finalizable() {
+			// The interval emptied its IDO before the crash but the
+			// finalize marker never reached the WAL: finish the job.
+			p.finalizeLocked(rec)
 		}
 	}
 
@@ -109,59 +130,5 @@ func (p *Process) restoreLocked(r *Restored) {
 			p.runErr = ErrTerminated
 		}
 		p.terminateLocked()
-	}
-}
-
-// transplantResumeLocked resumes a process adopted off a dead node. The
-// definite prefix of its history is trusted — those outcomes were
-// durable on the corpse and externally visible, so only the finalize
-// fan-out is repeated. The speculative suffix is NOT trusted: the corpse
-// may have executed arbitrarily far past the last logged journal entry,
-// so re-firing its registrations and resuming mid-interval could split
-// the timeline (the corpse's sends exist in the world but not in our
-// journal). Instead the suffix is rolled back through the live rollback
-// machinery — which retracts its registrations, denies the assumptions
-// it minted, and requeues its surviving receives — and re-run from the
-// replay frontier.
-//
-// The one interval that cannot be rolled back is a speculative ROOT:
-// rolling back a root terminates the process (§ rollbackLocked). A
-// speculative root is the replay frontier by definition — nothing before
-// it exists — so it is trusted like an ordinary restart's.
-func (p *Process) transplantResumeLocked() {
-	pid := p.proc.PID()
-	var target *interval.Record
-	for i, rec := range p.history.Slice() {
-		if rec.Definite {
-			for _, y := range rec.IHA.Slice() {
-				p.proc.Send(msg.Affirm(pid, rec.ID, y, nil))
-			}
-			for _, y := range rec.IHD.Slice() {
-				p.proc.Send(msg.Deny(pid, rec.ID, y))
-			}
-			continue
-		}
-		if i == 0 {
-			// Speculative root: trust it (see above).
-			for _, a := range rec.IDO.Slice() {
-				p.proc.Send(msg.Guess(pid, rec.ID, a))
-			}
-			for _, a := range rec.Cut.Slice() {
-				p.proc.Send(msg.CutProbe(pid, rec.ID, a))
-			}
-			if rec.Finalizable() {
-				p.finalizeLocked(rec)
-			}
-			continue
-		}
-		target = rec
-		break
-	}
-	if target != nil {
-		p.eng.tracer.Emit(trace.Event{
-			Kind: trace.Rollback, PID: pid, Interval: target.ID,
-			Detail: "transplant: rolling back speculative suffix above the replay frontier",
-		})
-		p.rollbackLocked(target)
 	}
 }

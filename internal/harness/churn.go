@@ -45,20 +45,12 @@ import (
 // the initial cluster size (default 3); node 1 is the seed.
 type ChurnConfig struct {
 	Setup
-	VNodes int // ring virtual nodes per member (default cluster.DefaultVNodes)
 
-	// GossipEvery is the members' gossip period (default 25ms) and
-	// DeadAfter their failure detector's death threshold (default 1s;
-	// suspicion at a quarter of it, hoped's own default). The client's
-	// detector and the speculation lease derive from DeadAfter too.
-	GossipEvery time.Duration
-	DeadAfter   time.Duration
-
-	// Watermark runs every member with --watermark (fast rounds): the
-	// storm then also asserts the stability protocol survives the churn —
-	// after the join, every final member must announce a HOPED STABLE
-	// frontier agreed at the final view epoch, proving rounds resumed
-	// once the corpse was evicted and the joiner absorbed.
+	// Watermark runs every member with --watermark: the storm then also
+	// asserts the stability protocol survives the churn — after the
+	// join, every final member must announce a HOPED STABLE frontier
+	// agreed at the final view epoch, proving rounds resumed once the
+	// corpse was evicted and the joiner absorbed.
 	Watermark bool
 
 	// Survive runs every member with --data-root (state survival:
@@ -86,20 +78,13 @@ func (c *ChurnConfig) norm() error {
 		c.Nodes = 3
 	}
 	// Someone must survive the kill.
-	if err := c.Setup.norm(2); err != nil {
-		return err
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = cluster.DefaultVNodes
-	}
-	if c.GossipEvery <= 0 {
-		c.GossipEvery = 25 * time.Millisecond
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = time.Second
-	}
-	return nil
+	return c.Setup.norm(2)
 }
+
+// churnDeadAfter is the members' failure-detector death threshold, with
+// suspicion at a quarter of it (hoped's own default). The client's
+// detector and the speculation lease derive from it too.
+const churnDeadAfter = time.Second
 
 // ChurnResult summarizes a completed churn storm.
 type ChurnResult struct {
@@ -167,8 +152,6 @@ func viewOfLine(vl cluster.ViewLine) cluster.View {
 // route where the cluster says ownership lives, and let a stale answer
 // be NACKed into a retry.
 type ownerRing struct {
-	vnodes int
-
 	mu       sync.Mutex
 	children []*child
 	epoch    uint64
@@ -196,7 +179,7 @@ func (o *ownerRing) owner(a ids.AID) (int, uint64, bool) {
 	}
 	if o.ring == nil || best.Epoch > o.epoch {
 		o.epoch = best.Epoch
-		o.ring = cluster.NewRing(best.Live, o.vnodes)
+		o.ring = cluster.NewRing(best.Live, cluster.DefaultVNodes)
 	}
 	node, ok := o.ring.Owner(uint64(a))
 	return node, o.epoch, ok
@@ -232,10 +215,10 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	}
 	r := &churn{
 		cfg: cfg, start: time.Now(),
-		suspect: cfg.DeadAfter / 4, dead: cfg.DeadAfter, lease: 4 * cfg.DeadAfter,
-		owners: &ownerRing{vnodes: cfg.VNodes},
+		suspect: churnDeadAfter / 4, dead: churnDeadAfter, lease: 4 * churnDeadAfter,
+		owners: &ownerRing{},
 	}
-	root, cleanup, err := cfg.dataRoot()
+	root, cleanup, err := dataRoot()
 	if err != nil {
 		return r.res, err
 	}
@@ -300,12 +283,9 @@ func (r *churn) logf(format string, args ...any) { narrate(r.cfg.Log, r.start, f
 // joining through the join=addr contact otherwise.
 func (r *churn) launch(id int, join string) (*server, error) {
 	s := newServer(id, r.dataRoot)
-	args := append(s.args(&r.cfg.Setup, "127.0.0.1:0", r.cn.Wire().Addr()), livenessArgs(r.suspect, r.dead, r.lease)...)
-	args = append(args, "--gossip-every", r.cfg.GossipEvery.String(), "--vnodes", strconv.Itoa(r.cfg.VNodes))
+	args := append(s.args("127.0.0.1:0", r.cn.Wire().Addr()), livenessArgs(r.suspect, r.dead, r.lease)...)
 	if r.cfg.Watermark {
-		// Fast rounds so the frontier advances within the storm's
-		// post-churn settling windows, not at hoped's default 250ms.
-		args = append(args, "--watermark", "--watermark-every", "50ms")
+		args = append(args, "--watermark")
 	}
 	if r.cfg.Survive {
 		// --data-root lets each member read its dead peers' WALs to
@@ -556,7 +536,7 @@ func (r *churn) checkTransplantFence() error {
 	if err != nil {
 		return err
 	}
-	if err := oracle.CheckTransplant(r.victim.id, wire.NodeOf, postDeath, r.cfg.VNodes,
+	if err := oracle.CheckTransplant(r.victim.id, wire.NodeOf, postDeath,
 		r.announced, map[ids.PID]int{r.victim.pid: r.res.TransplantOutcomes}); err != nil {
 		return err
 	}
@@ -612,10 +592,10 @@ func (r *churn) checkOwnership() error {
 	for _, a := range r.cn.Engine().SpeculativeAIDs() {
 		keys = append(keys, uint64(a))
 	}
-	if err := oracle.CheckOwnership(r.finalViews, r.cfg.VNodes, keys); err != nil {
+	if err := oracle.CheckOwnership(r.finalViews, keys); err != nil {
 		return err
 	}
-	ring := cluster.NewRing(r.res.FinalLive, r.cfg.VNodes)
+	ring := cluster.NewRing(r.res.FinalLive, cluster.DefaultVNodes)
 	if r.res.JoinShare = ring.Shares()[r.res.Joined]; r.res.JoinShare <= 0 {
 		return fmt.Errorf("churn: joiner node %d owns no share of the ring %v", r.res.Joined, ring)
 	}
@@ -647,7 +627,7 @@ func (r *churn) checkMigration() error {
 			hosted[s.id] = keys
 			total += len(keys)
 		}
-		err = oracle.CheckMigration(r.finalViews, r.cfg.VNodes, hosted, nil, nil)
+		err = oracle.CheckMigration(r.finalViews, hosted, nil, nil)
 		return err == nil
 	}) {
 		return fmt.Errorf("churn: migration partition never settled: %w", err)

@@ -62,8 +62,6 @@ type Setup struct {
 	Seed     int64
 	Nodes    int    // hoped server processes, numbered 1..Nodes
 	HopedBin string // path to the hoped binary (required)
-	DataRoot string // parent dir for per-node WALs ("" = a fresh temp dir)
-	Fsync    string // hoped --fsync policy for durable nodes (default "interval")
 	PageSize int    // pagination page size (default 3)
 	Reports  int    // reports per server workload (default 48)
 
@@ -77,9 +75,6 @@ func (s *Setup) norm(minNodes int) error {
 	}
 	if s.Nodes < minNodes {
 		return fmt.Errorf("harness: Nodes = %d, want >= %d", s.Nodes, minNodes)
-	}
-	if s.Fsync == "" {
-		s.Fsync = "interval"
 	}
 	if s.PageSize <= 0 {
 		s.PageSize = 3
@@ -96,12 +91,9 @@ func (s *Setup) norm(minNodes int) error {
 	return nil
 }
 
-// dataRoot returns the parent of the per-node WAL directories: DataRoot,
-// or a fresh temp dir that cleanup removes.
-func (s *Setup) dataRoot() (root string, cleanup func(), err error) {
-	if s.DataRoot != "" {
-		return s.DataRoot, func() {}, nil
-	}
+// dataRoot makes a fresh temp dir to hold the per-node WAL directories;
+// cleanup removes it.
+func dataRoot() (root string, cleanup func(), err error) {
 	dir, err := os.MkdirTemp("", "hope-storm-*")
 	if err != nil {
 		return "", nil, err
@@ -322,8 +314,8 @@ func newServer(id int, dataRoot string) *server {
 }
 
 // args are the flags every storm server runs with; each storm appends
-// its own.
-func (s *server) args(cfg *Setup, listen, client string) []string {
+// its own. A durable server syncs its WAL by hoped's default policy.
+func (s *server) args(listen, client string) []string {
 	args := []string{
 		"--node", strconv.Itoa(s.id), "--listen", listen,
 		"--serve", "printserver", "--peer", "0=" + client,
@@ -332,7 +324,7 @@ func (s *server) args(cfg *Setup, listen, client string) []string {
 		"--drain-timeout", "2s",
 	}
 	if s.dataDir != "" {
-		args = append(args, "--data-dir", s.dataDir, "--fsync", cfg.Fsync)
+		args = append(args, "--data-dir", s.dataDir)
 	}
 	return args
 }

@@ -39,11 +39,13 @@ import (
 type Config struct {
 	Setup
 	Span     time.Duration // storm duration; quiescence is awaited after
-	Kill     bool          // SIGKILL+restart one node mid-storm (requires durable nodes)
+	Kill     bool          // SIGKILL+restart one node mid-storm (servers run with a WAL)
 	PermKill bool          // SIGKILL one node permanently — no restart; enables the liveness layer (overrides Kill)
-	Durable  bool          // run children with a WAL (--data-dir); implied by Kill
-	Jitter   time.Duration // per-chunk proxy latency jitter (default 200µs)
 }
+
+// proxyJitter is each fault proxy's per-chunk latency jitter: enough to
+// shift frame boundaries and reorder timing across links.
+const proxyJitter = 200 * time.Microsecond
 
 func (c *Config) norm() error {
 	if err := c.Setup.norm(1); err != nil {
@@ -54,16 +56,8 @@ func (c *Config) norm() error {
 	}
 	if c.PermKill {
 		// A permanent kill supersedes kill+restart: the plan places the
-		// SIGKILL at the same instant but nothing ever follows. Children
-		// stay durable so the victim's on-disk state is a realistic corpse.
+		// SIGKILL at the same instant but nothing ever follows.
 		c.Kill = false
-		c.Durable = true
-	}
-	if c.Kill {
-		c.Durable = true
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 200 * time.Microsecond
 	}
 	return nil
 }
@@ -112,14 +106,16 @@ func Run(cfg Config) (Result, error) {
 	start := time.Now()
 	logf := func(format string, args ...any) { narrate(cfg.Log, start, format, args...) }
 
-	var dataRoot string
-	if cfg.Durable {
-		root, cleanup, err := cfg.dataRoot()
+	// A killed server restarts from its WAL; a permanently killed one
+	// leaves a durable corpse, so its on-disk state is a realistic one.
+	var root string
+	if cfg.Kill || cfg.PermKill {
+		dir, cleanup, err := dataRoot()
 		if err != nil {
 			return res, err
 		}
 		defer cleanup()
-		dataRoot = root
+		root = dir
 	}
 
 	// Client node 0 lives in-process. When the plan kills a node for
@@ -140,18 +136,18 @@ func Run(cfg Config) (Result, error) {
 	servers := make([]*server, 0, cfg.Nodes)
 	defer func() { stopAll(servers) }()
 	for id := 1; id <= cfg.Nodes; id++ {
-		s := newServer(id, dataRoot)
+		s := newServer(id, root)
 		// The outbound proxy (server → client) must exist before the
 		// child: its address is the child's --peer 0.
 		s.out, err = faultwire.NewProxy(faultwire.ProxyConfig{
 			Listen: "127.0.0.1:0", Target: client.Addr(),
-			Seed: cfg.Seed ^ int64(id)<<1, Jitter: cfg.Jitter, Tracer: cfg.Tracer,
+			Seed: cfg.Seed ^ int64(id)<<1, Jitter: proxyJitter, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return res, err
 		}
 		defer s.out.Close()
-		args := s.args(&cfg.Setup, "127.0.0.1:0", s.out.Addr())
+		args := s.args("127.0.0.1:0", s.out.Addr())
 		if cfg.PermKill {
 			// Servers run the same detector/lease timings as the client;
 			// their only peer is node 0, which never dies, so this mostly
@@ -169,7 +165,7 @@ func Run(cfg Config) (Result, error) {
 		// address, which survives restart — the victim relistens on it.
 		s.in, err = faultwire.NewProxy(faultwire.ProxyConfig{
 			Listen: "127.0.0.1:0", Target: s.addr,
-			Seed: cfg.Seed ^ int64(id)<<1 ^ 1, Jitter: cfg.Jitter, Tracer: cfg.Tracer,
+			Seed: cfg.Seed ^ int64(id)<<1 ^ 1, Jitter: proxyJitter, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return res, err
@@ -211,7 +207,7 @@ func Run(cfg Config) (Result, error) {
 				res.PermKilled = e.Node
 			}
 		case faultwire.OpRestart:
-			boot, err := s.start(cfg.HopedBin, s.args(&cfg.Setup, s.addr, s.out.Addr()))
+			boot, err := s.start(cfg.HopedBin, s.args(s.addr, s.out.Addr()))
 			if err != nil {
 				return res, fmt.Errorf("restart node %d: %w", e.Node, err)
 			}

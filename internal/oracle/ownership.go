@@ -10,19 +10,23 @@ import (
 
 // CheckOwnership is the sharded-ownership invariant for clustered
 // storms: after a churn round quiesces, every surviving node's view
-// must agree on the live member set, the consistent-hash ring each
-// node derives from its view must assign every key the same owner,
-// and that owner must be a live member. views maps each surviving
-// node's ID to the view it reported (e.g. parsed from its HOPED VIEW
-// lines); vnodes is the cluster-wide virtual-node count; keys are the
-// 64-bit names to spot-check — typically the storm's root PIDs plus
-// every AID the client still holds speculation on. Ownership is a pure
-// function of (live set, vnodes), so agreement on the views implies
-// agreement on every key; the per-key check exists to catch the rings
-// themselves diverging (a vnode-count mismatch, a hash drift).
-func CheckOwnership(views map[int]cluster.View, vnodes int, keys []uint64) error {
+// must agree on the live member set, and the consistent-hash ring of
+// that set must assign every key to a live member. views maps each
+// surviving node's ID to the view it reported (e.g. parsed from its
+// HOPED VIEW lines); keys are the 64-bit names to spot-check —
+// typically the storm's root PIDs plus every AID the client still holds
+// speculation on. Every ring is cluster.NewRing(live, DefaultVNodes), a
+// pure function of the live set, so agreement on the views is agreement
+// on every key's owner.
+func CheckOwnership(views map[int]cluster.View, keys []uint64) error {
+	_, err := agreedRing(views, keys)
+	return err
+}
+
+// agreedRing runs CheckOwnership and returns the agreed ring.
+func agreedRing(views map[int]cluster.View, keys []uint64) (*cluster.Ring, error) {
 	if len(views) == 0 {
-		return fmt.Errorf("ownership: no views to check")
+		return nil, fmt.Errorf("ownership: no views to check")
 	}
 	nodes := make([]int, 0, len(views))
 	for id := range views {
@@ -33,11 +37,11 @@ func CheckOwnership(views map[int]cluster.View, vnodes int, keys []uint64) error
 	ref := nodes[0]
 	refLive := views[ref].Live()
 	if len(refLive) == 0 {
-		return fmt.Errorf("ownership: node %d reports an empty live set", ref)
+		return nil, fmt.Errorf("ownership: node %d reports an empty live set", ref)
 	}
 	for _, id := range nodes[1:] {
 		if live := views[id].Live(); !reflect.DeepEqual(live, refLive) {
-			return fmt.Errorf("ownership: live sets diverge: node %d sees %v, node %d sees %v",
+			return nil, fmt.Errorf("ownership: live sets diverge: node %d sees %v, node %d sees %v",
 				ref, refLive, id, live)
 		}
 	}
@@ -50,31 +54,17 @@ func CheckOwnership(views map[int]cluster.View, vnodes int, keys []uint64) error
 	}
 	for _, id := range nodes {
 		if !liveSet[id] {
-			return fmt.Errorf("ownership: node %d reported a view but is not in the live set %v", id, refLive)
+			return nil, fmt.Errorf("ownership: node %d reported a view but is not in the live set %v", id, refLive)
 		}
 	}
 
-	rings := make(map[int]*cluster.Ring, len(nodes))
-	for _, id := range nodes {
-		rings[id] = cluster.NewRing(views[id].Live(), vnodes)
-	}
+	ring := cluster.NewRing(refLive, cluster.DefaultVNodes)
 	for _, key := range keys {
-		owner, ok := rings[ref].Owner(key)
-		if !ok {
-			return fmt.Errorf("ownership: key %#x unowned on node %d", key, ref)
-		}
-		if !liveSet[owner] {
-			return fmt.Errorf("ownership: key %#x owned by %d, not in live set %v", key, owner, refLive)
-		}
-		for _, id := range nodes[1:] {
-			o, ok := rings[id].Owner(key)
-			if !ok || o != owner {
-				return fmt.Errorf("ownership: key %#x owner diverges: node %d says %d, node %d says %d (ok=%v)",
-					key, ref, owner, id, o, ok)
-			}
+		if owner, ok := ring.Owner(key); !ok || !liveSet[owner] {
+			return nil, fmt.Errorf("ownership: key %#x owned by %d (ok=%v), not in live set %v", key, owner, ok, refLive)
 		}
 	}
-	return nil
+	return ring, nil
 }
 
 // CheckMigration is the post-migration invariant for ownership-routed
@@ -88,7 +78,7 @@ func CheckOwnership(views map[int]cluster.View, vnodes int, keys []uint64) error
 // workload's outcomes from a no-churn run: a key missing from verdicts
 // lost its adjudication, a differing value diverged. It subsumes
 // CheckOwnership over the hosted key set.
-func CheckMigration(views map[int]cluster.View, vnodes int, hosted map[int][]uint64,
+func CheckMigration(views map[int]cluster.View, hosted map[int][]uint64,
 	verdicts, control map[uint64]bool) error {
 	var keys []uint64
 	hostOf := make(map[uint64][]int)
@@ -103,7 +93,8 @@ func CheckMigration(views map[int]cluster.View, vnodes int, hosted map[int][]uin
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	if err := CheckOwnership(views, vnodes, keys); err != nil {
+	ring, err := agreedRing(views, keys)
+	if err != nil {
 		return fmt.Errorf("migration: %w", err)
 	}
 	for node := range hostNodes {
@@ -111,13 +102,6 @@ func CheckMigration(views map[int]cluster.View, vnodes int, hosted map[int][]uin
 			return fmt.Errorf("migration: node %d reports hosted AIDs but no view", node)
 		}
 	}
-	var ref int
-	for id := range views {
-		if _, ok := views[ref]; !ok || id < ref {
-			ref = id
-		}
-	}
-	ring := cluster.NewRing(views[ref].Live(), vnodes)
 	for _, a := range keys {
 		hosts := hostOf[a]
 		if len(hosts) != 1 {

@@ -25,13 +25,13 @@ func TestCheckOwnershipAgreement(t *testing.T) {
 		1: viewOf(4, []int{1, 2}, []int{3}),
 		2: viewOf(4, []int{1, 2}, []int{3}),
 	}
-	if err := CheckOwnership(views, cluster.DefaultVNodes, keys); err != nil {
+	if err := CheckOwnership(views, keys); err != nil {
 		t.Fatalf("agreeing views failed: %v", err)
 	}
 
 	// Diverging live sets.
 	views[2] = viewOf(4, []int{1, 2, 3}, nil)
-	if err := CheckOwnership(views, cluster.DefaultVNodes, keys); err == nil ||
+	if err := CheckOwnership(views, keys); err == nil ||
 		!strings.Contains(err.Error(), "live sets diverge") {
 		t.Fatalf("diverging live sets not caught: %v", err)
 	}
@@ -39,13 +39,13 @@ func TestCheckOwnershipAgreement(t *testing.T) {
 	// A reporting node missing from the live set (zombie shard server).
 	views[2] = viewOf(4, []int{1, 3}, []int{2})
 	views[1] = viewOf(4, []int{1, 3}, []int{2})
-	if err := CheckOwnership(views, cluster.DefaultVNodes, keys); err == nil ||
+	if err := CheckOwnership(views, keys); err == nil ||
 		!strings.Contains(err.Error(), "not in the live set") {
 		t.Fatalf("zombie reporter not caught: %v", err)
 	}
 
 	// No views at all.
-	if err := CheckOwnership(nil, cluster.DefaultVNodes, keys); err == nil {
+	if err := CheckOwnership(nil, keys); err == nil {
 		t.Fatal("empty views accepted")
 	}
 }
@@ -65,12 +65,12 @@ func TestCheckMigration(t *testing.T) {
 	}
 	verdicts := map[uint64]bool{3: true, 9: false}
 	control := map[uint64]bool{3: true, 9: false}
-	if err := CheckMigration(views, cluster.DefaultVNodes, hosted, verdicts, control); err != nil {
+	if err := CheckMigration(views, hosted, verdicts, control); err != nil {
 		t.Fatalf("clean migration failed: %v", err)
 	}
 
 	// Double-hosted AID (both nodes claim it: adjudications can double-apply).
-	err := CheckMigration(views, cluster.DefaultVNodes,
+	err := CheckMigration(views,
 		map[int][]uint64{1: {keys[0]}, 2: {keys[0]}}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "hosted by 2 nodes") {
 		t.Fatalf("double host not caught: %v", err)
@@ -86,18 +86,18 @@ func TestCheckMigration(t *testing.T) {
 		}
 		wrongHost[other] = append(wrongHost[other], k)
 	}
-	if err := CheckMigration(views, cluster.DefaultVNodes, wrongHost, nil, nil); err == nil ||
+	if err := CheckMigration(views, wrongHost, nil, nil); err == nil ||
 		!strings.Contains(err.Error(), "ring designates") {
 		t.Fatalf("off-owner host not caught: %v", err)
 	}
 
 	// Lost and diverged adjudications against the control run.
-	if err := CheckMigration(views, cluster.DefaultVNodes, hosted,
+	if err := CheckMigration(views, hosted,
 		map[uint64]bool{3: true}, control); err == nil ||
 		!strings.Contains(err.Error(), "lost") {
 		t.Fatalf("lost adjudication not caught: %v", err)
 	}
-	if err := CheckMigration(views, cluster.DefaultVNodes, hosted,
+	if err := CheckMigration(views, hosted,
 		map[uint64]bool{3: true, 9: true}, control); err == nil ||
 		!strings.Contains(err.Error(), "diverges") {
 		t.Fatalf("diverged outcome not caught: %v", err)

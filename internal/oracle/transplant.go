@@ -38,7 +38,7 @@ import (
 // PIDs without overlap; a pair announced by a node the ring did not
 // designate, or a PID announced twice, is a fence breach that could let
 // two incarnations of one process both externalize.
-func CheckTransplant(corpse int, nodeOf func(ids.PID) int, views map[int]cluster.View, vnodes int,
+func CheckTransplant(corpse int, nodeOf func(ids.PID) int, views map[int]cluster.View,
 	announced map[int][]core.TransplantPair, outcomes map[ids.PID]int) error {
 	if len(views) == 0 {
 		return fmt.Errorf("transplant: no views to check")
@@ -82,20 +82,14 @@ func CheckTransplant(corpse int, nodeOf func(ids.PID) int, views map[int]cluster
 			oldKeys = append(oldKeys, uint64(pr.Old))
 		}
 	}
-	if err := CheckOwnership(views, vnodes, oldKeys); err != nil {
+	ring, err := agreedRing(views, oldKeys)
+	if err != nil {
 		return fmt.Errorf("transplant: %w", err)
 	}
 
 	// Ring designation: the adopter of each old PID must be the owner
 	// the agreed ring assigns it — a non-designated adoption is exactly
 	// the race the first-mapping-wins fence exists to lose.
-	var ref int
-	for id := range views {
-		if _, ok := views[ref]; !ok || id < ref {
-			ref = id
-		}
-	}
-	ring := cluster.NewRing(views[ref].Live(), vnodes)
 	for old, node := range adopterOf {
 		owner, ok := ring.Owner(uint64(old))
 		if !ok || owner != node {

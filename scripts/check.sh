@@ -37,6 +37,13 @@ if [ "$(printf '%s\n' "$sites" | grep -c 'internal/wire/codec\.go:')" -ne 2 ] ||
     exit 1
 fi
 
+echo '== hopebench e3 e11 (paper experiments that fail on a wrong answer)'
+# E3 exits non-zero when Algorithm 2 leaves a speculative-affirm ring
+# unsettled or the Algorithm 1 control settles it; E11 when a
+# transaction run loses an update. E8 and E10 fail on a wrong answer too
+# but are kept out while their known coins (ROADMAP 15(b)) still land.
+"$tmp/hopebench" e3 e11
+
 echo '== go test ./...'
 go test ./...
 
