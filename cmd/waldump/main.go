@@ -81,9 +81,10 @@ func run(dir string, node int, verbose bool) error {
 			}
 			return nil
 		},
-		func(seg string, off int64, reason string) {
+		func(seg string, off int64, reason string) error {
 			corrupt++
 			fmt.Printf("CORRUPT %s @%d: %s\n", seg, off, reason)
+			return nil
 		})
 	if err != nil {
 		return err

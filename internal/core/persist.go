@@ -70,9 +70,12 @@ type ProcExporter interface {
 
 // TransplantRecorder is an optional Persister extension recording that
 // this node adopted oldPid off dead node from, reincarnating it as
-// newPid. Written before the reborn process spawns, so a crash
-// mid-transplant recovers the adoption (durable.Recovered.Transplants)
-// instead of losing the process a second time.
+// newPid. It is the hand-off's commit record: written after the
+// ProcExporter snapshot and durable, with everything before it, when it
+// returns — before the reborn process spawns or is announced — so a
+// crash mid-transplant recovers the adoption
+// (durable.Recovered.Transplants) instead of losing the process a
+// second time.
 type TransplantRecorder interface {
 	TransplantRecorded(from int, oldPid, newPid ids.PID) error
 }

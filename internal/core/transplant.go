@@ -99,10 +99,12 @@ func (e *Engine) InstallTransplantMap(pairs []TransplantPair) int {
 // reshaped to core's Restored); own selects the slice (nil adopts all);
 // body is the deterministic body to replay — the same function the
 // corpse ran, by the determinism contract. For each adopted process the
-// hand-off is made durable first (recTransplant plus an export of the
-// full snapshot under the reborn PID — the one place the engine writes a
-// ProcExporter record), so a crash mid-transplant recovers the adoption
-// instead of losing the process twice.
+// hand-off is committed first: an export of the full snapshot under the
+// reborn PID (the one place the engine writes a ProcExporter record),
+// then the TransplantRecorder record, which syncs both. Only then is the
+// mapping installed and the incarnation spawned, so a crash
+// mid-transplant recovers the adoption instead of losing the process
+// twice, and a restart never respawns a mapping without its snapshot.
 //
 // Returns the installed pairs; the caller announces them to peers
 // (EncodeTransplantAnnouncement → wire transplant frames) so everyone
@@ -141,14 +143,16 @@ func (e *Engine) AdoptProcesses(from int, procs map[ids.PID]*Restored, own func(
 				en.Msg.SrcNode, en.Msg.SrcSeq = 0, 0
 			}
 		}
-		if tr, ok := e.persist.(TransplantRecorder); ok {
-			if err := tr.TransplantRecorded(from, old, newPid); err != nil {
-				return pairs, fmt.Errorf("core: record transplant of %s: %w", old, err)
-			}
-		}
+		// Snapshot first, mapping last: no WAL cut leaves a mapping
+		// without its snapshot, which a restart would respawn empty.
 		if px, ok := e.persist.(ProcExporter); ok {
 			if err := px.ProcExport(newPid, r); err != nil {
 				return pairs, fmt.Errorf("core: export transplant of %s: %w", old, err)
+			}
+		}
+		if tr, ok := e.persist.(TransplantRecorder); ok {
+			if err := tr.TransplantRecorded(from, old, newPid); err != nil {
+				return pairs, fmt.Errorf("core: record transplant of %s: %w", old, err)
 			}
 		}
 		// Epochs issued here must clear everything the corpse ever issued

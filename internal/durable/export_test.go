@@ -2,6 +2,11 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hope-dist/hope/internal/ids"
@@ -154,4 +159,87 @@ func TestReadOrphanFrames(t *testing.T) {
 		t.Fatalf("second orphan = src %d/%d iid seq %d, want 3/1 seq 3",
 			orphans[1].SrcNode, orphans[1].SrcSeq, orphans[1].IID.Seq)
 	}
+}
+
+// TestCorpseReadStopsAtDamage pins that a survivor reads a dead
+// member's WAL exactly as the member's own restart would: three hosted
+// machines exported, the middle record's payload damaged. Open
+// truncates at the damage and keeps only the first export, so
+// ReadExtract must keep only it too, and name where it stopped, instead
+// of skipping the damaged record and folding the one after it.
+func TestCorpseReadStopsAtDamage(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStore(t, dir)
+	aids := []ids.AID{ids.AID(localPID(10)), ids.AID(localPID(11)), ids.AID(localPID(12))}
+	for _, a := range aids {
+		s.AIDExport(a, []byte("machine"))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	seg, frames := walFrames(t, dir)
+	var exports []walFrame
+	for _, f := range frames {
+		if f.payload[0] == recAIDExport {
+			exports = append(exports, f)
+		}
+	}
+	if len(exports) != 3 {
+		t.Fatalf("%d export records in the WAL, want 3", len(exports))
+	}
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[exports[1].end-1] ^= 0xFF // the middle export's last payload byte
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ex, err := ReadExtract(dir, testSelf)
+	if err != nil {
+		t.Fatalf("ReadExtract: %v", err)
+	}
+	if !strings.Contains(ex.StoppedAt, "crc mismatch") {
+		t.Errorf("StoppedAt = %q, want the crc mismatch named", ex.StoppedAt)
+	}
+	// The restart reads a copy: Open truncates what it cannot read.
+	cp := filepath.Join(t.TempDir(), "copy")
+	copyDir(t, dir, cp)
+	restart, rec := openStore(t, cp)
+	restart.Close()
+	want := map[ids.AID][]byte{aids[0]: []byte("machine")}
+	if !reflect.DeepEqual(rec.AIDExports, want) {
+		t.Fatalf("restart exports = %v, want only %v", rec.AIDExports, aids[0])
+	}
+	if !reflect.DeepEqual(ex.AIDExports, want) {
+		t.Errorf("ReadExtract exports = %v, want the restart's %v", ex.AIDExports, want)
+	}
+}
+
+// walFrame is one record of a WAL segment: its payload and the byte
+// offset just past its frame.
+type walFrame struct {
+	payload []byte
+	end     int64
+}
+
+// walFrames parses the single segment of the WAL in dir.
+func walFrames(t *testing.T, dir string) (string, []walFrame) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one WAL segment in %s, got %v (%v)", dir, segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []walFrame
+	for off := int64(16); off+8 <= int64(len(data)); { // segment header, then u32 length | u32 crc | payload
+		end := off + 8 + int64(binary.BigEndian.Uint32(data[off:]))
+		out = append(out, walFrame{payload: data[off+8 : end], end: end})
+		off = end
+	}
+	return segs[0], out
 }

@@ -70,10 +70,11 @@ const (
 	// linearly from the first retained record, so those snapshots only
 	// restated what the same scan had already folded. Old WALs holding
 	// them still fold — the record replaces the process's state wholesale.)
-	// recTransplant is the adopter's hand-off record: "newPid is the reborn
-	// incarnation of from's oldPid", written before the spawn so a crashed
-	// transplant is itself recoverable (the restart re-announces the
-	// mapping and respawns the incarnation from its recProcIndex).
+	// recTransplant is the adopter's hand-off commit: "newPid is the reborn
+	// incarnation of from's oldPid", written after the recProcIndex under
+	// newPid and synced with it before the spawn, so a crashed transplant
+	// is itself recoverable (the restart re-announces the mapping and
+	// respawns the incarnation from that recProcIndex).
 	recProcIndex  = 22 // pid, flags, maxSeq, maxEpoch, intervals, entries, dead, [base] — per-process export index
 	recTransplant = 23 // fromNode, oldPid, newPid — process adopted off a dead node
 )

@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -815,15 +817,25 @@ func (rs *recoverState) rollback(pid ids.PID, iid ids.IntervalID) {
 
 // foldDir folds a node's WAL read-only, as node self, honouring
 // checkpoint brackets exactly like a recovery fold. The files are never
-// modified, so several survivors can read one corpse concurrently.
-func foldDir(dir string, self int) (*recoverState, error) {
-	rs := newRecoverState(self)
-	if err := wal.Scan(dir, rs.apply, nil); err != nil {
-		return nil, err
+// modified, so several survivors can read one corpse concurrently. It
+// reads what the node's own restart would: the fold stops at the first
+// damage (a torn or corrupt frame, an LSN gap), where Open would
+// truncate, and stop names that place ("" when the WAL ends cleanly).
+func foldDir(dir string, self int) (rs *recoverState, stop string, err error) {
+	rs = newRecoverState(self)
+	err = wal.Scan(dir, rs.apply, func(seg string, off int64, reason string) error {
+		stop = fmt.Sprintf("%s @%d: %s", filepath.Base(seg), off, reason)
+		return errStopped
+	})
+	if err != nil && !errors.Is(err, errStopped) {
+		return nil, "", err
 	}
 	rs.dropTornBracket()
-	return rs, nil
+	return rs, stop, nil
 }
+
+// errStopped ends foldDir's scan at the first damage.
+var errStopped = errors.New("durable: fold stopped at damage")
 
 // dropTornBracket discards an unclosed checkpoint bracket at the end of
 // the stream: the checkpoint was torn mid-write and never acknowledged,
@@ -865,6 +877,11 @@ type Extract struct {
 	// resend queue — replay treats the send as performed, so the adopter
 	// must re-send them.
 	Resend []*msg.Message
+	// StoppedAt names where the read stopped short of the WAL's end —
+	// segment, byte offset and damage — or is "" when it read to a clean
+	// end. Like the node's own restart, the read stops at the first
+	// damage; a torn tail a crash left mid-write lands here too.
+	StoppedAt string
 	// ProcErr is set, and Procs and Resend are nil, when a surviving
 	// journal payload no longer decodes: replaying a journal with a hole
 	// would diverge, so no process is extracted. Everything else in the
@@ -889,14 +906,15 @@ type Extract struct {
 // ID — the fold needs it for send/frame pairing exactly as a
 // self-recovery would. The files are never modified, so several
 // survivors can read one corpse concurrently, and a live node's WAL can
-// be read while it runs. Damaged frames are skipped, not fatal; an
+// be read while it runs. It reads the records a restart of the node
+// would: damage ends the read, never a silent skip (StoppedAt); an
 // undecodable journal payload fails process extraction only (ProcErr).
 func ReadExtract(dir string, node int) (*Extract, error) {
-	rs, err := foldDir(dir, node)
+	rs, stop, err := foldDir(dir, node)
 	if err != nil {
 		return nil, fmt.Errorf("durable: read extract: %w", err)
 	}
-	ex := &Extract{AIDExports: rs.aidExports}
+	ex := &Extract{AIDExports: rs.aidExports, StoppedAt: stop}
 	ex.Unconsumed, _ = rs.unconsumed()
 	if ex.Procs, ex.Resend, err = rs.restored(); err != nil {
 		ex.ProcErr = fmt.Errorf("durable: read processes: %w", err)

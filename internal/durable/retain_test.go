@@ -90,7 +90,7 @@ func TestShadowEqualsAdoptedBracket(t *testing.T) {
 		t.Fatalf("shadow inbox = %v, want %v", shadowInbox, want)
 	}
 
-	disk, err := foldDir(dir, testSelf)
+	disk, _, err := foldDir(dir, testSelf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -457,18 +457,24 @@ func (s *Store) ProcExport(pid ids.PID, snap *core.Restored) error {
 	})
 }
 
-// TransplantRecorded records a process adoption hand-off: newPid is the
+// TransplantRecorded commits a process adoption hand-off: newPid is the
 // reborn incarnation of the dead node from's oldPid (core's transplant
-// layer, DESIGN.md §13). Written before the reborn process spawns, so a
-// crashed transplant is recoverable: the restart re-announces the
-// mapping and respawns the incarnation from its recProcIndex snapshot.
+// layer, DESIGN.md §13). It is written after the recProcIndex snapshot
+// under newPid and synced with it before it returns, before the reborn
+// process spawns or is announced, so a crashed transplant is
+// recoverable: the restart re-announces the mapping and respawns the
+// incarnation from the snapshot, which precedes the record in the WAL.
 // Engine-level, like AIDExport.
 func (s *Store) TransplantRecorded(from int, oldPid, newPid ids.PID) error {
-	return s.appendTagged(recTransplant, func(b []byte) []byte {
+	err := s.appendTagged(recTransplant, func(b []byte) []byte {
 		b = appendUv(b, uint64(from))
 		b = appendUv(b, uint64(oldPid))
 		return appendUv(b, uint64(newPid))
 	})
+	if err != nil {
+		return err
+	}
+	return s.barrier()
 }
 
 // ViewChanged records a published membership view: the epoch and the

@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/ids"
+	"github.com/hope-dist/hope/internal/wire"
 )
 
 // TestProcExtractMatchesRestartFold pins the transplant reader's core
@@ -96,7 +99,7 @@ func TestProcExtractMatchesRestartFold(t *testing.T) {
 }
 
 // TestTransplantRecordRoundTrip pins the adopter-side durability of a
-// hand-off: TransplantRecorded + ProcExport under the reborn PID must
+// hand-off: ProcExport under the reborn PID + TransplantRecorded must
 // survive the adopter's own restart as Recovered.Transplants plus a
 // respawnable snapshot, and a Transplant respawn from that snapshot must
 // replay the corpse's journalled values rather than recompute.
@@ -142,16 +145,16 @@ func TestTransplantRecordRoundTrip(t *testing.T) {
 		t.Fatalf("extraction lost the process: %v", ex.Procs)
 	}
 
-	// The adopter records the hand-off on its own WAL — mapping first,
-	// snapshot under the reborn PID second — then crashes before (or
+	// The adopter commits the hand-off on its own WAL — snapshot under
+	// the reborn PID first, mapping last — then crashes before (or
 	// after; it must not matter) spawning the incarnation.
 	newPid := localPID(41)
 	sB, _ := openStore(t, dirB)
-	if err := sB.TransplantRecorded(3, old, newPid); err != nil {
-		t.Fatalf("TransplantRecorded: %v", err)
-	}
 	if err := sB.ProcExport(newPid, snap); err != nil {
 		t.Fatalf("ProcExport: %v", err)
+	}
+	if err := sB.TransplantRecorded(3, old, newPid); err != nil {
+		t.Fatalf("TransplantRecorded: %v", err)
 	}
 	if err := sB.Close(); err != nil {
 		t.Fatalf("close adopter store: %v", err)
@@ -191,5 +194,77 @@ func TestTransplantRecordRoundTrip(t *testing.T) {
 	want := []any{int64(1), int64(1)}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("observations = %v, want %v (journal not replayed through the hand-off)", got, want)
+	}
+}
+
+// TestTransplantHandOffCommitsLast cuts an adopter's WAL after every
+// record of a real adoption (Engine.AdoptProcesses over a Store) and
+// restarts from each prefix. Wherever the cut falls, a recovered
+// mapping must come with its snapshot: a restart that finds
+// recTransplant without the recProcIndex before it would respawn an
+// empty incarnation under the announced PID.
+func TestTransplantHandOffCommitsLast(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	body := func(ctx *core.Ctx) error {
+		ctx.Record(func() any { return int64(1) })
+		_, _, err := ctx.Recv() // park until shutdown
+		return err
+	}
+
+	sA, _ := openStore(t, dirA)
+	engA := core.NewEngine(core.Config{Persist: sA})
+	if _, err := engA.SpawnRoot(body); err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
+	if !engA.Settle(10 * time.Second) {
+		t.Fatal("no settle")
+	}
+	engA.Shutdown()
+	if err := sA.Close(); err != nil {
+		t.Fatalf("close corpse store: %v", err)
+	}
+	ex, err := ReadExtract(dirA, testSelf)
+	if err != nil || ex.ProcErr != nil {
+		t.Fatalf("ReadExtract: %v / %v", err, ex.ProcErr)
+	}
+
+	sB, _ := openStore(t, dirB)
+	engB := core.NewEngine(core.Config{Persist: sB, PIDBase: wire.PIDBase(2)})
+	pairs, err := engB.AdoptProcesses(testSelf, ex.Procs, nil, body)
+	if err != nil || len(pairs) != 1 {
+		t.Fatalf("AdoptProcesses = %v, %v; want one pair", pairs, err)
+	}
+	newPid := pairs[0].New
+	engB.Shutdown()
+	if err := sB.Close(); err != nil {
+		t.Fatalf("close adopter store: %v", err)
+	}
+
+	seg, frames := walFrames(t, dirB)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := 0
+	for k, f := range frames {
+		cut := filepath.Join(t.TempDir(), "cut")
+		if err := os.MkdirAll(cut, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cut, filepath.Base(seg)), data[:f.end], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, rec := openStore(t, cut)
+		s.Close()
+		if _, ok := rec.Transplants[newPid]; !ok {
+			continue
+		}
+		mapped++
+		if r := rec.Restore[newPid]; r == nil || len(r.Entries) == 0 {
+			t.Fatalf("WAL cut after record %d of %d: mapping for %v recovered without its snapshot", k+1, len(frames), newPid)
+		}
+	}
+	if mapped == 0 {
+		t.Fatal("no cut recovered the mapping")
 	}
 }

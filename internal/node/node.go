@@ -26,9 +26,8 @@
 //
 // Membership (SeedNode, Join): gossiped views, fed by the detector's
 // verdicts, shard AID ownership over a consistent-hash ring of the live
-// members. A member the view declares dead is torn down at the wire and
-// what it owned is denied; a node the cluster declared dead stops
-// serving (Evicted).
+// members. A dead member is buried: wire verdict, adoption, deny. A
+// node the cluster declared dead stops serving (Evicted).
 //
 // Survival (DataRoot, DESIGN.md §13): adjudication goes to the ring
 // owner, and a view change ships machines to their new owners. A dead
@@ -227,12 +226,17 @@ func Start(cfg Config) (_ *Node, err error) {
 		Watermark: cfg.Watermark,
 	}
 	if cfg.DeadAfter > 0 {
-		wcfg.Health = wire.HealthConfig{
-			SuspectAfter: cfg.SuspectAfter,
-			DeadAfter:    cfg.DeadAfter,
-			OnPeerDead: func(dead int) {
-				n.denyDead(dead, fmt.Sprintf("node %d declared dead", dead))
-			},
+		// A clustered node's first-hand verdicts feed its view, whose
+		// OnDeaths buries the dead; a static node buries them itself.
+		states := [...]cluster.MemberState{wire.PeerAlive: cluster.StateAlive,
+			wire.PeerSuspect: cluster.StateSuspect, wire.PeerDead: cluster.StateDead}
+		wcfg.Health = wire.HealthConfig{SuspectAfter: cfg.SuspectAfter, DeadAfter: cfg.DeadAfter}
+		wcfg.Health.OnPeerState = func(peer int, st wire.PeerState) {
+			if m := n.mgr.Load(); m != nil {
+				m.ObserveState(peer, states[st])
+			} else if st == wire.PeerDead && !cfg.clustered() {
+				n.buried(peer, nil, fmt.Sprintf("node %d declared dead", peer))
+			}
 		}
 		if routed {
 			// Frames stranded toward a dead peer come back to the engine's
@@ -284,14 +288,6 @@ func Start(cfg Config) (_ *Node, err error) {
 						}
 					}
 				},
-			}
-		}
-		// First-hand failure-detector verdicts feed the membership view.
-		states := [...]cluster.MemberState{wire.PeerAlive: cluster.StateAlive,
-			wire.PeerSuspect: cluster.StateSuspect, wire.PeerDead: cluster.StateDead}
-		wcfg.Health.OnPeerState = func(peer int, st wire.PeerState) {
-			if m := n.mgr.Load(); m != nil && int(st) < len(states) {
-				m.ObserveState(peer, states[st])
 			}
 		}
 	}
@@ -401,15 +397,7 @@ func Start(cfg Config) (_ *Node, err error) {
 			},
 			OnDeaths: func(dead []int, v cluster.View, ring *cluster.Ring) {
 				for _, id := range dead {
-					wn.DeclarePeerDead(id)
-					// A peer with no WAL under DataRoot (an external client
-					// gossip declared dead) left nothing to take over.
-					if n.survive {
-						if _, err := os.Stat(cfg.nodeDir(id)); err == nil {
-							n.adoptCorpse(id, ring)
-						}
-					}
-					n.denyDead(id, fmt.Sprintf("node %d dead in view e%d", id, v.Epoch))
+					n.buried(id, ring, fmt.Sprintf("node %d dead in view e%d", id, v.Epoch))
 				}
 			},
 			OnEvicted: func(v cluster.View) {
@@ -467,18 +455,27 @@ func Start(cfg Config) (_ *Node, err error) {
 	return n, nil
 }
 
-// denyDead auto-denies what dead node id owned. A transplanted process
-// was adopted, not lost: its reborn incarnation re-adjudicates what it
-// minted, so denying that would race the adoption.
-func (n *Node) denyDead(id int, reason string) {
+// buried is the one death handler, run once per dead peer (detector
+// verdict on a static node, view on a clustered one): wire verdict,
+// adoption, then the deny, which skips transplanted processes — their
+// reborn incarnations re-adjudicate what they minted.
+func (n *Node) buried(id int, ring *cluster.Ring, reason string) {
 	eng := n.eng.Load()
 	if eng == nil {
-		return
+		return // nothing was minted yet
 	}
-	eng.DenyOwned(func(pid ids.PID) bool {
+	n.wire.DeclarePeerDead(id)
+	// An external client has no WAL under DataRoot: nothing to adopt.
+	if n.survive {
+		if _, err := os.Stat(n.cfg.nodeDir(id)); err == nil {
+			n.adoptCorpse(eng, id, ring)
+		}
+	}
+	denied := eng.DenyOwned(func(pid ids.PID) bool {
 		_, adopted := eng.Adopter(pid)
 		return wire.NodeOf(pid) == id && !adopted
 	}, reason)
+	n.logf("denied %d assumptions of dead node %d (%s)", denied, id, reason)
 }
 
 // ringOwner is the AID's owner on the cluster ring and the view epoch
@@ -501,13 +498,15 @@ func (n *Node) adopter(pid ids.PID) (ids.PID, bool) {
 }
 
 // adoptCorpse takes over this node's ring slice of dead member id, read
-// from its WAL in one fold, before anything it owned is denied.
-func (n *Node) adoptCorpse(id int, ring *cluster.Ring) {
-	eng := n.eng.Load()
+// from its WAL in one fold.
+func (n *Node) adoptCorpse(eng *core.Engine, id int, ring *cluster.Ring) {
 	ex, err := durable.ReadExtract(n.cfg.nodeDir(id), id)
 	if err != nil {
 		n.logf("adopt from dead node %d: %v", id, err)
 		return
+	}
+	if ex.StoppedAt != "" {
+		n.logf("adopt from dead node %d: WAL read stopped at %s", id, ex.StoppedAt)
 	}
 	// Our slice of its user processes first: a reborn process
 	// re-adjudicates its own assumptions, so the deny that follows skips

@@ -1,111 +1,58 @@
 package wal
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-)
+import "fmt"
 
 // Scan reads every segment in dir read-only, in LSN order, reporting
 // rather than repairing damage. It is the forensic counterpart of Open's
-// recovery scan: Open truncates the first invalid byte and drops
-// everything after it (correct for recovery — nothing past a torn tail
-// was acknowledged durable), while Scan modifies nothing and keeps
-// going, so a corrupted log can be inspected before any destructive
-// replay.
+// recovery scan and reads frames with the same reader: Open truncates
+// the first invalid byte and drops everything after it (correct for
+// recovery — nothing past a torn tail was acknowledged durable), while
+// Scan modifies nothing and keeps going, so a corrupted log can be
+// inspected before any destructive replay.
 //
-// onRecord receives each valid record; returning an error aborts the
-// scan. onCorrupt receives each invalid frame as the segment path, the
-// byte offset of the frame within that segment, and a reason. After a
-// CRC mismatch whose claimed length was plausible (the full frame is
+// onRecord receives each valid record; onCorrupt receives each invalid
+// spot as the segment path, a byte offset within it, and a reason. After
+// a CRC mismatch whose claimed length was plausible (the full frame is
 // present and within MaxRecord) the scan skips the damaged payload and
-// resynchronizes at the next frame boundary; a torn or implausible
-// frame ends that segment, but later segments are still scanned. Either
-// callback may be nil.
-func Scan(dir string, onRecord func(lsn uint64, payload []byte) error, onCorrupt func(segment string, offset int64, reason string)) error {
+// resynchronizes at the next frame boundary; a torn or implausible frame
+// ends that segment, but later segments are still scanned. A segment
+// that does not start at the LSN where the previous one stopped is
+// reported as a gap (offset 0) — Open would drop it — and then scanned.
+// An error from either callback aborts the scan and is returned, so a
+// reader that must stop at the first damage, as Open does, returns one
+// from onCorrupt. Either callback may be nil.
+func Scan(dir string, onRecord func(lsn uint64, payload []byte) error, onCorrupt func(segment string, offset int64, reason string) error) error {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return err
 	}
-	report := func(seg string, off int64, reason string) {
-		if onCorrupt != nil {
-			onCorrupt(seg, off, reason)
-		}
+	if onRecord == nil {
+		onRecord = func(uint64, []byte) error { return nil }
 	}
-	for _, seg := range segs {
-		if err := scanForensic(seg, onRecord, report); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func scanForensic(seg segment, onRecord func(lsn uint64, payload []byte) error, report func(seg string, off int64, reason string)) error {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-
-	var hdr [headerSize]byte
-	if n, err := io.ReadFull(f, hdr[:]); err != nil {
-		report(seg.path, 0, fmt.Sprintf("torn header: %d of %d bytes", n, headerSize))
-		return nil
-	}
-	if string(hdr[:8]) != magic {
-		report(seg.path, 0, fmt.Sprintf("bad magic %q", hdr[:8]))
-		return nil
-	}
-	if first := binary.BigEndian.Uint64(hdr[8:]); first != seg.first {
-		report(seg.path, 8, fmt.Sprintf("header LSN %d does not match file name LSN %d", first, seg.first))
-		return nil
-	}
-
-	lsn := seg.first
-	off := int64(headerSize)
-	br := bufio.NewReaderSize(f, 1<<20)
-	var frame [frameSize]byte
-	var payload []byte
-	for {
-		n, err := io.ReadFull(br, frame[:])
-		if err == io.EOF {
-			return nil // clean end of segment
-		}
-		if err != nil {
-			report(seg.path, off, fmt.Sprintf("torn frame header: %d of %d bytes", n, frameSize))
+	report := func(seg string, d damage) error {
+		if onCorrupt == nil {
 			return nil
 		}
-		size := binary.BigEndian.Uint32(frame[:4])
-		sum := binary.BigEndian.Uint32(frame[4:])
-		if size > MaxRecord {
-			// An implausible length gives no trustworthy next-frame
-			// boundary; nothing after this point in the segment can be
-			// attributed reliably.
-			report(seg.path, off, fmt.Sprintf("implausible record length %d (max %d)", size, MaxRecord))
-			return nil
-		}
-		if cap(payload) < int(size) {
-			payload = make([]byte, size)
-		}
-		payload = payload[:size]
-		if n, err := io.ReadFull(br, payload); err != nil {
-			report(seg.path, off, fmt.Sprintf("torn payload: %d of %d bytes", n, size))
-			return nil
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != sum {
-			// The frame is structurally whole — only the bytes are wrong —
-			// so the claimed length still locates the next frame. Report,
-			// skip, resynchronize.
-			report(seg.path, off, fmt.Sprintf("crc mismatch on lsn %d: stored %08x computed %08x over %dB", lsn, sum, got, size))
-		} else if onRecord != nil {
-			if err := onRecord(lsn, payload); err != nil {
+		return onCorrupt(seg, d.off, d.reason)
+	}
+	var next uint64 // LSN the previous segment stopped at
+	for i, seg := range segs {
+		if i > 0 && seg.first != next {
+			gap := damage{0, fmt.Sprintf("LSN gap: segment starts at LSN %d, previous segment stopped at %d", seg.first, next)}
+			if err := report(seg.path, gap); err != nil {
 				return err
 			}
 		}
-		off += frameSize + int64(size)
-		lsn++
+		stop, d, err := readSegment(seg, onRecord, func(d damage) error { return report(seg.path, d) })
+		if err != nil {
+			return err
+		}
+		if d != nil {
+			if err := report(seg.path, *d); err != nil {
+				return err
+			}
+		}
+		next = stop.lsn
 	}
+	return nil
 }

@@ -56,8 +56,9 @@ func scanAll(t *testing.T, dir string) (lsns []uint64, corrupt []string) {
 			lsns = append(lsns, lsn)
 			return nil
 		},
-		func(seg string, off int64, reason string) {
+		func(seg string, off int64, reason string) error {
 			corrupt = append(corrupt, reason)
+			return nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -160,5 +161,28 @@ func TestScanReportsTornTail(t *testing.T) {
 	}
 	if len(corrupt) != 1 || !strings.Contains(corrupt[0], "torn payload") {
 		t.Fatalf("corrupt reports = %q, want one torn payload", corrupt)
+	}
+}
+
+// TestScanReportsLSNGap removes a middle segment: Open would drop every
+// segment after the hole, and the forensic scan must say so instead of
+// folding across it silently.
+func TestScanReportsLSNGap(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, Options{Dir: dir, SegmentBytes: 512, Policy: SyncNone})
+	appendN(t, l, 40, 60)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := segmentFiles(t, dir)
+	if len(segs) < 3 {
+		t.Fatalf("expected at least 3 segments, got %d", len(segs))
+	}
+	if err := os.Remove(segs[1]); err != nil {
+		t.Fatal(err)
+	}
+	_, corrupt := scanAll(t, dir)
+	if len(corrupt) != 1 || !strings.Contains(corrupt[0], "LSN gap") {
+		t.Fatalf("corrupt reports = %q, want one LSN gap", corrupt)
 	}
 }

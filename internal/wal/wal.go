@@ -324,52 +324,103 @@ func (l *Log) scan() error {
 // scanSegment validates one segment, returning the byte offset just past
 // the last valid record and the number of valid records.
 func (l *Log) scanSegment(seg segment, lsn uint64) (validEnd int64, n uint64, err error) {
+	stop, _, err := readSegment(seg, func(at uint64, payload []byte) error {
+		if l.opts.OnRecord != nil {
+			if err := l.opts.OnRecord(at, payload); err != nil {
+				return fmt.Errorf("wal: replay lsn %d: %w", at, err)
+			}
+		}
+		l.recoveredRecords++
+		l.recoveredBytes += uint64(len(payload))
+		return nil
+	}, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return stop.off, stop.lsn - lsn, nil
+}
+
+// cursor is a position in a segment: the byte offset and LSN of the
+// next frame.
+type cursor struct {
+	off int64
+	lsn uint64
+}
+
+// damage is an invalid spot in a segment: its byte offset and why.
+type damage struct {
+	off    int64
+	reason string
+}
+
+// readSegment is the one reader of the segment format, shared by Open's
+// recovery scan and the forensic Scan. It passes each valid record to
+// onRecord in LSN order and stops at the first damage, returning where
+// it stopped (offset 0 for a damaged header, else the start of the
+// damaged frame or the end of the file) and the damage (nil at a clean
+// end). With skip non-nil, a frame that is whole but fails its checksum
+// goes to skip instead, and reading resynchronizes at the next frame,
+// which its length still locates. An error from either callback aborts
+// the read.
+func readSegment(seg segment, onRecord func(lsn uint64, payload []byte) error, skip func(damage) error) (cursor, *damage, error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
+		return cursor{}, nil, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
 
+	at := cursor{lsn: seg.first}
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, 0, nil // header torn: whole segment invalid
+	if n, err := io.ReadFull(f, hdr[:]); err != nil {
+		return at, &damage{0, fmt.Sprintf("torn header: %d of %d bytes", n, headerSize)}, nil
 	}
-	if string(hdr[:8]) != magic || binary.BigEndian.Uint64(hdr[8:]) != seg.first {
-		return 0, 0, nil
+	if string(hdr[:8]) != magic {
+		return at, &damage{0, fmt.Sprintf("bad magic %q", hdr[:8])}, nil
 	}
-	validEnd = headerSize
+	if first := binary.BigEndian.Uint64(hdr[8:]); first != seg.first {
+		return at, &damage{8, fmt.Sprintf("header LSN %d does not match file name LSN %d", first, seg.first)}, nil
+	}
+	at.off = headerSize
 
 	br := bufio.NewReaderSize(f, 1<<20)
 	var frame [frameSize]byte
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			return validEnd, n, nil // clean EOF or torn frame header
+		n, err := io.ReadFull(br, frame[:])
+		if err == io.EOF {
+			return at, nil, nil // clean end of segment
+		}
+		if err != nil {
+			return at, &damage{at.off, fmt.Sprintf("torn frame header: %d of %d bytes", n, frameSize)}, nil
 		}
 		size := binary.BigEndian.Uint32(frame[:4])
 		sum := binary.BigEndian.Uint32(frame[4:])
 		if size > MaxRecord {
-			return validEnd, n, nil
+			// An implausible length gives no trustworthy next-frame
+			// boundary; nothing after this point in the segment can be
+			// attributed reliably.
+			return at, &damage{at.off, fmt.Sprintf("implausible record length %d (max %d)", size, MaxRecord)}, nil
 		}
 		if cap(payload) < int(size) {
 			payload = make([]byte, size)
 		}
 		payload = payload[:size]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return validEnd, n, nil
+		if n, err := io.ReadFull(br, payload); err != nil {
+			return at, &damage{at.off, fmt.Sprintf("torn payload: %d of %d bytes", n, size)}, nil
 		}
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return validEnd, n, nil
-		}
-		if l.opts.OnRecord != nil {
-			if err := l.opts.OnRecord(lsn+n, payload); err != nil {
-				return 0, 0, fmt.Errorf("wal: replay lsn %d: %w", lsn+n, err)
+		if got := crc32.Checksum(payload, castagnoli); got != sum {
+			d := damage{at.off, fmt.Sprintf("crc mismatch on lsn %d: stored %08x computed %08x over %dB", at.lsn, sum, got, size)}
+			if skip == nil {
+				return at, &d, nil
 			}
+			if err := skip(d); err != nil {
+				return at, nil, err
+			}
+		} else if err := onRecord(at.lsn, payload); err != nil {
+			return at, nil, err
 		}
-		validEnd += frameSize + int64(size)
-		n++
-		l.recoveredRecords++
-		l.recoveredBytes += uint64(size)
+		at.off += frameSize + int64(size)
+		at.lsn++
 	}
 }
 

@@ -159,15 +159,17 @@ func TestGossipCoexistsWithMessages(t *testing.T) {
 func TestDeclarePeerDeadByFiat(t *testing.T) {
 	var mu sync.Mutex
 	var transitions []PeerState
-	deadCh := make(chan int, 1)
+	deadCh := make(chan int, 4)
 	a, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0", Health: HealthConfig{
 		SuspectAfter: time.Hour, // the detector itself will never fire
 		DeadAfter:    24 * time.Hour,
-		OnPeerDead:   func(node int) { deadCh <- node },
 		OnPeerState: func(node int, st PeerState) {
 			mu.Lock()
 			transitions = append(transitions, st)
 			mu.Unlock()
+			if st == PeerDead {
+				deadCh <- node
+			}
 		},
 	}})
 	if err != nil {
@@ -187,27 +189,66 @@ func TestDeclarePeerDeadByFiat(t *testing.T) {
 	if st := a.HealthOf(1).State; st != PeerDead {
 		t.Fatalf("state after fiat = %v", st)
 	}
-	select {
-	case n := <-deadCh:
-		if n != 1 {
-			t.Fatalf("OnPeerDead(%d)", n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnPeerDead never fired")
-	}
 	waitFor(t, 5*time.Second, "queue drop", func() bool { return a.Inflight() == 0 })
-	waitFor(t, 5*time.Second, "state callback", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(transitions) >= 1 && transitions[len(transitions)-1] == PeerDead
-	})
 	a.DeclarePeerDead(1) // idempotent
 	a.DeclarePeerDead(0) // self: no-op
+	expectDeathOnce(t, deadCh, 1)
+	mu.Lock()
+	if last := transitions[len(transitions)-1]; last != PeerDead {
+		t.Fatalf("last transition = %v, want dead", last)
+	}
+	mu.Unlock()
 	if st := a.HealthOf(0).State; st == PeerDead {
 		t.Fatal("node declared itself dead")
 	}
 	if a.Gossip(1, []byte("x")) {
 		t.Fatal("gossip to dead peer accepted")
+	}
+}
+
+// TestDeclaredDeadBeforeFirstSend pins that a death is stored once, in
+// the health record: a peer declared dead second-hand before this node
+// ever addressed it is dead from the moment its send side is created.
+// Its first Send goes to OnDeadFrame (so the routing layer can park or
+// forward it) instead of queueing toward the corpse, nothing stays in
+// flight, and the out-of-band channels refuse it too.
+func TestDeclaredDeadBeforeFirstSend(t *testing.T) {
+	var mu sync.Mutex
+	var handed []*msg.Message
+	a, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0", Health: HealthConfig{
+		SuspectAfter: time.Hour,
+		DeadAfter:    24 * time.Hour,
+		OnDeadFrame: func(to int, m *msg.Message) {
+			mu.Lock()
+			defer mu.Unlock()
+			if to != 7 {
+				t.Errorf("OnDeadFrame(to=%d), want node 7", to)
+			}
+			handed = append(handed, m)
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	a.DeclarePeerDead(7)
+	m := &msg.Message{Kind: msg.KindData, From: PIDBase(0) + 1, To: PIDBase(7) + 1, Payload: "late"}
+	a.Send(m)
+	mu.Lock()
+	got := len(handed)
+	mu.Unlock()
+	if got != 1 || handed[0] != m {
+		t.Fatalf("OnDeadFrame calls = %d, want 1 with the sent message", got)
+	}
+	if n := a.Inflight(); n != 0 {
+		t.Fatalf("Inflight = %d, want 0", n)
+	}
+	if q := a.HealthOf(7).QueuedFrames; q != 0 {
+		t.Fatalf("QueuedFrames toward the corpse = %d, want 0", q)
+	}
+	if a.Gossip(7, []byte("x")) {
+		t.Fatal("gossip to a peer declared dead was accepted")
 	}
 }
 

@@ -25,9 +25,9 @@ const (
 	// PeerSuspect: silent for at least SuspectAfter. Probes are in
 	// flight; any response moves the peer back to Alive.
 	PeerSuspect
-	// PeerDead: silent for at least DeadAfter. The peer's resend queue
-	// has been dropped, its dialer stopped, and the OnPeerDead callback
-	// fired. Terminal.
+	// PeerDead: silent for at least DeadAfter, or DeclarePeerDead. The
+	// resend queue is dropped, the dialer stopped, OnPeerState fired.
+	// Terminal, and the one record of the death (see peer.gone).
 	PeerDead
 )
 
@@ -63,14 +63,10 @@ type HealthConfig struct {
 	// probe round-trip refreshes liveness in both directions). Zero
 	// defaults to SuspectAfter/2.
 	ProbeEvery time.Duration
-	// OnPeerDead, when non-nil, is called (on its own goroutine) once
-	// per peer the detector declares dead. The engine hooks this to
-	// auto-deny the dead node's orphaned assumptions.
-	OnPeerDead func(node int)
 	// OnPeerState, when non-nil, is called (on its own goroutine) on
 	// every detector transition — Alive→Suspect, Suspect→Alive, and
-	// →Dead. The membership layer folds these into its view; OnPeerDead
-	// still fires separately for Dead, preserving the PR 5 contract.
+	// →Dead, the one death callback: once per peer, whether the
+	// detector timed out or DeclarePeerDead was called.
 	OnPeerState func(node int, state PeerState)
 	// OnDeadFrame, when non-nil, receives every sequenced message frame
 	// the node abandons because its peer is dead: the unacknowledged
@@ -242,7 +238,7 @@ func (n *Node) maybeProbe(h *peerHealth, now int64) {
 		return
 	}
 	p.mu.Lock()
-	if p.conn != nil && !p.closed && !p.dead {
+	if p.conn != nil && !p.gone() {
 		p.probe = true
 		p.cond.Broadcast()
 	}
@@ -251,7 +247,7 @@ func (n *Node) maybeProbe(h *peerHealth, now int64) {
 
 // declareDead moves a peer to Dead (idempotent): its resend queue is
 // dropped and retired, its connections are closed, its dialer stops,
-// and the OnPeerDead callback fires. The drop is announced as a
+// and OnPeerState(PeerDead) fires. The drop is announced as a
 // trace.Fault event — a declared death is the failure model acting, and
 // chaos runs assert on exactly these events.
 func (n *Node) declareDead(h *peerHealth, silence time.Duration) {
@@ -272,7 +268,6 @@ func (n *Node) declareDead(h *peerHealth, silence time.Duration) {
 	var abandoned []*msg.Message
 	if p != nil {
 		p.mu.Lock()
-		p.dead = true
 		dropped = len(p.queue)
 		if n.health.OnDeadFrame != nil {
 			// Decode before releaseLocked recycles the buffers: these are
@@ -309,9 +304,6 @@ func (n *Node) declareDead(h *peerHealth, silence time.Duration) {
 	n.tracer.Emit(trace.Event{Kind: trace.Fault, Detail: fmt.Sprintf(
 		"wire: node %d declared node %d dead after %v silence (%d queued frames dropped)",
 		n.id, h.id, silence.Round(time.Millisecond), dropped)})
-	if cb := n.health.OnPeerDead; cb != nil {
-		go cb(h.id)
-	}
 	n.notifyState(h.id, PeerDead)
 }
 

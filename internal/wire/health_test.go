@@ -13,17 +13,16 @@ import (
 // TestHealthDeadDeclaration kills one side of a pair and asserts the
 // survivor's failure detector walks Alive → Suspect → Dead, drops the
 // dead peer's resend queue (inflight goes to zero with nothing acked),
-// fires the OnPeerDead callback, and drops post-death sends on the
+// fires OnPeerState(PeerDead) once, and drops post-death sends on the
 // floor instead of queueing them forever.
 func TestHealthDeadDeclaration(t *testing.T) {
-	deadCh := make(chan int, 1)
+	deadCh := make(chan int, 4)
 	a, err := NewNode(NodeConfig{ID: 0, Listen: "127.0.0.1:0", Health: HealthConfig{
 		SuspectAfter: 50 * time.Millisecond,
 		DeadAfter:    300 * time.Millisecond,
-		OnPeerDead: func(node int) {
-			select {
-			case deadCh <- node:
-			default:
+		OnPeerState: func(node int, st PeerState) {
+			if st == PeerDead {
+				deadCh <- node
 			}
 		},
 	}})
@@ -57,14 +56,7 @@ func TestHealthDeadDeclaration(t *testing.T) {
 	}
 
 	waitFor(t, 10*time.Second, "dead declaration", func() bool { return a.HealthOf(1).State == PeerDead })
-	select {
-	case n := <-deadCh:
-		if n != 1 {
-			t.Fatalf("OnPeerDead(%d), want node 1", n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnPeerDead callback never fired")
-	}
+	expectDeathOnce(t, deadCh, 1)
 	// Dead declaration drops the resend queue: inflight drains without a
 	// single ack from the corpse.
 	waitFor(t, 5*time.Second, "queue drop", func() bool { return a.Inflight() == 0 })
@@ -255,4 +247,23 @@ func TestBackoffResetsAfterHandshake(t *testing.T) {
 
 	waitFor(t, 15*time.Second, "delivery after reconnect", func() bool { return delivered.Load() == 1 })
 	waitFor(t, 5*time.Second, "backoff reset", func() bool { return backoffOf() == backoffInitial })
+}
+
+// expectDeathOnce asserts that deaths, fed by OnPeerState(PeerDead),
+// reports node once and nothing after it.
+func expectDeathOnce(t *testing.T, deaths <-chan int, node int) {
+	t.Helper()
+	select {
+	case n := <-deaths:
+		if n != node {
+			t.Fatalf("OnPeerState(%d, dead), want node %d", n, node)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnPeerState(PeerDead) never fired")
+	}
+	select {
+	case n := <-deaths:
+		t.Fatalf("OnPeerState(%d, dead) fired a second time", n)
+	case <-time.After(100 * time.Millisecond):
+	}
 }

@@ -146,7 +146,7 @@ type NodeConfig struct {
 	// piggyback on the existing frame/ack streams, an idle-timer ping
 	// frame probes quiet links, and a peer silent past DeadAfter is
 	// declared Dead — its resend queue dropped, its dialer stopped, and
-	// OnPeerDead fired. The zero value disables the detector (health is
+	// OnPeerState fired. The zero value disables the detector (health is
 	// still tracked passively; see Node.PeerHealth).
 	Health HealthConfig
 	// The out-of-band channels (see Channel). Gossip carries membership
@@ -377,7 +377,6 @@ type peer struct {
 	conn       net.Conn
 	gen        uint64 // connection generation, guards stale readers
 	closed     bool
-	dead       bool            // peer declared Dead: no dialing, no queueing, ever again
 	probe      bool            // monitor requested a ping frame on the live connection
 	oob        [nChan][][]byte // pending out-of-band payloads by channel (bounded by chanBound; oldest dropped)
 	full       bool            // inside a queue-overflow episode (one trace event each)
@@ -391,6 +390,10 @@ type peer struct {
 	// encode and corrupt the bytes on the socket.
 	pinLo, pinHi uint64
 }
+
+// gone: the node closed, or the health record reads Dead, so a peer
+// created after its death is dead from creation. Callers hold p.mu.
+func (p *peer) gone() bool { return p.closed || PeerState(p.health.state.Load()) == PeerDead }
 
 // releaseLocked recycles the buffers of retired frames, skipping any the
 // pump currently has pinned. Callers hold p.mu.
@@ -555,7 +558,7 @@ func (n *Node) send(ch, to int, payload []byte) bool {
 	p := n.peer(to)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.dead {
+	if p.gone() {
 		return false
 	}
 	q := p.oob[ch]
@@ -682,8 +685,8 @@ func (n *Node) Send(m *msg.Message) {
 	n.mu.Unlock()
 
 	p.mu.Lock()
-	if p.closed || p.dead {
-		dead := p.dead
+	if p.gone() {
+		dead := PeerState(p.health.state.Load()) == PeerDead
 		p.mu.Unlock()
 		putEncodeBuf(eb)
 		if dead {
@@ -1367,10 +1370,10 @@ func (p *peer) run() {
 	backoff := backoffInitial
 	for {
 		p.mu.Lock()
-		for p.addr == "" && !p.closed && !p.dead {
+		for p.addr == "" && !p.gone() {
 			p.cond.Wait()
 		}
-		if p.closed || p.dead {
+		if p.gone() {
 			p.mu.Unlock()
 			return
 		}
@@ -1396,7 +1399,7 @@ func (p *peer) run() {
 		p.pump(conn)
 		p.n.untrack(conn)
 		p.mu.Lock()
-		stop := p.closed || p.dead
+		stop := p.gone()
 		p.mu.Unlock()
 		if stop {
 			return
@@ -1419,7 +1422,7 @@ func (p *peer) sleep(d time.Duration) bool {
 	deadline := time.Now().Add(d)
 	for {
 		p.mu.Lock()
-		stop := p.closed || p.dead
+		stop := p.gone()
 		p.mu.Unlock()
 		if stop {
 			return true
@@ -1490,7 +1493,7 @@ func (p *peer) dial(addr string) (net.Conn, error) {
 	p.n.heard(p.health) // a completed handshake is evidence of life
 
 	p.mu.Lock()
-	if p.closed || p.dead {
+	if p.gone() {
 		p.mu.Unlock()
 		p.n.untrack(conn)
 		return nil, net.ErrClosed
@@ -1598,10 +1601,10 @@ func (p *peer) pump(conn net.Conn) {
 	for {
 		p.mu.Lock()
 		p.pinLo, p.pinHi = 0, 0
-		for p.cursor >= len(p.queue) && !p.oobPending() && !p.probe && !p.closed && !p.dead && p.conn == conn {
+		for p.cursor >= len(p.queue) && !p.oobPending() && !p.probe && !p.gone() && p.conn == conn {
 			p.cond.Wait()
 		}
-		if p.closed || p.dead || p.conn != conn {
+		if p.gone() || p.conn != conn {
 			p.mu.Unlock()
 			return
 		}

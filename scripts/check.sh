@@ -162,16 +162,22 @@ go test -race -count=3 -run 'TestCut|TestReviveClearsAffirmed' ./internal/core/
 
 echo '== transplant battery (pinned seeds, repeated under race)'
 # Process transplant (DESIGN.md §13): deterministic replay of a dead
-# node's user processes from its WAL, the adoption-time recProcIndex fold,
-# the first-mapping-wins twin fence, parked-frame translation, the
-# out-of-band channel contract the announcements ride (one row per
-# channel, drop-oldest included), and the wire handshake's
-# watermark-mode rejection. The addressing step re-addresses copies
-# only: a rollback past a translated send replays cleanly, and no path
-# (ring redirect, park and flush, NACK retry and Batch, translation,
-# dead-frame hand-back) writes a message its sender holds (DESIGN.md §4
-# item 14). Three repetitions under the race detector.
-go test -race -count=3 -run 'TestTransplant|TestProcExtract|TestOutOfBandChannels|TestWatermarkMode|TestRetryQueue|TestRollbackPastTranslatedSend|TestSentMessageIsNeverRewritten' \
+# node's user processes from its WAL; a survivor's read of the corpse
+# stopping at the first damage, as the corpse's restart would
+# (TestCorpseReadStopsAtDamage); the hand-off committed snapshot first,
+# mapping last, so no WAL cut recovers a mapping without its snapshot
+# (TestTransplantHandOffCommitsLast); the first-mapping-wins twin
+# fence, parked-frame translation, the out-of-band channel contract
+# the announcements ride (one row per channel, drop-oldest included),
+# and the wire handshake's watermark-mode rejection. A peer declared
+# dead before it was ever addressed hands its first send back instead
+# of queueing it toward the corpse (TestDeclaredDeadBeforeFirstSend).
+# The addressing step re-addresses copies only: a rollback past a
+# translated send replays cleanly, and no path (ring redirect, park and
+# flush, NACK retry and Batch, translation, dead-frame hand-back) writes
+# a message its sender holds (DESIGN.md §4 item 14). Three repetitions
+# under the race detector.
+go test -race -count=3 -run 'TestTransplant|TestProcExtract|TestCorpseReadStopsAtDamage|TestDeclaredDeadBeforeFirstSend|TestOutOfBandChannels|TestWatermarkMode|TestRetryQueue|TestRollbackPastTranslatedSend|TestSentMessageIsNeverRewritten' \
     ./internal/core/ ./internal/durable/ ./internal/wire/
 
 echo '== process reaping (repeated under race)'
