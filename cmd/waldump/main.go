@@ -40,7 +40,7 @@ func main() {
 	}
 }
 
-const maxTag = 23
+const maxTag = 24
 
 func run(dir string, node int, verbose bool) error {
 	names := map[byte]string{
@@ -49,11 +49,14 @@ func run(dir string, node int, verbose bool) error {
 		9: "rollback", 10: "dead-aid", 11: "compact", 12: "poison",
 		13: "auto-deny", 14: "view-epoch", 15: "ckpt-begin", 16: "ckpt-end",
 		17: "ckpt-abort", 18: "ckpt-seq", 19: "ckpt-proc", 20: "watermark",
-		21: "aid-export", 22: "proc-index", 23: "transplant",
+		21: "aid-export", 22: "proc-index", 23: "transplant", 24: "reap",
 	}
 	counts := map[byte]uint64{}
 	var total, corrupt uint64
 	var lastLSN uint64
+	// Tombstones in the open checkpoint bracket, and in the last one
+	// completed (-1: none completed).
+	bracketTombs, ckptTombs := int64(0), int64(-1)
 	err := wal.Scan(dir,
 		func(lsn uint64, payload []byte) error {
 			total++
@@ -63,6 +66,16 @@ func run(dir string, node int, verbose bool) error {
 				tag = payload[0]
 			}
 			counts[tag]++
+			switch tag {
+			case 15:
+				bracketTombs = 0
+			case 16:
+				ckptTombs = bracketTombs
+			case 24:
+				if n, k := binary.Uvarint(payload[1:]); k > 0 {
+					bracketTombs += int64(n)
+				}
+			}
 			if verbose {
 				// Frames, journal entries and snapshots are opened by the
 				// durable package's own materialisers; waldump decodes only
@@ -102,6 +115,9 @@ func run(dir string, node int, verbose bool) error {
 		fmt.Printf("checkpoints: %d begun, %d completed, %d aborted\n",
 			counts[15], counts[16], counts[17])
 	}
+	if ckptTombs >= 0 {
+		fmt.Printf("last completed checkpoint: %d tombstones\n", ckptTombs)
+	}
 	if corrupt > 0 {
 		fmt.Println("skipping recovery replay: it would truncate at the first corrupt byte")
 		return nil
@@ -121,6 +137,9 @@ func run(dir string, node int, verbose bool) error {
 			rec.FrontierView, stability.FormatFrontier(rec.Frontier))
 	}
 	for pid, r := range rec.Restore {
+		if r.Reaped {
+			continue // counted on the recovery line
+		}
 		fmt.Printf("  proc %v: intervals=%d entries=%d dead=%d base=%v nextseq=%d maxepoch=%d terminated=%v\n",
 			pid, len(r.Intervals), len(r.Entries), len(r.Dead), r.HasBase, r.NextSeq, r.MaxEpoch, r.Terminated)
 	}

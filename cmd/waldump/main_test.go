@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -289,5 +290,41 @@ func TestMixedCodecWALDump(t *testing.T) {
 	}
 	if strings.Contains(out, "undecodable") || strings.Contains(out, "malformed") {
 		t.Errorf("a record of one generation no longer reads:\n%s", out)
+	}
+}
+
+// TestReapRecordsDecoded: reaped processes' recReap records are named
+// and decoded in verbose mode, a checkpoint's packed tombstones are
+// counted, and the recovery pass reports the tombstones it restored.
+func TestReapRecordsDecoded(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := durable.OpenOptions(durable.Options{
+		Dir: dir, NodeID: 1, Policy: wal.SyncNone, CheckpointEvery: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := wire.PIDBase(1)
+	s.Reaped(base+3, []uint32{1, 4})
+	s.Reaped(base+5, nil)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Reaped(base+7, []uint32{9})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out := runCapture(t, dir)
+	for _, want := range []string{
+		"reap",
+		"tombstones=2 pid:" + fmt.Sprint(uint64(base+3)) + "..pid:" + fmt.Sprint(uint64(base+5)),
+		"tombstones=1 pid:" + fmt.Sprint(uint64(base+7)),
+		"last completed checkpoint: 2 tombstones",
+		" reaped=3",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in dump:\n%s", want, out)
+		}
 	}
 }

@@ -501,11 +501,12 @@ func (c *Ctx) Spawn(body Body) ids.PID {
 	if c.replayingLocked() {
 		e := c.expectLocked(journal.KindSpawn, "spawn")
 		c.cursor++
+		p.eng.respawnChild(e.Child, body)
 		return e.Child
 	}
 
 	cur, basis, _ := c.basisLocked()
-	child, err := p.eng.spawn(body, basis)
+	child, err := p.eng.spawn(p.eng.freshPID(), body, basis)
 	if err != nil {
 		panic(terminatePanic{})
 	}

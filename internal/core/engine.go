@@ -44,7 +44,9 @@ type Engine struct {
 	tracer  trace.Tracer
 	epochs  ids.EpochAllocator
 	persist Persister
+	reaper  ProcReaper // persist's reap extension, nil when it has none
 	restore map[ids.PID]*Restored
+	resumed bool // Config.Restore held state: freshPID skips its PIDs
 
 	// violations counts protocol violations observed at runtime:
 	// conflicting affirm/deny (the paper's "user error") and the
@@ -97,9 +99,10 @@ type Engine struct {
 	holders   map[*Process]struct{}
 	uncovered map[*Process]struct{}
 
-	// Tombstones of reaped processes (reap.go): tombHandler answers every
-	// reaped PID, tombs locates each one's surviving interval epochs in
-	// tombEpochs. tmu is a leaf lock.
+	// Tombstones of reaped processes (reap.go), this run's and those
+	// restored from the WAL: tombHandler answers every reaped PID, tombs
+	// locates each one's surviving interval epochs in tombEpochs. tmu is
+	// a leaf lock.
 	tmu         sync.RWMutex
 	tombHandler transport.Handler
 	tombs       map[ids.PID]tombRef
@@ -131,7 +134,8 @@ type Config struct {
 	Persist Persister
 	// Restore maps PIDs to pre-crash state recovered from a WAL. The
 	// first spawn that draws a mapped PID is rebuilt from it instead of
-	// starting fresh; see Restored for the determinism requirement.
+	// starting fresh; see Restored for the determinism requirement. A
+	// reaped process's tombstone answers its PID from construction on.
 	Restore map[ids.PID]*Restored
 	// Liveness, when non-nil with a positive Lease, enables speculation
 	// leases: assumptions that stay speculative past their lease (or
@@ -178,6 +182,7 @@ func NewEngine(cfg Config) *Engine {
 		ctl:       interval.Control{Alg: alg, TrueFinal: cfg.Stability == nil},
 		persist:   cfg.Persist,
 		restore:   cfg.Restore,
+		resumed:   len(cfg.Restore) > 0,
 		procs:     make(map[ids.PID]*Process),
 		archive:   make(map[ids.AID]bool),
 		active:    make(map[*Process]struct{}),
@@ -188,6 +193,7 @@ func NewEngine(cfg Config) *Engine {
 		transplants: make(map[ids.PID]ids.PID),
 	}
 	e.tombHandler = e.tombstone
+	e.reaper, _ = cfg.Persist.(ProcReaper)
 	// Every outbound message passes the one addressing step (address.go):
 	// a nil-ring check and one atomic load until a ring or a transplant
 	// mapping makes it re-address a copy.
@@ -200,7 +206,11 @@ func NewEngine(cfg Config) *Engine {
 	// interval's (Seq, Epoch): skip the epoch space past everything the
 	// recovered histories carry.
 	var maxEpoch uint32
-	for _, r := range cfg.Restore {
+	for pid, r := range cfg.Restore {
+		if r.Reaped {
+			e.entomb(pid, r.Survivors)
+			net.Register(pid, e.tombHandler)
+		}
 		if r.MaxEpoch > maxEpoch {
 			maxEpoch = r.MaxEpoch
 		}
@@ -261,8 +271,10 @@ func (e *Engine) Algorithm() interval.Algorithm { return e.ctl.Alg }
 func (e *Engine) Tracer() trace.Tracer { return e.tracer }
 
 // SpawnRoot starts a definite (non-speculative) top-level user process.
+// Its PID is the allocator's next, so a restart that spawns the same
+// roots in the same order re-draws each root's pre-crash PID (Restored).
 func (e *Engine) SpawnRoot(body Body) (*Process, error) {
-	return e.spawn(body, nil)
+	return e.spawn(e.machine.AllocPID(), body, nil)
 }
 
 // NewAID mints a fresh assumption and returns its identifier (the
@@ -277,14 +289,36 @@ func (e *Engine) NewAID() (ids.AID, error) {
 	if closing {
 		return ids.NilAID, ErrShutdown
 	}
-	a := ids.AID(e.machine.AllocPID())
+	a := ids.AID(e.freshPID())
 	e.router.mint(a)
 	return a, nil
 }
 
-// spawn creates a user process whose root interval depends on birthIDO
-// (nil for a definite root).
-func (e *Engine) spawn(body Body, birthIDO []ids.AID) (*Process, error) {
+// freshPID issues a PID for a new process or assumption: the
+// allocator's next, skipping every PID a restored process still holds —
+// its state not yet claimed by the spawn that re-draws it, or its
+// tombstone (Restored.Reaped entries are never claimed). PIDs drawn
+// after a restart are below the pre-crash allocator's position (a
+// replayed spawn or AidInit draws nothing), so without the skip a new
+// process could take a PID that names another.
+func (e *Engine) freshPID() ids.PID {
+	if !e.resumed {
+		return e.machine.AllocPID()
+	}
+	for {
+		pid := e.machine.AllocPID()
+		e.mu.Lock()
+		_, restored := e.restore[pid]
+		e.mu.Unlock()
+		if !restored {
+			return pid
+		}
+	}
+}
+
+// spawn creates a user process at pid whose root interval depends on
+// birthIDO (nil for a definite root).
+func (e *Engine) spawn(pid ids.PID, body Body, birthIDO []ids.AID) (*Process, error) {
 	e.mu.Lock()
 	if e.closing {
 		e.mu.Unlock()
@@ -293,7 +327,7 @@ func (e *Engine) spawn(body Body, birthIDO []ids.AID) (*Process, error) {
 	e.mu.Unlock()
 
 	p := newProcess(e, body, birthIDO)
-	proc, err := e.machine.Spawn(p.dispatch)
+	proc, err := e.machine.SpawnAt(pid, p.dispatch)
 	if err != nil {
 		return nil, fmt.Errorf("spawn user process: %w", err)
 	}
@@ -306,8 +340,15 @@ func (e *Engine) spawn(body Body, birthIDO []ids.AID) (*Process, error) {
 // passed the closing check before Shutdown took its process snapshot
 // registers too late to be in it; that process is shut down here, or
 // Shutdown would wait for its runner forever. From here on the process
-// may be reaped; one restored already terminated is reaped at once.
+// may be reaped; one restored already terminated is reaped at once. One
+// reaped before the crash (bind) is never registered and runs no body.
 func (e *Engine) start(p *Process) {
+	p.mu.Lock()
+	reaped := p.reaped
+	p.mu.Unlock()
+	if reaped {
+		return
+	}
 	e.mu.Lock()
 	e.procs[p.PID()] = p
 	closing := e.closing

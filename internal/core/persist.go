@@ -68,6 +68,17 @@ type ProcExporter interface {
 	ProcExport(pid ids.PID, snap *Restored) error
 }
 
+// ProcReaper is an optional Persister extension recording a reap
+// (reap.go): pid finished and left the engine, and survivors are the
+// epochs of its surviving intervals (none for a terminated process) —
+// its tombstone. The durable layer drops the process's replay state and
+// keeps only the tombstone, which a restart hands back as
+// Restored{Reaped: true}. Called under the process lock, like the
+// Persister hooks; survivors is only safe to read during the call.
+type ProcReaper interface {
+	Reaped(pid ids.PID, survivors []uint32)
+}
+
 // TransplantRecorder is an optional Persister extension recording that
 // this node adopted oldPid off dead node from, reincarnating it as
 // newPid. It is the hand-off's commit record: written after the
@@ -106,6 +117,13 @@ type Restored struct {
 	// Terminated marks a process whose speculative root was rolled back
 	// before the crash; it is restored directly into the dead state.
 	Terminated bool
+	// Reaped marks a process reaped before the crash (ProcReaper): only
+	// its tombstone survives — Survivors, the epochs of its surviving
+	// intervals, and MaxEpoch. The engine answers frames to the PID from
+	// the tombstone from construction on; the spawn that draws the PID
+	// runs no body.
+	Reaped    bool
+	Survivors []uint32
 	// Transplant marks state extracted from a DEAD FOREIGN node's WAL
 	// (set only by Engine.AdoptProcesses, never by the local-recovery
 	// fold). An ordinary restart trusts its speculative intervals and

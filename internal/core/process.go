@@ -96,14 +96,24 @@ func newProcess(eng *Engine, body Body, birthIDO []ids.AID) *Process {
 // spawned by a speculative parent inherits the parent's IDO as its root
 // dependency set: it is a causal descendant of those assumptions. When the
 // engine holds recovered pre-crash state for this PID, the process is
-// rebuilt from it instead (see restore.go).
+// rebuilt from it instead (see restore.go). A PID whose tombstone came
+// back from the WAL (Restored.Reaped) keeps it: the process is reaped
+// at once and runs no body.
 func (p *Process) bind(proc *vpm.Proc) {
 	p.proc = proc
-	r := p.eng.takeRestored(proc.PID())
+	entombed := p.eng.entombed(proc.PID())
+	var r *Restored
+	if !entombed {
+		r = p.eng.takeRestored(proc.PID())
+	}
 	p.mu.Lock()
-	if r != nil && len(r.Intervals) > 0 {
+	switch {
+	case entombed:
+		p.complete, p.reaped = true, true
+		p.retireLocked()
+	case r != nil && len(r.Intervals) > 0:
 		p.restoreLocked(r)
-	} else {
+	default:
 		root := p.newIntervalLocked(interval.Root, 0, p.birthIDO, ids.NilAID)
 		p.curIdx = p.history.Position(root.ID)
 	}
@@ -190,10 +200,18 @@ func (p *Process) newIntervalLocked(kind interval.OpenKind, journalIndex int, ex
 // upon.
 func (p *Process) dispatch(proc *vpm.Proc) {
 	<-p.ready // wait for bind: proc handle and root interval installed
+	p.mu.Lock()
+	entombed := p.reaped // reaped before a restart: no history to act on
+	p.mu.Unlock()
 	for {
 		m, err := proc.Recv()
 		if err != nil {
 			return // mailbox closed: engine shutdown
+		}
+		if entombed {
+			p.eng.tombstone(m)
+			proc.Handled()
+			continue
 		}
 		switch m.Kind {
 		case msg.KindData:

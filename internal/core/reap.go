@@ -14,8 +14,9 @@ import (
 // a tombstone — one engine-wide transport handler plus the epochs of the
 // reaped process's surviving intervals — which gives every later frame
 // addressed to the PID the verdict the live process would have given.
-// PIDs are never re-issued (vpm.Machine.AllocPID), so a tombstone never
-// answers for a different process.
+// The tombstone outlives a restart (ProcReaper, Restored.Reaped), and
+// PIDs are never re-issued (vpm.Machine.AllocPID; across a restart,
+// Engine.freshPID), so a tombstone never answers for a different process.
 
 // tombRef locates one reaped process's surviving interval epochs in the
 // engine's shared epoch arena.
@@ -41,14 +42,20 @@ func (p *Process) settledLocked() (settled, covered bool) {
 	return true, true
 }
 
-// reapLocked drops p from the engine. The tombstone is installed before
-// the vpm proc is retired, so a frame that misses the mailbox finds it.
-// Lock order under p.mu: tmu, then the vpm machine and the transport's
-// handler table (Retire), then Engine.mu, then lmu.
+// reapLocked drops p from the engine. The tombstone is installed, and
+// written to the WAL (ProcReaper), before the vpm proc is retired, so a
+// frame that misses the mailbox finds it. A reap during Shutdown is not
+// written: Shutdown's termination is no verdict, and a restart rebuilds
+// the process from the WAL. Lock order under p.mu: Engine.mu alone, then
+// tmu, then the vpm machine and the transport's handler table (Retire),
+// then Engine.mu, then lmu.
 func (p *Process) reapLocked() {
 	p.reaped = true
 	e := p.eng
 	pid := p.proc.PID()
+	e.mu.Lock()
+	record := e.reaper != nil && !e.closing
+	e.mu.Unlock()
 
 	e.tmu.Lock()
 	ref := tombRef{off: uint32(len(e.tombEpochs))}
@@ -59,10 +66,15 @@ func (p *Process) reapLocked() {
 	}
 	ref.n = uint32(len(e.tombEpochs)) - ref.off
 	e.tombs[pid] = ref
+	// Later appends write past this range and never into it, so the
+	// slice stays readable after tmu is released.
+	survivors := e.tombEpochs[ref.off : ref.off+ref.n : ref.off+ref.n]
 	e.tmu.Unlock()
+	if record {
+		e.reaper.Reaped(pid, survivors)
+	}
 
-	p.proc.Retire(e.tombHandler)
-	p.stopOnce.Do(func() { close(p.stopCh) })
+	p.retireLocked()
 	// Data still queued for the body will never be received.
 	p.dataQ.Purge(func(m *msg.Message) bool {
 		e.persistConsumed(m)
@@ -76,6 +88,31 @@ func (p *Process) reapLocked() {
 		p.uncovered = false
 		e.mark(e.uncovered, p, false)
 	}
+}
+
+// retireLocked hands p's PID to the tombstone handler and stops p's
+// goroutines.
+func (p *Process) retireLocked() {
+	p.proc.Retire(p.eng.tombHandler)
+	p.stopOnce.Do(func() { close(p.stopCh) })
+}
+
+// entombed reports whether pid has a tombstone.
+func (e *Engine) entombed(pid ids.PID) bool {
+	e.tmu.RLock()
+	defer e.tmu.RUnlock()
+	_, ok := e.tombs[pid]
+	return ok
+}
+
+// entomb installs the tombstone of pid, a process reaped before a
+// restart (Restored.Reaped): survivors are its surviving interval epochs.
+func (e *Engine) entomb(pid ids.PID, survivors []uint32) {
+	e.tmu.Lock()
+	defer e.tmu.Unlock()
+	ref := tombRef{off: uint32(len(e.tombEpochs)), n: uint32(len(survivors))}
+	e.tombEpochs = append(e.tombEpochs, survivors...)
+	e.tombs[pid] = ref
 }
 
 // tombstone is the transport handler of every reaped PID. It gives each

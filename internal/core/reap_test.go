@@ -244,3 +244,85 @@ func TestReapReleasesGoroutines(t *testing.T) {
 		t.Fatalf("%d of %d data frames retired", len(seen), n)
 	}
 }
+
+// TestReapTombstoneFromWAL: a tombstone a restart hands back
+// (Restored.Reaped) answers its PID from construction on. A root that
+// re-draws the PID runs no body, a Rollback aimed at a surviving epoch
+// is still a violation, new intervals skip the tombstone's epochs, and
+// no fresh process or assumption takes the PID.
+func TestReapTombstoneFromWAL(t *testing.T) {
+	const dead = ids.PID(2)
+	restore := func() map[ids.PID]*Restored {
+		return map[ids.PID]*Restored{dead: {Reaped: true, Survivors: []uint32{7}, MaxEpoch: 9}}
+	}
+	park := func(ctx *Ctx) error {
+		_, _, err := ctx.Recv()
+		return err
+	}
+
+	t.Run("root re-draws it", func(t *testing.T) {
+		eng := newTestEngine(t, Config{Restore: restore()})
+		first, err := eng.SpawnRoot(park)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ran atomic.Bool
+		p, err := eng.SpawnRoot(func(*Ctx) error { ran.Store(true); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.PID() != dead {
+			t.Fatalf("second root drew %v, want %v", p.PID(), dead)
+		}
+		if !eng.Settle(settleTimeout) {
+			t.Fatal("no settle")
+		}
+		if ran.Load() || eng.Process(dead) != nil || !p.Snapshot().Completed {
+			t.Fatalf("entombed root: ran=%v live=%v status %+v, want no body, reaped", ran.Load(), eng.Process(dead) != nil, p.Snapshot())
+		}
+		before := eng.Violations()
+		eng.Net().Send(msg.Rollback(ids.AID(first.PID()), ids.IntervalID{Proc: dead, Epoch: 8}))
+		eng.Net().Send(msg.Rollback(ids.AID(first.PID()), ids.IntervalID{Proc: dead, Epoch: 7}))
+		if !eng.Settle(settleTimeout) {
+			t.Fatal("no settle")
+		}
+		if v := eng.Violations() - before; v != 1 {
+			t.Fatalf("%d violations for a stale and a surviving rollback, want 1", v)
+		}
+		for _, iv := range first.HistorySnapshot() {
+			if iv.ID.Epoch <= 9 {
+				t.Fatalf("new interval %v reuses the tombstone's epoch space (≤ 9)", iv.ID)
+			}
+		}
+	})
+
+	t.Run("fresh PIDs skip it", func(t *testing.T) {
+		eng := newTestEngine(t, Config{Restore: restore()})
+		var mu sync.Mutex
+		var drawn []ids.PID
+		if _, err := eng.SpawnRoot(func(ctx *Ctx) error {
+			child := ctx.Spawn(park)
+			x := ctx.AidInit()
+			mu.Lock()
+			drawn = append(drawn, child, ids.PID(x))
+			mu.Unlock()
+			return park(ctx)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		a, err := eng.NewAID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eng.Settle(settleTimeout) {
+			t.Fatal("no settle")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, pid := range append(drawn, ids.PID(a)) {
+			if pid == dead {
+				t.Fatalf("fresh PIDs %v re-issued the tombstone's %v", append(drawn, ids.PID(a)), dead)
+			}
+		}
+	})
+}

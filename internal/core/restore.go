@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/hope-dist/hope/internal/ids"
 	"github.com/hope-dist/hope/internal/interval"
 	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/trace"
@@ -130,5 +131,22 @@ func (p *Process) restoreLocked(r *Restored) {
 			p.runErr = ErrTerminated
 		}
 		p.terminateLocked()
+	}
+}
+
+// respawnChild is a replayed spawn's part in restart recovery: a child
+// whose pre-crash state the engine still holds is reborn at its PID from
+// that state, running body. A reaped child's tombstone has answered its
+// PID since construction: it runs no body. A child the engine holds
+// nothing for is live already, or gone.
+func (e *Engine) respawnChild(pid ids.PID, body Body) {
+	if !e.resumed {
+		return // no restart: a replayed spawn's child is live or gone
+	}
+	e.mu.Lock()
+	r := e.restore[pid]
+	e.mu.Unlock()
+	if r != nil && !r.Reaped {
+		e.spawn(pid, body, nil) // bind claims r; a shutdown error ends the parent too
 	}
 }

@@ -119,7 +119,7 @@ func (e *Engine) AdoptProcesses(from int, procs map[ids.PID]*Restored, own func(
 	var pairs []TransplantPair
 	for _, old := range olds {
 		r := procs[old]
-		if r == nil || r.Terminated || len(r.Intervals) == 0 {
+		if r == nil || r.Terminated || r.Reaped || len(r.Intervals) == 0 {
 			continue
 		}
 		if own != nil && !own(old) {
@@ -130,7 +130,7 @@ func (e *Engine) AdoptProcesses(from int, procs map[ids.PID]*Restored, own func(
 			// this process; a second incarnation must not spawn.
 			continue
 		}
-		newPid := e.machine.AllocPID()
+		newPid := e.freshPID()
 		r.Transplant = true
 		// The journal's WAL identities name the corpse's inbox, whose
 		// (node, seq) space collides with ours: cleared, as for
@@ -194,15 +194,7 @@ func (e *Engine) Transplant(pid ids.PID, body Body, r *Restored) (*Process, erro
 		e.restore[pid] = r
 	}
 	e.mu.Unlock()
-
-	p := newProcess(e, body, nil)
-	proc, err := e.machine.SpawnAt(pid, p.dispatch)
-	if err != nil {
-		return nil, fmt.Errorf("spawn transplant: %w", err)
-	}
-	p.bind(proc)
-	e.start(p)
-	return p, nil
+	return e.spawn(pid, body, nil)
 }
 
 // ReinjectCorpseTraffic re-sends traffic extracted from the corpse's

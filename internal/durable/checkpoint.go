@@ -3,6 +3,8 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/hope-dist/hope/internal/ids"
@@ -26,9 +28,11 @@ import (
 //     out as the bytes they came in as, so nothing is decoded or
 //     re-encoded and the emission cannot fail short of a log error
 //     (which voids the half-written bracket with recCkptAbort).
-//  3. Sync. Only now is the checkpoint real: a crash before this leaves a
-//     torn bracket that recovery discards (and the next boot voids with
-//     recCkptAbort).
+//  3. Release s.mu, then sync. Only now is the checkpoint real: a crash
+//     before this leaves a torn bracket that recovery discards (and the
+//     next boot voids with recCkptAbort). Appends go on behind End while
+//     the log syncs; at the configured cadence a small state checkpoints
+//     often, and holding s.mu across the fsync stalled every appender.
 //  4. Prune every segment before Begin.
 //
 // Crash-consistency: the bracket only becomes load-bearing (step 4
@@ -45,11 +49,16 @@ var errCheckpointDisabled = errors.New("durable: checkpointing disabled")
 // CheckpointEvery cadence.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.shadow == nil {
+		s.mu.Unlock()
 		return errCheckpointDisabled
 	}
-	return s.checkpointLocked()
+	begin, err := s.checkpointLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.sealCheckpoint(begin)
 }
 
 // Checkpoints reports how many checkpoints this store has written.
@@ -59,20 +68,22 @@ func (s *Store) Checkpoints() uint64 { return s.ckpts.Load() }
 // checkpoint (0 if none this run).
 func (s *Store) LastCheckpointLSN() uint64 { return s.lastCkpt.Load() }
 
-// checkpointLocked writes one checkpoint. Caller holds s.mu, which
-// serializes it against every record append.
-func (s *Store) checkpointLocked() error {
-	s.sinceCkpt = 0
+// checkpointLocked writes one checkpoint bracket (steps 1 and 2) and
+// returns its Begin LSN. Caller holds s.mu, which serializes it against
+// every record append, and seals the bracket (sealCheckpoint) once it
+// has released s.mu.
+func (s *Store) checkpointLocked() (uint64, error) {
+	s.sinceCkpt, s.sinceBytes = 0, 0
 	// Compact first, then emit everything that is left: the bracket and
 	// the shadow cannot disagree about which inbox entries survive, so
 	// once the bracket is durable the shadow is exactly the state a
 	// recovery adopting it would hold.
 	s.shadow.compactInbox()
 	if err := s.log.Rotate(); err != nil {
-		return fmt.Errorf("durable: checkpoint rotate: %w", err)
+		return 0, fmt.Errorf("durable: checkpoint rotate: %w", err)
 	}
 	var begin uint64
-	n := 0
+	n, size := 0, 0
 	err := s.shadow.emitCheckpoint(s.ckpts.Load()+1, func(rec []byte) error {
 		lsn, err := s.log.AppendNoSync(rec)
 		if err != nil {
@@ -82,23 +93,36 @@ func (s *Store) checkpointLocked() error {
 			begin = lsn
 		}
 		n++
+		size += len(rec)
 		return nil
 	})
 	if err != nil {
 		if n > 0 {
 			s.abortBracketLocked()
 		}
-		return fmt.Errorf("durable: checkpoint record %d: %w", n, err)
+		return 0, fmt.Errorf("durable: checkpoint record %d: %w", n, err)
 	}
-	// The bracket must be durable before it authorizes pruning the
-	// history it replaces — even under SyncNone, where losing the
-	// checkpoint AND the pruned history would exceed the policy's bargain.
+	s.ckpts.Add(1)
+	s.lastCkptBytes = size // feeds the amortized cadence
+	return begin, nil
+}
+
+// sealCheckpoint makes the bracket at begin durable and prunes the
+// history it replaces (steps 3 and 4), without s.mu. The bracket must be
+// durable before it authorizes the prune — even under SyncNone, where
+// losing the checkpoint AND the pruned history would exceed the policy's
+// bargain. A sync covers every record appended before it, so two
+// brackets sealed out of order still prune only behind a durable one.
+func (s *Store) sealCheckpoint(begin uint64) error {
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("durable: checkpoint sync: %w", err)
 	}
-	s.ckpts.Add(1)
-	s.lastCkpt.Store(begin)
-	s.lastCkptLen = n // feeds the amortized cadence
+	for {
+		cur := s.lastCkpt.Load()
+		if cur >= begin || s.lastCkpt.CompareAndSwap(cur, begin) {
+			break
+		}
+	}
 	if err := s.log.Prune(begin); err != nil {
 		// The checkpoint is valid; stale segments just linger until the
 		// next prune succeeds.
@@ -120,7 +144,9 @@ func (s *Store) abortBracketLocked() {
 // compactInbox drops every inbox entry that can never be redelivered:
 // consumed, and named by no journalled receive whose rollback could
 // release it again. Nothing later in the stream can observe such an
-// entry, so dropping it never changes what the fold produces.
+// entry, so dropping it never changes what the fold produces. A reaped
+// process's journal is gone from the fold (recReap) — nothing can roll
+// it back — so the frames only it named are dropped here too.
 func (rs *recoverState) compactInbox() {
 	releasable := make(map[inKey]struct{})
 	for _, p := range rs.procs {
@@ -141,6 +167,10 @@ func (rs *recoverState) compactInbox() {
 	clear(rs.inbox[len(keep):])
 	rs.inbox = keep
 }
+
+// tombsPerRecord bounds one checkpoint recReap record (≤ 16 B a
+// tombstone in practice).
+const tombsPerRecord = 1024
 
 // emitCheckpoint flattens rs into a checkpoint bracket, handing each
 // record to emit in order: Begin, the state, End. Retained bytes —
@@ -267,7 +297,8 @@ func (rs *recoverState) emitCheckpoint(ordinal uint64, emit func(rec []byte) err
 	// flags, the journal, learned-dead AIDs, and finally the high-waters
 	// and flags no re-emitted record can reproduce.
 	var pending []ids.PID
-	for _, pid := range rs.sortedPIDs() {
+	var pendingMsgs [][]byte
+	for _, pid := range slices.Sorted(maps.Keys(rs.procs)) {
 		p := rs.procs[pid]
 		if p.hasBase {
 			start(recCompact, uint64(pid))
@@ -306,13 +337,31 @@ func (rs *recoverState) emitCheckpoint(ordinal uint64, emit func(rec []byte) err
 		}
 		if p.pendingSend() {
 			pending = append(pending, pid)
+			pendingMsgs = append(pendingMsgs, p.lastSend.msg)
 		}
+	}
+
+	// Reaped processes: their tombstones only, packed many to a record.
+	for tombs := rs.tombList; len(tombs) > 0; {
+		chunk := tombs[:min(len(tombs), tombsPerRecord)]
+		tombs = tombs[len(chunk):]
+		start(recReap, uint64(len(chunk)))
+		var prev ids.PID
+		for _, t := range chunk {
+			b = appendTomb(b, prev, t.pid, rs.survivors(t), t.maxEpoch)
+			prev = t.pid
+		}
+		put()
+	}
+	for _, pid := range slices.Sorted(maps.Keys(rs.reapedSends)) {
+		pending = append(pending, pid)
+		pendingMsgs = append(pendingMsgs, rs.reapedSends[pid].msg)
 	}
 
 	// End: the authoritative pending-resend set (see recoverState.adopt).
 	start(recCkptEnd, uint64(len(pending)))
-	for _, pid := range pending {
-		enc := rs.procs[pid].lastSend.msg
+	for i, pid := range pending {
+		enc := pendingMsgs[i]
 		b = appendUv(b, uint64(pid))
 		b = appendUv(b, uint64(len(enc)))
 		b = append(b, enc...)

@@ -77,6 +77,16 @@ const (
 	// respawns the incarnation from that recProcIndex).
 	recProcIndex  = 22 // pid, flags, maxSeq, maxEpoch, intervals, entries, dead, [base] — per-process export index
 	recTransplant = 23 // fromNode, oldPid, newPid — process adopted off a dead node
+
+	// recReap records reaped processes (core.ProcReaper, DESIGN.md §4
+	// item 11): each one's replay state is dropped from the fold and only
+	// its tombstone is kept — the epochs of its surviving intervals and
+	// its epoch high-water. The engine writes one tombstone per record as
+	// it reaps; a checkpoint packs many to a record, in reap order. PIDs
+	// are delta-coded against the previous tombstone's (zigzag: a child
+	// reaped before its parent steps back), epochs against the previous
+	// epoch (uint32 wrap-around), the high-water against the last epoch.
+	recReap = 24 // count, (pidDelta, n, epochDelta*n, maxEpochDelta)* — tombstones of reaped processes
 )
 
 // recCkptSeq flag bits.
@@ -118,6 +128,20 @@ func appendAIDs(b []byte, set []ids.AID) []byte {
 		b = appendUv(b, uint64(a))
 	}
 	return b
+}
+
+// appendTomb encodes one tombstone of a recReap record; prev is the
+// previous tombstone's PID in the same record (0 for the first).
+func appendTomb(b []byte, prev, pid ids.PID, survivors []uint32, maxEpoch uint32) []byte {
+	d := int64(pid - prev)
+	b = appendUv(b, uint64(d<<1)^uint64(d>>63))
+	b = appendUv(b, uint64(len(survivors)))
+	var last uint32
+	for _, ep := range survivors {
+		b = appendUv(b, uint64(ep-last))
+		last = ep
+	}
+	return appendUv(b, uint64(maxEpoch-last))
 }
 
 // Journal entry flag bits.
@@ -310,6 +334,35 @@ func (r *reader) aids() ([]ids.AID, error) {
 		set[i] = ids.AID(v)
 	}
 	return set, nil
+}
+
+// tomb parses one tombstone of a recReap record (appendTomb's inverse);
+// prev is the previous tombstone's PID in the record. Its surviving
+// epochs are appended to arena: they are grown[len(arena):].
+func (r *reader) tomb(prev ids.PID, arena []uint32) (pid ids.PID, maxEpoch uint32, grown []uint32, err error) {
+	z, err := r.uv()
+	if err != nil {
+		return 0, 0, arena, err
+	}
+	pid = prev + ids.PID(int64(z>>1)^-int64(z&1))
+	n, err := r.uv()
+	if err != nil {
+		return 0, 0, arena, err
+	}
+	var last uint32
+	for ; n > 0; n-- {
+		d, err := r.uv()
+		if err != nil {
+			return 0, 0, arena, err
+		}
+		last += uint32(d)
+		arena = append(arena, last)
+	}
+	d, err := r.uv()
+	if err != nil {
+		return 0, 0, arena, err
+	}
+	return pid, last + uint32(d), arena, nil
 }
 
 // entryHeader is the fixed prefix of an encoded journal entry: every
@@ -591,6 +644,24 @@ func Describe(payload []byte) string {
 			return fmt.Sprintf("%s keep=%s base=(undecodable: %v)", ids.PID(pid), iid, err)
 		}
 		return fmt.Sprintf("%s keep=%s base=%T", ids.PID(pid), iid, base)
+	case recReap:
+		count, err := r.uv()
+		if err != nil {
+			return bad(err)
+		}
+		var first, last ids.PID
+		for i := uint64(0); i < count; i++ {
+			if last, _, _, err = r.tomb(last, nil); err != nil {
+				return bad(err)
+			}
+			if i == 0 {
+				first = last
+			}
+		}
+		if count == 1 {
+			return fmt.Sprintf("tombstones=1 %s", first)
+		}
+		return fmt.Sprintf("tombstones=%d %s..%s", count, first, last)
 	case recProcIndex:
 		px, err := r.procIndex()
 		if err != nil {

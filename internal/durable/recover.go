@@ -3,8 +3,9 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/hope-dist/hope/internal/core"
@@ -22,7 +23,8 @@ import (
 type Recovered struct {
 	// Resume is the transport's pre-crash send/receive state.
 	Resume *wire.Resume
-	// Restore maps each recovered user process to its pre-crash state.
+	// Restore maps each recovered user process to its pre-crash state,
+	// and each reaped one to its tombstone (core.Restored.Reaped).
 	Restore map[ids.PID]*core.Restored
 	// Redeliver holds delivered-but-unconsumed inbound messages in their
 	// original arrival order, SrcNode/SrcSeq stamped.
@@ -96,9 +98,18 @@ func (r *Recovered) String() string {
 			frames += len(p.Frames)
 		}
 	}
+	reaped := 0
+	for _, p := range r.Restore {
+		if p.Reaped {
+			reaped++
+		}
+	}
 	out := fmt.Sprintf("records=%d procs=%d redeliver=%d resend=%d unacked=%d denied=%d torn=%d in %v",
-		r.Records, len(r.Restore), len(r.Redeliver), len(r.Resend), frames,
+		r.Records, len(r.Restore)-reaped, len(r.Redeliver), len(r.Resend), frames,
 		len(r.Denied), r.Truncations, r.Duration.Round(time.Microsecond))
+	if reaped > 0 {
+		out += fmt.Sprintf(" reaped=%d", reaped)
+	}
 	if r.ViewEpoch > 0 {
 		out += fmt.Sprintf(" view=e%d", r.ViewEpoch)
 	}
@@ -181,7 +192,7 @@ func (e *rEntry) recvKey() (inKey, bool) {
 type rProc struct {
 	intervals  []core.RestoredInterval
 	entries    []rEntry
-	dead       map[ids.AID]struct{}
+	dead       map[ids.AID]struct{} // allocated by the first recDeadAID
 	deadOrder  []ids.AID
 	base       []byte // compaction snapshot in appendAny's layout, when hasBase
 	baseLSN    uint64
@@ -239,6 +250,17 @@ type recoverState struct {
 
 	transplants map[ids.PID]TransplantOrigin // adopted incarnations by reborn PID (recTransplant)
 
+	// Reaped processes (recReap): a tombstone replaces a process's rProc,
+	// its surviving epochs held in one shared arena. tombList holds the
+	// tombstones in reap order, which a checkpoint keeps, so emitting
+	// them needs no sort; tombs answers membership. reapedSends keeps a
+	// reaped process's journalled send still missing its frame, until a
+	// frame record from it retires the send.
+	tombs       map[ids.PID]struct{}
+	tombList    []rTomb
+	tombEpochs  []uint32
+	reapedSends map[ids.PID]rEntry
+
 	// Checkpoint bracket state. While ckpt is non-nil the stream is inside
 	// a Begin..End bracket and records fold into the nested state instead;
 	// End adopts it wholesale, Abort (or EOF) discards it.
@@ -247,6 +269,7 @@ type recoverState struct {
 	adopted      bool   // a checkpoint was adopted
 	adoptedBegin uint64 // Begin LSN of the newest adopted checkpoint
 	tailRecords  uint64 // records folded outside brackets since the last adoption
+	bracketBytes int    // payload bytes of the adopted bracket (nested states: folded so far)
 	tornBracket  bool   // the stream ended inside an unclosed bracket (set by finish)
 }
 
@@ -257,16 +280,56 @@ func newRecoverState(self int) *recoverState {
 		watermk: make(map[int]uint64),
 		inboxBy: make(map[inKey]*inMsg),
 		procs:   make(map[ids.PID]*rProc),
+
+		tombs:       make(map[ids.PID]struct{}),
+		reapedSends: make(map[ids.PID]rEntry),
 	}
+}
+
+// rTomb is one reaped process's tombstone: its surviving epochs,
+// located in tombEpochs, and its epoch high-water.
+type rTomb struct {
+	pid              ids.PID
+	off, n, maxEpoch uint32
+}
+
+func (rs *recoverState) survivors(t rTomb) []uint32 {
+	if t.n == 0 {
+		return nil
+	}
+	return rs.tombEpochs[t.off : t.off+t.n : t.off+t.n]
 }
 
 func (rs *recoverState) proc(pid ids.PID) *rProc {
 	p := rs.procs[pid]
 	if p == nil {
-		p = &rProc{dead: make(map[ids.AID]struct{})}
+		p = &rProc{}
+		if _, reaped := rs.tombs[pid]; reaped {
+			// A record naming a reaped process (one its dispatch wrote
+			// draining frames queued before the reap) changes nothing a
+			// restart reads: fold it into a throwaway.
+			return p
+		}
 		rs.procs[pid] = p
 	}
 	return p
+}
+
+// reap replaces t.pid's folded state with its tombstone t.
+func (rs *recoverState) reap(t rTomb) {
+	pid := t.pid
+	if _, dup := rs.tombs[pid]; dup {
+		return
+	}
+	if p := rs.procs[pid]; p != nil {
+		t.maxEpoch = max(t.maxEpoch, p.maxEpoch)
+		if p.pendingSend() {
+			rs.reapedSends[pid] = p.lastSend
+		}
+		delete(rs.procs, pid)
+	}
+	rs.tombs[pid] = struct{}{}
+	rs.tombList = append(rs.tombList, t)
 }
 
 // apply consumes one WAL record. payload aliases the scanner's read
@@ -293,6 +356,7 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 		return nil
 	}
 	if rs.ckpt != nil {
+		rs.ckpt.bracketBytes += len(payload)
 		return rs.ckpt.apply(lsn, payload)
 	}
 	rs.tailRecords++
@@ -321,7 +385,11 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 		// process's pending journalled send.
 		if h, ok := wire.PeekHeader(frame); ok &&
 			h.Kind == msg.KindData && wire.NodeOf(h.From) == rs.self {
-			rs.proc(h.From).lastFrameLSN = lsn
+			if _, reaped := rs.tombs[h.From]; reaped {
+				delete(rs.reapedSends, h.From)
+			} else {
+				rs.proc(h.From).lastFrameLSN = lsn
+			}
 		}
 
 	case recPeerAck:
@@ -468,6 +536,9 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 			return err
 		}
 		p := rs.proc(ids.PID(pid))
+		if p.dead == nil {
+			p.dead = make(map[ids.AID]struct{})
+		}
 		if _, dup := p.dead[ids.AID(a)]; !dup {
 			p.dead[ids.AID(a)] = struct{}{}
 			p.deadOrder = append(p.deadOrder, ids.AID(a))
@@ -685,6 +756,21 @@ func (rs *recoverState) apply(lsn uint64, payload []byte) error {
 			}
 		}
 
+	case recReap:
+		count, err := r.uv()
+		if err != nil {
+			return err
+		}
+		var pid ids.PID
+		for i := uint64(0); i < count; i++ {
+			off := len(rs.tombEpochs)
+			var maxEpoch uint32
+			if pid, maxEpoch, rs.tombEpochs, err = r.tomb(pid, rs.tombEpochs); err != nil {
+				return err
+			}
+			rs.reap(rTomb{pid: pid, off: uint32(off), n: uint32(len(rs.tombEpochs) - off), maxEpoch: maxEpoch})
+		}
+
 	case recCkptProc:
 		pid, err := r.uv()
 		if err != nil {
@@ -768,8 +854,13 @@ func (rs *recoverState) adopt(endLSN uint64, payload []byte) error {
 		p.lastSendLSN, p.lastFrameLSN, p.lastSend = 0, 0, rEntry{}
 	}
 	for _, pd := range pends {
+		send := rEntry{kind: journal.KindSend, lsn: endLSN, msg: pd.enc}
+		if _, reaped := rs.tombs[pd.pid]; reaped {
+			rs.reapedSends[pd.pid] = send
+			continue
+		}
 		p := rs.proc(pd.pid)
-		p.lastSend = rEntry{kind: journal.KindSend, lsn: endLSN, msg: pd.enc}
+		p.lastSend = send
 		// endLSN > 0: still pending unless a tail frame record (whose LSN
 		// exceeds endLSN) retires it, mirroring the live pairing rule.
 		p.lastSendLSN, p.lastFrameLSN = endLSN, 0
@@ -869,9 +960,10 @@ type Extract struct {
 	Unconsumed []*msg.Message
 	// Procs maps each of the node's user processes (by its PID there) to
 	// its replayable state — the fold that feeds Recovered.Restore on a
-	// self-restart. Terminated processes are included (flagged); adopters
-	// skip them. Poisoned processes are left out: their durable state is
-	// incomplete and rebirth from it would diverge.
+	// self-restart. Terminated processes and reaped ones' tombstones are
+	// included (flagged); adopters skip them. Poisoned processes are left
+	// out: their durable state is incomplete and rebirth from it would
+	// diverge.
 	Procs map[ids.PID]*core.Restored
 	// Resend holds journalled sends whose frames never reached the node's
 	// resend queue — replay treats the send as performed, so the adopter
@@ -960,15 +1052,16 @@ func (rs *recoverState) unconsumed() (out []*msg.Message, skipped int) {
 }
 
 // restored materialises every surviving process — not poisoned, with at
-// least one interval — and the journalled sends still missing their
-// frames, in PID order. This is where journal entries and compaction
-// bases are finally decoded; entries rolled back or compacted away
-// earlier in the stream never are. A payload that no longer decodes
-// (unregistered type, codec drift) is an error naming the record.
+// least one interval — every reaped process's tombstone, and the
+// journalled sends still missing their frames, in PID order. This is
+// where journal entries and compaction bases are finally decoded;
+// entries rolled back or compacted away earlier in the stream never are.
+// A payload that no longer decodes (unregistered type, codec drift) is an
+// error naming the record.
 func (rs *recoverState) restored() (map[ids.PID]*core.Restored, []*msg.Message, error) {
 	procs := make(map[ids.PID]*core.Restored)
 	var resend []*msg.Message
-	for _, pid := range rs.sortedPIDs() {
+	for _, pid := range slices.Sorted(maps.Keys(rs.procs)) {
 		p := rs.procs[pid]
 		if p.poisoned || len(p.intervals) == 0 {
 			continue
@@ -1011,16 +1104,18 @@ func (rs *recoverState) restored() (map[ids.PID]*core.Restored, []*msg.Message, 
 			resend = append(resend, m)
 		}
 	}
-	return procs, resend, nil
-}
-
-func (rs *recoverState) sortedPIDs() []ids.PID {
-	pids := make([]ids.PID, 0, len(rs.procs))
-	for pid := range rs.procs {
-		pids = append(pids, pid)
+	for _, t := range rs.tombList {
+		procs[t.pid] = &core.Restored{Reaped: true, Survivors: rs.survivors(t), MaxEpoch: t.maxEpoch}
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	return pids
+	for _, pid := range slices.Sorted(maps.Keys(rs.reapedSends)) {
+		send := rs.reapedSends[pid]
+		m, err := decodeMsg(send.msg, send.srcNode, send.srcSeq)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s pending send (lsn %d): %w", pid, send.lsn, err)
+		}
+		resend = append(resend, m)
+	}
+	return procs, resend, nil
 }
 
 // finish converts the folded state into the boot-time resume values.

@@ -31,17 +31,20 @@ type Store struct {
 	// recovery runs; checkpoints are emitted from it (checkpoint.go). nil
 	// when checkpointing is disabled — by option (ckptEvery == 0), or
 	// because a fold failed. Guarded by mu.
-	shadow    *recoverState
-	ckptEvery int
-	sinceCkpt int
-	// lastCkptLen is the record count of the newest bracket. The cadence
-	// also waits for sinceCkpt to reach it, so checkpoint overhead is
-	// amortized to at most ~2× the log volume no matter how large the
-	// state grows — without this, a state bigger than CheckpointEvery
-	// makes every few appends re-encode everything, and under load that
-	// feeds back (slow appends → deeper backlogs → bigger state → slower
-	// appends) into congestion collapse.
-	lastCkptLen int
+	shadow     *recoverState
+	ckptEvery  int
+	sinceCkpt  int // records appended since the last bracket
+	sinceBytes int // their payload bytes
+	// lastCkptBytes is the payload size of the newest bracket. The
+	// cadence also waits for sinceBytes to reach it, so checkpoint
+	// overhead is amortized to at most ~2× the log volume no matter how
+	// large the state grows — without this, a state bigger than
+	// CheckpointEvery makes every few appends re-encode everything, and
+	// under load that feeds back (slow appends → deeper backlogs → bigger
+	// state → slower appends) into congestion collapse. Bytes, not
+	// records: a bracket of large records (AID snapshots) costs more per
+	// record than the small ones most appends are.
+	lastCkptBytes int
 
 	ckpts    atomic.Uint64
 	lastCkpt atomic.Uint64
@@ -127,8 +130,8 @@ func OpenOptions(o Options) (*Store, *Recovered, error) {
 		shadow.ckpt = nil // torn bracket, if any, is void (see below)
 		s.sinceCkpt = int(shadow.tailRecords)
 		if rec.Checkpointed {
-			// The adopted bracket's length re-seeds the amortized cadence.
-			s.lastCkptLen = int(rec.Records - rec.TailRecords)
+			// The adopted bracket's size re-seeds the amortized cadence.
+			s.lastCkptBytes = shadow.bracketBytes
 		}
 	}
 	if rs.tornBracket {
@@ -165,21 +168,26 @@ func (s *Store) EncodeErrors() uint64 { return s.encodeErrs.Load() }
 func (s *Store) append(build func(b []byte) ([]byte, error)) error {
 	s.mu.Lock()
 	b, err := build(append(s.buf[:0], 0)) // placeholder for the type tag set by build
-	var lsn uint64
-	wait := false
+	var lsn, begin uint64
+	wait, bracket := false, false
 	if err == nil {
 		s.buf = b
 		lsn, err = s.log.AppendNoSync(b)
 		if err == nil {
 			wait = s.policy == wal.SyncAlways
 			if s.shadow != nil {
-				s.foldShadowLocked(lsn, b)
+				begin, bracket = s.foldShadowLocked(lsn, b)
 			}
 		}
 	} else if b != nil {
 		s.buf = b
 	}
 	s.mu.Unlock()
+	if bracket {
+		if err := s.sealCheckpoint(begin); err != nil {
+			s.tracer.Emit(trace.Event{Kind: trace.Transport, Detail: err.Error()})
+		}
+	}
 	if err == nil && wait {
 		err = s.log.WaitDurable(lsn)
 	}
@@ -187,7 +195,9 @@ func (s *Store) append(build func(b []byte) ([]byte, error)) error {
 }
 
 // foldShadowLocked feeds one appended record to the shadow recover-state
-// and writes a checkpoint when the cadence comes due. Caller holds s.mu.
+// and writes a checkpoint bracket when the cadence comes due, reporting
+// its Begin LSN for the caller to seal after releasing s.mu. Caller holds
+// s.mu.
 //
 // The fold reads record headers only, so a record whose payload would not
 // decode (a type the reader has not registered, codec drift) does not
@@ -195,7 +205,7 @@ func (s *Store) append(build func(b []byte) ([]byte, error)) error {
 // verbatim — exactly what a full replay of the log would have seen — and
 // the decode error surfaces where it always did, from the OpenOptions or
 // ReadExtract that has to materialise the value.
-func (s *Store) foldShadowLocked(lsn uint64, payload []byte) {
+func (s *Store) foldShadowLocked(lsn uint64, payload []byte) (begin uint64, bracket bool) {
 	if err := s.shadow.apply(lsn, payload); err != nil {
 		// What is left is a structurally malformed record, which only a
 		// bug in this package's own encoders can produce. The shadow has
@@ -206,15 +216,19 @@ func (s *Store) foldShadowLocked(lsn uint64, payload []byte) {
 		s.shadow = nil
 		s.tracer.Emit(trace.Event{Kind: trace.Transport,
 			Detail: fmt.Sprintf("durable: shadow fold failed, checkpointing disabled: %v", err)})
-		return
+		return 0, false
 	}
 	s.sinceCkpt++
-	if s.sinceCkpt >= s.ckptEvery && s.sinceCkpt >= s.lastCkptLen {
-		if err := s.checkpointLocked(); err != nil {
-			s.tracer.Emit(trace.Event{Kind: trace.Transport,
-				Detail: fmt.Sprintf("durable: %v", err)})
-		}
+	s.sinceBytes += len(payload)
+	if s.sinceCkpt < s.ckptEvery || s.sinceBytes < s.lastCkptBytes {
+		return 0, false
 	}
+	begin, err := s.checkpointLocked()
+	if err != nil {
+		s.tracer.Emit(trace.Event{Kind: trace.Transport, Detail: err.Error()})
+		return 0, false
+	}
+	return begin, true
 }
 
 // appendTagged is append for records whose encoding cannot fail.
@@ -423,6 +437,23 @@ func (s *Store) AutoDenied(a ids.AID) {
 	})
 	if err != nil {
 		s.fail("AutoDenied", err)
+	}
+}
+
+// Reaped implements core.ProcReaper: pid finished and left the engine.
+// The fold drops its replay state and keeps the tombstone, so checkpoints
+// and restarts stop carrying it. A failed append leaves the process in
+// the log, which a restart then rebuilds and reaps again.
+func (s *Store) Reaped(pid ids.PID, survivors []uint32) {
+	var last uint32
+	if n := len(survivors); n > 0 {
+		last = survivors[n-1]
+	}
+	err := s.appendTagged(recReap, func(b []byte) []byte {
+		return appendTomb(appendUv(b, 1), 0, pid, survivors, last)
+	})
+	if err != nil {
+		s.fail("Reaped", err)
 	}
 }
 

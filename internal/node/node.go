@@ -50,6 +50,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -174,6 +175,13 @@ type Node struct {
 	agent atomic.Pointer[stability.Agent]
 
 	evicted chan uint64
+
+	// Death handlers (buried) in flight. closing, set when Close or stop
+	// begins, turns later handlers away; stop waits for the running ones
+	// before it shuts the engine and the WAL they use.
+	hmu      sync.Mutex
+	closing  bool
+	handlers sync.WaitGroup
 }
 
 // logf writes one diagnostic line in hoped's stderr format.
@@ -458,8 +466,19 @@ func Start(cfg Config) (_ *Node, err error) {
 // buried is the one death handler, run once per dead peer (detector
 // verdict on a static node, view on a clustered one): wire verdict,
 // adoption, then the deny, which skips transplanted processes — their
-// reborn incarnations re-adjudicate what they minted.
+// reborn incarnations re-adjudicate what they minted. A node that is
+// closing buries no one: it would adopt into an engine and a WAL about
+// to shut.
 func (n *Node) buried(id int, ring *cluster.Ring, reason string) {
+	n.hmu.Lock()
+	if n.closing {
+		n.hmu.Unlock()
+		return
+	}
+	n.handlers.Add(1)
+	n.hmu.Unlock()
+	defer n.handlers.Done()
+
 	eng := n.eng.Load()
 	if eng == nil {
 		return // nothing was minted yet
@@ -605,6 +624,7 @@ func (n *Node) Evicted() <-chan uint64 { return n.evicted }
 // boot to resend), writes the shutdown summary to Log and stops the node.
 // A timed-out drain names each peer still holding frames.
 func (n *Node) Close(drain time.Duration) {
+	n.beginClose()
 	if !n.wire.DrainFor(drain) {
 		held := "queued toward:"
 		for _, ph := range n.wire.PeerHealth() {
@@ -627,14 +647,24 @@ func (n *Node) Close(drain time.Duration) {
 	n.stop()
 }
 
-// stop stops whatever Start built, in reverse order.
+// beginClose turns away death handlers that have not started yet.
+func (n *Node) beginClose() {
+	n.hmu.Lock()
+	n.closing = true
+	n.hmu.Unlock()
+}
+
+// stop stops whatever Start built, in reverse order, once the death
+// handlers already running have finished.
 func (n *Node) stop() {
+	n.beginClose()
 	if a := n.agent.Load(); a != nil {
 		a.Stop()
 	}
 	if m := n.mgr.Load(); m != nil {
 		m.Stop()
 	}
+	n.handlers.Wait()
 	if eng := n.eng.Load(); eng != nil {
 		eng.Shutdown()
 	}

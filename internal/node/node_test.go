@@ -10,8 +10,10 @@ import (
 
 	"github.com/hope-dist/hope/internal/core"
 	"github.com/hope-dist/hope/internal/ids"
+	"github.com/hope-dist/hope/internal/msg"
 	"github.com/hope-dist/hope/internal/oracle"
 	"github.com/hope-dist/hope/internal/rpc"
+	"github.com/hope-dist/hope/internal/trace"
 	"github.com/hope-dist/hope/internal/wire"
 )
 
@@ -216,5 +218,221 @@ func TestOwnerRule(t *testing.T) {
 				t.Errorf("%s: AID minted by node %d: status %+v, want %+v", tc.caller, c.minter, got, c.want)
 			}
 		}
+	}
+}
+
+// affirmTracer records, per process, the interval its first Affirm ran
+// in: a reaped child's surviving interval.
+type affirmTracer struct {
+	mu  sync.Mutex
+	iid map[ids.PID]ids.IntervalID
+}
+
+func (a *affirmTracer) Emit(e trace.Event) {
+	if e.Kind != trace.Primitive || !strings.HasPrefix(e.Detail, "affirm") {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if _, ok := a.iid[e.PID]; !ok {
+		a.iid[e.PID] = e.Interval
+	}
+}
+
+func (a *affirmTracer) of(pid ids.PID) ids.IntervalID {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.iid[pid]
+}
+
+// TestRestartKeepsReapedChildren restarts a durable client whose live
+// parent has reaped children, with and without checkpoints. The WAL
+// brings the children back as tombstones: the replayed spawns run no
+// body, so the server prints nothing twice and loses nothing; a
+// Rollback aimed at a child's surviving interval is still a violation;
+// and no PID or AID the first run issued names anything new.
+func TestRestartKeepsReapedChildren(t *testing.T) {
+	for _, every := range []int{-1, 16} {
+		t.Run(fmt.Sprintf("checkpoint-every=%d", every), func(t *testing.T) {
+			restartKeepsReapedChildren(t, every)
+		})
+	}
+}
+
+func restartKeepsReapedChildren(t *testing.T, checkpointEvery int) {
+	const k = 5 // children per round
+	sn, err := Start(Config{ID: 1, Listen: "127.0.0.1:0", Serve: "printserver", Peers: map[int]string{0: ""}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close(0)
+	server := sn.Root()
+	dir := t.TempDir()
+	tr := &affirmTracer{iid: make(map[ids.PID]ids.IntervalID)}
+	clientCfg := Config{Listen: "127.0.0.1:0", Peers: map[int]string{1: sn.Wire().Addr()},
+		DataDir: dir, Fsync: "none", CheckpointEvery: checkpointEvery, Tracer: tr}
+	start := func(out *lockedBuffer) *Node {
+		t.Helper()
+		cfg := clientCfg
+		cfg.Out = out
+		cn, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn.Wire().SetPeer(0, cn.Wire().Addr())
+		return cn
+	}
+
+	// The parent spawns k printing children per round, each affirming
+	// the assumption the parent guessed, then waits for a message.
+	var mu sync.Mutex
+	ran := 0                            // child bodies started
+	issued := make(map[ids.PID]int)     // child PID or AID → round that issued it
+	children := make(map[int][]ids.PID) // round → children
+	parent := func(ctx *core.Ctx) error {
+		seq := 0
+		for round := 0; ; round++ {
+			for i := 0; i < k; i++ {
+				x := ctx.AidInit()
+				printSeq := seq
+				seq++
+				child := ctx.Spawn(func(w *core.Ctx) error {
+					mu.Lock()
+					ran++
+					mu.Unlock()
+					if _, err := rpc.Call(w, server, rpc.MethodPrint, 0, printSeq); err != nil {
+						return err
+					}
+					w.Affirm(x)
+					return nil
+				})
+				mu.Lock()
+				if _, seen := issued[child]; !seen {
+					children[round] = append(children[round], child)
+				}
+				for _, id := range []ids.PID{child, ids.PID(x)} {
+					if r, seen := issued[id]; seen && r != round {
+						mu.Unlock()
+						t.Errorf("round %d re-issued %v from round %d", round, id, r)
+						return nil
+					}
+					issued[id] = round
+				}
+				mu.Unlock()
+				ctx.Guess(x)
+			}
+			if _, _, err := ctx.Recv(); err != nil {
+				return err
+			}
+		}
+	}
+	// settled waits until round's children have all run and been reaped
+	// and the parent is definite again.
+	settled := func(cn *Node, p *core.Process, round int) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			mu.Lock()
+			kids := append([]ids.PID(nil), children[round]...)
+			mu.Unlock()
+			done := len(kids) == k && p.Snapshot().AllDefinite
+			for _, c := range kids {
+				done = done && cn.Engine().Process(c) == nil
+			}
+			if done && cn.Wire().Inflight() == 0 {
+				return
+			}
+			if t.Failed() || time.Now().After(deadline) {
+				t.Fatalf("round %d never settled: children %v, parent %+v", round, kids, p.Snapshot())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	printed := func() int {
+		t.Helper()
+		line, err := rpc.Probe(sn.Engine(), server, rpc.MethodPrint, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	}
+
+	cn := start(&lockedBuffer{})
+	p, err := cn.Engine().SpawnRoot(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled(cn, p, 0)
+	before := printed()
+	cn.Close(2 * time.Second)
+
+	out := &lockedBuffer{}
+	cn = start(out)
+	defer cn.Close(0)
+	if want := fmt.Sprintf(" reaped=%d", k); !strings.Contains(out.String(), want) {
+		t.Fatalf("restart did not recover %d tombstones:\n%s", k, out)
+	}
+	p2, err := cn.Engine().SpawnRoot(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2.PID() != p.PID() {
+		t.Fatalf("parent re-drew %v, want its pre-restart %v", p2.PID(), p.PID())
+	}
+	settled(cn, p2, 0)
+	if got := printed(); got != before+1 {
+		t.Fatalf("server line %d after the restart, want %d: a reaped child re-ran", got, before+1)
+	}
+	mu.Lock()
+	if ran != k {
+		t.Errorf("%d child bodies ran, want %d", ran, k)
+	}
+	first := children[0][0]
+	mu.Unlock()
+
+	eng := cn.Engine()
+	iid := tr.of(first)
+	if !iid.Valid() {
+		t.Fatalf("no affirm traced for child %v", first)
+	}
+	v := eng.Violations()
+	eng.Net().Send(msg.Rollback(ids.AID(p.PID()), iid))
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Violations() == v {
+		if time.Now().After(deadline) {
+			t.Fatalf("rollback of reaped child %v's surviving interval %v: no violation after the restart", first, iid)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Round two: fresh children, fresh PIDs, every print once.
+	if _, err := sn.Engine().SpawnRoot(func(ctx *core.Ctx) error {
+		ctx.Send(p.PID(), "go")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	settled(cn, p2, 1)
+	if got := printed(); got != before+1+k+1 {
+		t.Fatalf("server line %d after round two, want %d", got, before+1+k+1)
+	}
+	if got := eng.Violations() - v; got != 1 {
+		t.Fatalf("%d violations beyond the probed rollback, want 0", got-1)
+	}
+}
+
+// TestClosingNodeBuriesNoOne: a death handler that starts once Close
+// has begun adopts and denies nothing, since the engine and the WAL it
+// would write to are shutting down.
+func TestClosingNodeBuriesNoOne(t *testing.T) {
+	log := &lockedBuffer{}
+	n, err := Start(Config{Listen: "127.0.0.1:0", Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Close(0)
+	n.buried(5, nil, "node 5 declared dead")
+	if strings.Contains(log.String(), "node 5") {
+		t.Fatalf("a closed node buried node 5:\n%s", log)
 	}
 }

@@ -7,18 +7,102 @@
 package sets
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/hope-dist/hope/internal/ids"
 )
 
+// indexAbove is the size past which a set builds a hash index. The sets
+// are tiny in practice, and up to this size a scan of the order slice
+// beats a map lookup and costs no allocation.
+const indexAbove = 16
+
+// ordered is an insertion-ordered set: the order slice alone up to
+// indexAbove elements, plus a hash index above that. The zero value is
+// an empty set ready for use.
+type ordered[T comparable] struct {
+	order []T
+	index map[T]struct{} // nil until order first grows past indexAbove
+}
+
+// Add inserts v into the set. It reports whether v was newly added.
+func (s *ordered[T]) Add(v T) bool {
+	if s.Contains(v) {
+		return false
+	}
+	s.order = append(s.order, v)
+	switch {
+	case s.index != nil:
+		s.index[v] = struct{}{}
+	case len(s.order) > indexAbove:
+		s.index = make(map[T]struct{}, 2*len(s.order))
+		for _, x := range s.order {
+			s.index[x] = struct{}{}
+		}
+	}
+	return true
+}
+
+// Remove deletes v from the set. It reports whether v was present.
+func (s *ordered[T]) Remove(v T) bool {
+	if s.index != nil {
+		if _, ok := s.index[v]; !ok {
+			return false
+		}
+		delete(s.index, v)
+	}
+	i := slices.Index(s.order, v)
+	if i < 0 {
+		return false
+	}
+	s.order = slices.Delete(s.order, i, i+1)
+	return true
+}
+
+// Contains reports whether v is in the set.
+func (s *ordered[T]) Contains(v T) bool {
+	if s.index != nil {
+		_, ok := s.index[v]
+		return ok
+	}
+	return slices.Contains(s.order, v)
+}
+
+// Len returns the number of elements.
+func (s *ordered[T]) Len() int { return len(s.order) }
+
+// Empty reports whether the set has no elements.
+func (s *ordered[T]) Empty() bool { return len(s.order) == 0 }
+
+// Slice returns a copy of the elements in insertion order. Callers may
+// mutate the returned slice freely.
+func (s *ordered[T]) Slice() []T {
+	if len(s.order) == 0 {
+		return nil
+	}
+	return slices.Clone(s.order)
+}
+
+// Clear removes all elements.
+func (s *ordered[T]) Clear() {
+	s.order = nil
+	s.index = nil
+}
+
+func (s *ordered[T]) clone() ordered[T] {
+	c := ordered[T]{order: slices.Clone(s.order)}
+	if s.index != nil {
+		c.index = maps.Clone(s.index)
+	}
+	return c
+}
+
 // AIDSet is an insertion-ordered set of assumption identifiers.
 // The zero value is an empty set ready for use.
-type AIDSet struct {
-	order []ids.AID
-	index map[ids.AID]struct{}
-}
+type AIDSet struct{ ordered[ids.AID] }
 
 // NewAIDSet returns a set containing the given AIDs (duplicates ignored).
 func NewAIDSet(aids ...ids.AID) *AIDSet {
@@ -29,77 +113,8 @@ func NewAIDSet(aids ...ids.AID) *AIDSet {
 	return s
 }
 
-// Add inserts a into the set. It reports whether a was newly added.
-func (s *AIDSet) Add(a ids.AID) bool {
-	if s.index == nil {
-		s.index = make(map[ids.AID]struct{})
-	}
-	if _, ok := s.index[a]; ok {
-		return false
-	}
-	s.index[a] = struct{}{}
-	s.order = append(s.order, a)
-	return true
-}
-
-// Remove deletes a from the set. It reports whether a was present.
-func (s *AIDSet) Remove(a ids.AID) bool {
-	if s.index == nil {
-		return false
-	}
-	if _, ok := s.index[a]; !ok {
-		return false
-	}
-	delete(s.index, a)
-	for i, v := range s.order {
-		if v == a {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Contains reports whether a is in the set.
-func (s *AIDSet) Contains(a ids.AID) bool {
-	if s.index == nil {
-		return false
-	}
-	_, ok := s.index[a]
-	return ok
-}
-
-// Len returns the number of elements.
-func (s *AIDSet) Len() int { return len(s.order) }
-
-// Empty reports whether the set has no elements.
-func (s *AIDSet) Empty() bool { return len(s.order) == 0 }
-
-// Slice returns a copy of the elements in insertion order. Callers may
-// mutate the returned slice freely.
-func (s *AIDSet) Slice() []ids.AID {
-	if len(s.order) == 0 {
-		return nil
-	}
-	out := make([]ids.AID, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // Clone returns an independent copy of the set.
-func (s *AIDSet) Clone() *AIDSet {
-	c := &AIDSet{}
-	for _, a := range s.order {
-		c.Add(a)
-	}
-	return c
-}
-
-// Clear removes all elements.
-func (s *AIDSet) Clear() {
-	s.order = nil
-	s.index = nil
-}
+func (s *AIDSet) Clone() *AIDSet { return &AIDSet{s.clone()} }
 
 // Intersects reports whether the set shares any element with the slice.
 func (s *AIDSet) Intersects(aids []ids.AID) bool {
@@ -144,10 +159,7 @@ func (s *AIDSet) String() string {
 // IntervalSet is an insertion-ordered set of interval identifiers; AID
 // processes use it for their DOM (Depends-On-Me) sets.
 // The zero value is an empty set ready for use.
-type IntervalSet struct {
-	order []ids.IntervalID
-	index map[ids.IntervalID]struct{}
-}
+type IntervalSet struct{ ordered[ids.IntervalID] }
 
 // NewIntervalSet returns a set containing the given intervals.
 func NewIntervalSet(iids ...ids.IntervalID) *IntervalSet {
@@ -158,73 +170,5 @@ func NewIntervalSet(iids ...ids.IntervalID) *IntervalSet {
 	return s
 }
 
-// Add inserts i into the set. It reports whether i was newly added.
-func (s *IntervalSet) Add(i ids.IntervalID) bool {
-	if s.index == nil {
-		s.index = make(map[ids.IntervalID]struct{})
-	}
-	if _, ok := s.index[i]; ok {
-		return false
-	}
-	s.index[i] = struct{}{}
-	s.order = append(s.order, i)
-	return true
-}
-
-// Remove deletes i from the set. It reports whether i was present.
-func (s *IntervalSet) Remove(i ids.IntervalID) bool {
-	if s.index == nil {
-		return false
-	}
-	if _, ok := s.index[i]; !ok {
-		return false
-	}
-	delete(s.index, i)
-	for n, v := range s.order {
-		if v == i {
-			s.order = append(s.order[:n], s.order[n+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Contains reports whether i is in the set.
-func (s *IntervalSet) Contains(i ids.IntervalID) bool {
-	if s.index == nil {
-		return false
-	}
-	_, ok := s.index[i]
-	return ok
-}
-
-// Len returns the number of elements.
-func (s *IntervalSet) Len() int { return len(s.order) }
-
-// Empty reports whether the set has no elements.
-func (s *IntervalSet) Empty() bool { return len(s.order) == 0 }
-
-// Slice returns a copy of the elements in insertion order.
-func (s *IntervalSet) Slice() []ids.IntervalID {
-	if len(s.order) == 0 {
-		return nil
-	}
-	out := make([]ids.IntervalID, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // Clone returns an independent copy of the set.
-func (s *IntervalSet) Clone() *IntervalSet {
-	c := &IntervalSet{}
-	for _, i := range s.order {
-		c.Add(i)
-	}
-	return c
-}
-
-// Clear removes all elements.
-func (s *IntervalSet) Clear() {
-	s.order = nil
-	s.index = nil
-}
+func (s *IntervalSet) Clone() *IntervalSet { return &IntervalSet{s.clone()} }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"sync/atomic"
@@ -32,7 +33,7 @@ func dialRaw(t *testing.T, n *Node, from int) (*rawSender, uint64) {
 	t.Cleanup(func() { c.Close() })
 	s := &rawSender{t: t, c: c}
 	hello := append([]byte{codecVersion}, seqPayload(uint64(from))...)
-	if err := s.codec.writeFrame(c, frameHello, hello); err != nil {
+	if err := s.codec.writeConnFrame(c, new([]byte), frameHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	ftype, body, err := s.codec.readFrame(c, &s.scratch)
@@ -51,14 +52,18 @@ func dialRaw(t *testing.T, n *Node, from int) (*rawSender, uint64) {
 func (s *rawSender) send(lo, hi uint64) {
 	s.t.Helper()
 	var out bytes.Buffer
+	bw := bufio.NewWriter(&out)
 	for seq := lo; seq <= hi; seq++ {
 		data, err := EncodeMessage(&msg.Message{Kind: msg.KindData, From: PIDBase(0) + 1, To: PIDBase(1) + 1, Payload: seq})
 		if err != nil {
 			s.t.Fatal(err)
 		}
-		if err := s.codec.writeMsgFrame(&out, seq, data); err != nil {
+		if err := s.codec.writeMsgFrame(bw, seq, data); err != nil {
 			s.t.Fatal(err)
 		}
+	}
+	if err := bw.Flush(); err != nil {
+		s.t.Fatal(err)
 	}
 	if _, err := s.c.Write(out.Bytes()); err != nil {
 		s.t.Fatal(err)

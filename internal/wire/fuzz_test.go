@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"math"
 	"testing"
 
@@ -115,14 +117,18 @@ func FuzzFrameStream(f *testing.F) {
 	// few truncated/corrupt variants.
 	n := &Node{}
 	var stream bytes.Buffer
+	bw := bufio.NewWriter(&stream)
 	for i, m := range sampleMessages() {
 		data, err := EncodeMessage(m)
 		if err != nil {
 			continue
 		}
-		if err := n.writeMsgFrame(&stream, uint64(i+1), data); err != nil {
+		if err := n.writeMsgFrame(bw, uint64(i+1), data); err != nil {
 			f.Fatal(err)
 		}
+	}
+	if err := bw.Flush(); err != nil {
+		f.Fatal(err)
 	}
 	full := stream.Bytes()
 	f.Add(full)
@@ -157,7 +163,11 @@ func FuzzFrameStream(f *testing.F) {
 				t.Fatalf("decoded frame seq=%d failed to re-encode: %v", seq, err)
 			}
 			var rt bytes.Buffer
-			if err := n.writeMsgFrame(&rt, seq, reenc); err != nil {
+			bw := bufio.NewWriter(&rt)
+			if err := n.writeMsgFrame(bw, seq, reenc); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			var scratch2 []byte
@@ -238,4 +248,49 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", m, got)
 		}
 	})
+}
+
+// TestFrameWritersAllocateNothing pins the frame writers' steady state:
+// a msg frame and a control frame written to the pump's bufio.Writer,
+// and a frame built in a reused buffer for a direct connection write,
+// allocate nothing. The two layouts agree byte for byte.
+func TestFrameWritersAllocateNothing(t *testing.T) {
+	n := &Node{}
+	var out bytes.Buffer
+	bw := bufio.NewWriterSize(&out, 64<<10)
+	data := bytes.Repeat([]byte{0xA5}, 120)
+	if got := testing.AllocsPerRun(200, func() {
+		if err := n.writeMsgFrame(bw, 1<<40, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.writeFrame(bw, framePing, nil); err != nil {
+			t.Fatal(err)
+		}
+		bw.Reset(io.Discard)
+	}); got != 0 {
+		t.Errorf("writeMsgFrame + writeFrame: %v allocs per frame pair, want 0", got)
+	}
+	buf := make([]byte, 0, 256)
+	if got := testing.AllocsPerRun(200, func() {
+		if err := n.writeConnFrame(io.Discard, &buf, frameAck, data[:3]); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("writeConnFrame into a reused buffer: %v allocs, want 0", got)
+	}
+
+	bw.Reset(&out)
+	if err := n.writeFrame(bw, frameAck, data[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := appendFrame(nil, frameAck, data[:3]); !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("writeFrame wrote %x, appendFrame builds %x", out.Bytes(), want)
+	}
+	var scratch []byte
+	if ftype, body, err := n.readFrame(bytes.NewReader(out.Bytes()), &scratch); err != nil || ftype != frameAck || !bytes.Equal(body, data[:3]) {
+		t.Fatalf("readFrame: type %d body %x err %v", ftype, body, err)
+	}
 }

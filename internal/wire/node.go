@@ -962,25 +962,37 @@ func (n *Node) consumedDeadLetter(m *msg.Message) {
 // ---------------------------------------------------------------------------
 // Framing
 
-// writeFrame writes one length-prefixed frame: uint32 length, type byte,
-// payload, CRC32C trailer over type+payload. It counts bytes out.
-func (n *Node) writeFrame(w io.Writer, ftype byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)+crcLen))
-	hdr[4] = ftype
-	if _, err := w.Write(hdr[:]); err != nil {
+// appendFrame appends one length-prefixed frame to b: uint32 length,
+// type byte, payload, CRC32C trailer over type+payload. Connection
+// writers that own no bufio.Writer build a frame in a reused buffer and
+// send it with one Write.
+func appendFrame(b []byte, ftype byte, payload []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(1+len(payload)+crcLen))
+	start := len(b)
+	b = append(b, ftype)
+	b = append(b, payload...)
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
+}
+
+// writeConnFrame writes one frame to c in a single Write, built in
+// *buf (reused: steady-state acks allocate nothing). It counts bytes
+// out.
+func (n *Node) writeConnFrame(c io.Writer, buf *[]byte, ftype byte, payload []byte) error {
+	*buf = appendFrame((*buf)[:0], ftype, payload)
+	if _, err := c.Write(*buf); err != nil {
 		return err
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	crc := crc32.Update(0, crcTable, hdr[4:5])
-	crc = crc32.Update(crc, crcTable, payload)
-	var trailer [crcLen]byte
-	binary.BigEndian.PutUint32(trailer[:], crc)
-	if _, err := w.Write(trailer[:]); err != nil {
+	n.bytesOut.Add(uint64(len(*buf)))
+	return nil
+}
+
+// writeFrame writes one frame (as appendFrame lays it out) to the
+// pump's buffered writer. It counts bytes out.
+func (n *Node) writeFrame(w *bufio.Writer, ftype byte, payload []byte) error {
+	putUint32(w, uint32(1+len(payload)+crcLen))
+	w.WriteByte(ftype)
+	w.Write(payload)
+	if err := putUint32(w, crc32.Update(crcByte(0, ftype), crcTable, payload)); err != nil {
 		return err
 	}
 	n.bytesOut.Add(uint64(5 + len(payload) + crcLen))
@@ -991,26 +1003,42 @@ func (n *Node) writeFrame(w io.Writer, ftype byte, payload []byte) error {
 // varint, encoded message, CRC32C trailer — with no intermediate
 // allocation. The writer is the pump's bufio.Writer, so consecutive
 // frames coalesce into one flush.
-func (n *Node) writeMsgFrame(w io.Writer, seq uint64, data []byte) error {
-	var hdr [5 + binary.MaxVarintLen64]byte
-	sn := binary.PutUvarint(hdr[5:], seq)
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+sn+len(data)+crcLen))
-	hdr[4] = frameMsg
-	if _, err := w.Write(hdr[:5+sn]); err != nil {
+func (n *Node) writeMsgFrame(w *bufio.Writer, seq uint64, data []byte) error {
+	var head [1 + binary.MaxVarintLen64]byte
+	head[0] = frameMsg
+	hn := 1 + binary.PutUvarint(head[1:], seq)
+	putUint32(w, uint32(hn+len(data)+crcLen))
+	var crc uint32
+	for _, c := range head[:hn] {
+		w.WriteByte(c)
+		crc = crcByte(crc, c)
+	}
+	w.Write(data)
+	if err := putUint32(w, crc32.Update(crc, crcTable, data)); err != nil {
 		return err
 	}
-	if _, err := w.Write(data); err != nil {
-		return err
-	}
-	crc := crc32.Update(0, crcTable, hdr[4:5+sn])
-	crc = crc32.Update(crc, crcTable, data)
-	var trailer [crcLen]byte
-	binary.BigEndian.PutUint32(trailer[:], crc)
-	if _, err := w.Write(trailer[:]); err != nil {
-		return err
-	}
-	n.bytesOut.Add(uint64(5 + sn + len(data) + crcLen))
+	n.bytesOut.Add(uint64(4 + hn + len(data) + crcLen))
 	return nil
+}
+
+// crcByte extends a CRC32C by one byte with crc32.Update's table
+// algorithm. The frame writers checksum their header bytes with it: a
+// stack array passed to crc32.Update escapes to the heap.
+func crcByte(crc uint32, b byte) uint32 {
+	crc = ^crc
+	return ^(crcTable[byte(crc)^b] ^ crc>>8)
+}
+
+// putUint32 writes v big-endian a byte at a time. The frame writers
+// put their headers and trailers this way because a stack array passed
+// to Write escapes to the heap (bufio hands a large Write straight to
+// the connection), one allocation per frame. A bufio.Writer's error is
+// sticky, so the last byte's error reports every write before it.
+func putUint32(w *bufio.Writer, v uint32) error {
+	w.WriteByte(byte(v >> 24))
+	w.WriteByte(byte(v >> 16))
+	w.WriteByte(byte(v >> 8))
+	return w.WriteByte(byte(v))
 }
 
 // readFrame reads one frame into *scratch (growing it as needed — the
@@ -1152,8 +1180,10 @@ func (n *Node) serveConn(c net.Conn) {
 	}()
 
 	// Tell the sender where to resume. A write mutex serializes the
-	// helloAck and all later acks against the idle-flush goroutine.
+	// helloAck and all later acks against the idle-flush goroutine, and
+	// guards the frame and ack-payload buffers they reuse.
 	var wmu sync.Mutex
+	var wbuf, ackBuf []byte
 	in.mu.Lock()
 	resume := in.delivered
 	in.mu.Unlock()
@@ -1164,7 +1194,7 @@ func (n *Node) serveConn(c net.Conn) {
 	// the duplicates it discards, starting from its own handshake.
 	acked := resume
 	wmu.Lock()
-	err = n.writeFrame(c, frameHelloAck, append(seqPayload(resume), byte(n.wmMode)))
+	err = n.writeConnFrame(c, &wbuf, frameHelloAck, append(seqPayload(resume), byte(n.wmMode)))
 	wmu.Unlock()
 	if err != nil {
 		return
@@ -1204,7 +1234,8 @@ func (n *Node) serveConn(c net.Conn) {
 			in.mu.Unlock()
 		}
 		wmu.Lock()
-		werr := n.writeFrame(c, frameAck, seqPayload(seq))
+		ackBuf = binary.AppendUvarint(ackBuf[:0], seq)
+		werr := n.writeConnFrame(c, &wbuf, frameAck, ackBuf)
 		wmu.Unlock()
 		if werr == nil {
 			n.acksSent.Add(1)
@@ -1214,7 +1245,7 @@ func (n *Node) serveConn(c net.Conn) {
 	// reply writes an out-of-band channel's answer (see Channel.Reply).
 	reply := func(ch int, payload []byte) {
 		wmu.Lock()
-		werr := n.writeFrame(c, byte(frameGossip+ch), payload)
+		werr := n.writeConnFrame(c, &wbuf, byte(frameGossip+ch), payload)
 		wmu.Unlock()
 		if werr == nil {
 			n.oobSent[ch].Add(1)
@@ -1459,7 +1490,7 @@ func (p *peer) dial(addr string) (net.Conn, error) {
 	hello := append([]byte{codecVersion}, seqPayload(uint64(p.n.id))...)
 	hello = append(hello, byte(p.n.wmMode)) // commit-watermark mode (see NodeConfig.Watermark)
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := p.n.writeFrame(conn, frameHello, hello); err != nil {
+	if err := p.n.writeConnFrame(conn, new([]byte), frameHello, hello); err != nil {
 		p.n.untrack(conn)
 		return nil, err
 	}

@@ -88,6 +88,12 @@ echo '== crash-restart smoke'
 # print. The Checkpointed variant reruns it with a cadence hot enough
 # that the SIGKILL can land mid-bracket.
 go test -run 'TestCrashRestartRecovery|TestRestartCleanShutdown' -count=1 ./cmd/hoped/
+# A restarted client whose live parent has reaped children: the
+# tombstones come back from the WAL (DESIGN.md §4 item 11), so no child
+# re-runs, no print is lost or doubled, a rollback of a reaped child is
+# still a violation and no PID is re-issued. Three repetitions under the
+# race detector.
+go test -race -count=3 -run TestRestartKeepsReapedChildren ./internal/node/
 
 echo '== chaos storm smoke (pinned seed)'
 # Two durable nodes behind fault proxies, a seeded plan with severs,
